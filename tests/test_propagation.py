@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from paulipatch import (
     AllZero,
     Circuit,
+    CliffordGate,
     ConfigError,
     ObservableSpec,
     ParamRef,
@@ -340,6 +341,173 @@ def test_min_sine_count_keeps_minimum_on_merge():
     po = backpropagate(c, obs, mode=NUMERIC, alphas=[])
     z_term = po.terms[PauliString.from_text("Z")]
     assert z_term.min_sine_count == 0  # cos*cos route dominates sin*sin route
+
+
+# --- golden output ---------------------------------------------------------------------------
+# Exact output of both engines on one small circuit with 1- and 2-qubit Cliffords, a seq
+# gate and fixed and free rotations. A change to the engines' arithmetic or summation
+# order shows here as a changed float.
+
+
+def _golden_circuit() -> Circuit:
+    return Circuit(3, 4, (
+        CliffordGate("h", (0,)),
+        Rotation("ZZ", (0, 1), ParamRef.free(0)),
+        CliffordGate("cnot", (1, 2)),
+        Rotation("X", (2,), ParamRef.fixed(0.37)),
+        Rotation("X", (2,), ParamRef.fixed(-0.52)),  # merges with the gate above
+        CliffordGate("seq", (0, 1, 2), (CliffordGate("s", (0,)), CliffordGate("cz", (0, 2)),
+                                        CliffordGate("h", (1,)))),
+        Rotation("Y", (1,), ParamRef.free(1)),
+        Rotation("XZ", (0, 2), ParamRef.free(2)),
+        CliffordGate("sdg", (2,)),
+        Rotation("Z", (0,), ParamRef.fixed(-0.21)),
+        CliffordGate("swap", (0, 1)),
+        Rotation("X", (1,), ParamRef.free(3)),
+    ))
+
+
+_GOLDEN_ALPHAS = [0.1501145599256004, 0.47665656116349064, 0.33082282829423215,
+                  -0.32975137201128973]  # np.random.default_rng(7).uniform(-0.6, 0.6, 4)
+
+_GOLDEN = {
+    (NUMERIC, None): [
+        ("IXY", -0.009461124396319603, 3),
+        ("IXZ", -0.0014299090987144186, 4),
+        ("IYX", -0.08323348731384365, 1),
+        ("XIY", 0.004937166149881322, 4),
+        ("XIZ", -0.032667211608991, 3),
+        ("XXX", 0.5502953281329798, 0),
+        ("XYY", -0.06255189734569357, 2),
+        ("XYZ", -0.009453794645301486, 3),
+        ("XZI", -0.2873871887883957, 1),
+        ("XZY", -0.12564722295648525, 1),
+        ("XZZ", -0.01898972043994763, 2),
+        ("YII", -0.014760955047812005, 3),
+        ("YIY", 0.057915788621522676, 1),
+        ("YIZ", -0.01292563107206648, 2),
+        ("YYY", -0.041512379839397005, 2),
+        ("YYZ", -0.0062739825791460375, 3),
+        ("YZY", -0.08367030518047118, 1),
+        ("YZZ", 0.0019041855766810233, 2),
+        ("ZIY", -0.0018836128403087356, 2),
+        ("ZIZ", 0.09591026083747049, 2),
+        ("ZXX", 0.19114553134938242, 1),
+        ("ZYY", 0.18420257593282438, 1),
+        ("ZYZ", 0.027839496480507077, 2),
+        ("ZZI", -0.09759154474644784, 2),
+        ("ZZY", 0.3612455353968091, 0),
+        ("ZZZ", 0.05787588511902353, 1),
+    ],
+    (NUMERIC, 2): [
+        ("IYX", -0.08323348731384365, 1),
+        ("XXX", 0.5502953281329798, 0),
+        ("XYY", -0.051184963688013674, 2),
+        ("XZI", -0.2873871887883957, 1),
+        ("XZY", -0.10281460383184077, 1),
+        ("XZZ", -0.01898972043994763, 2),
+        ("YIY", 0.054712534811251774, 1),
+        ("YIZ", 0.008268990879220598, 2),
+        ("YYY", -0.03396874826897398, 2),
+        ("YZY", -0.06670654004296647, 1),
+        ("YZZ", -0.01232060913256962, 2),
+        ("ZIY", 0.010089524062023203, 2),
+        ("ZIZ", 0.07695656141522396, 2),
+        ("ZXX", 0.19114553134938242, 1),
+        ("ZYY", 0.15072927537679723, 1),
+        ("ZYZ", 0.027839496480507077, 2),
+        ("ZZI", -0.09759154474644784, 2),
+        ("ZZY", 0.36173003521308916, 0),
+        ("ZZZ", 0.05467014775016499, 1),
+    ],
+    (SYMBOLIC, None): [
+        ("IXY", ((((0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 0, 1)), 0.6769340772645986),)),
+        ("IXZ", ((((0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 0, 1)), 0.1023085793784759),)),
+        ("IYX", ((((0, 0, 1), (1, 1, 0), (2, 1, 0), (3, 1, 0)), -0.7),)),
+        ("XIY", ((((1, 0, 1), (2, 0, 1), (3, 0, 1)), -0.1023085793784759),)),
+        ("XIZ", ((((1, 0, 1), (2, 0, 1), (3, 0, 1)), 0.6769340772645986),)),
+        ("XXX", ((((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)), 0.7),)),
+        ("XYY", ((((0, 1, 0), (1, 1, 0), (2, 0, 1), (3, 0, 1)), 0.6769340772645986),)),
+        ("XYZ", ((((0, 1, 0), (1, 1, 0), (2, 0, 1), (3, 0, 1)), 0.1023085793784759),)),
+        ("XZI", ((((1, 0, 1), (2, 1, 0), (3, 1, 0)), -0.7),)),
+        ("XZY", ((((2, 0, 1),), -0.38681947272262784),)),
+        ("XZZ", ((((2, 0, 1),), -0.058462045359129106),)),
+        ("YII", ((((0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 1, 0)), -0.7),)),
+        ("YIY", (
+            (((0, 0, 1), (2, 1, 0)), 0.38681947272262784),
+            (((0, 1, 0), (1, 0, 1), (3, 0, 1)), -0.02180630069004425),
+        )),
+        ("YIZ", (
+            (((0, 0, 1), (2, 1, 0)), 0.058462045359129106),
+            (((0, 1, 0), (1, 0, 1), (3, 0, 1)), 0.1442833839140871),
+        )),
+        ("YYY", ((((1, 1, 0), (3, 0, 1)), 0.1442833839140871),)),
+        ("YYZ", ((((1, 1, 0), (3, 0, 1)), 0.02180630069004425),)),
+        ("YZY", (
+            (((0, 0, 1), (1, 0, 1), (2, 1, 0), (3, 0, 1)), 0.1023085793784759),
+            (((0, 1, 0),), -0.08244764795090692),
+        )),
+        ("YZZ", (
+            (((0, 0, 1), (1, 0, 1), (2, 1, 0), (3, 0, 1)), -0.6769340772645986),
+            (((0, 1, 0),), -0.012460743251453864),
+        )),
+        ("ZIY", (
+            (((0, 0, 1),), 0.08244764795090692),
+            (((0, 1, 0), (1, 0, 1), (2, 1, 0), (3, 0, 1)), 0.1023085793784759),
+        )),
+        ("ZIZ", (
+            (((0, 0, 1),), 0.012460743251453864),
+            (((0, 1, 0), (1, 0, 1), (2, 1, 0), (3, 0, 1)), -0.6769340772645986),
+        )),
+        ("ZXX", ((((1, 1, 0), (2, 0, 1), (3, 1, 0)), 0.7),)),
+        ("ZYY", ((((1, 1, 0), (2, 1, 0), (3, 0, 1)), -0.6769340772645986),)),
+        ("ZYZ", ((((1, 1, 0), (2, 1, 0), (3, 0, 1)), -0.1023085793784759),)),
+        ("ZZI", ((((0, 1, 0), (1, 0, 1), (2, 0, 1), (3, 1, 0)), -0.7),)),
+        ("ZZY", (
+            (((0, 0, 1), (1, 0, 1), (3, 0, 1)), 0.02180630069004425),
+            (((0, 1, 0), (2, 1, 0)), 0.38681947272262784),
+        )),
+        ("ZZZ", (
+            (((0, 0, 1), (1, 0, 1), (3, 0, 1)), -0.1442833839140871),
+            (((0, 1, 0), (2, 1, 0)), 0.058462045359129106),
+        )),
+    ],
+    (SYMBOLIC, 2): [
+        ("IYX", ((((0, 0, 1), (1, 1, 0), (2, 1, 0), (3, 1, 0)), -0.7),)),
+        ("XXX", ((((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)), 0.7),)),
+        ("XYY", ((((0, 1, 0), (1, 1, 0), (2, 0, 1), (3, 0, 1)), 0.5539215856631877),)),
+        ("XZI", ((((1, 0, 1), (2, 1, 0), (3, 1, 0)), -0.7),)),
+        ("XZY", ((((2, 0, 1),), -0.31652662037896445),)),
+        ("XZZ", ((((2, 0, 1),), -0.058462045359129106),)),
+        ("YIY", ((((0, 0, 1), (2, 1, 0)), 0.31652662037896445),)),
+        ("YIZ", ((((0, 0, 1), (2, 1, 0)), 0.058462045359129106),)),
+        ("YYY", ((((1, 1, 0), (3, 0, 1)), 0.11806420076456274),)),
+        ("YZY", ((((0, 1, 0),), -0.06746525757975015),)),
+        ("YZZ", ((((0, 1, 0),), -0.012460743251453864),)),
+        ("ZIY", ((((0, 0, 1),), 0.06746525757975015),)),
+        ("ZIZ", ((((0, 1, 0), (1, 0, 1), (2, 1, 0), (3, 0, 1)), -0.5539215856631877),)),
+        ("ZXX", ((((1, 1, 0), (2, 0, 1), (3, 1, 0)), 0.7),)),
+        ("ZYY", ((((1, 1, 0), (2, 1, 0), (3, 0, 1)), -0.5539215856631877),)),
+        ("ZYZ", ((((1, 1, 0), (2, 1, 0), (3, 0, 1)), -0.1023085793784759),)),
+        ("ZZI", ((((0, 1, 0), (1, 0, 1), (2, 0, 1), (3, 1, 0)), -0.7),)),
+        ("ZZY", ((((0, 1, 0), (2, 1, 0)), 0.38681947272262784),)),
+        ("ZZZ", ((((0, 1, 0), (2, 1, 0)), 0.058462045359129106),)),
+    ],
+}
+
+
+def test_backpropagate_golden_output():
+    c = _golden_circuit()
+    obs = ObservableSpec(((PauliString.from_text("ZZI"), 0.7),
+                          (PauliString.from_text("IXY"), -0.4)))
+    for kappa in (None, 2):
+        policy = TruncationPolicy(kappa=kappa)
+        po = backpropagate(c, obs, policy, mode=NUMERIC, alphas=_GOLDEN_ALPHAS)
+        assert [(p.to_text(), t.coefficient, t.min_sine_count)
+                for p, t in po.terms.items()] == _GOLDEN[(NUMERIC, kappa)]
+        po = backpropagate(c, obs, policy, mode=SYMBOLIC)
+        assert [(p.to_text(), tuple((m.factors, w) for m, w in t.monomials))
+                for p, t in po.terms.items()] == _GOLDEN[(SYMBOLIC, kappa)]
 
 
 # --- determinism and partitions ---------------------------------------------------------------
