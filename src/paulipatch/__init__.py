@@ -59,7 +59,6 @@ from .propagation import (
     PropagatedTerm,
     PropagationStats,
     TruncationPolicy,
-    apply_rotation,
     backpropagate,
     load_artifact,
     path_stats,

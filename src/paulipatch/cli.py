@@ -94,7 +94,6 @@ class RunManifest:
     command: str
     config: dict
     seed: int
-    partitions: int = 1
     timings: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
 
@@ -102,8 +101,7 @@ class RunManifest:
     def manifest_id(self) -> str:
         config = {k: v for k, v in self.config.items() if k != "out"}
         canonical = json.dumps(
-            {"command": self.command, "config": config, "seed": self.seed,
-             "partitions": self.partitions},
+            {"command": self.command, "config": config, "seed": self.seed},
             sort_keys=True,
         )
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -114,7 +112,6 @@ class RunManifest:
             "command": self.command,
             "config": self.config,
             "seed": self.seed,
-            "partitions": self.partitions,
             "timings": self.timings,
             "outputs": self.outputs,
             "versions": {"paulipatch": __version__, "numpy": np.__version__},
@@ -185,12 +182,12 @@ def _policy(args) -> TruncationPolicy:
 
 
 def cmd_build(args) -> int:
-    manifest = RunManifest("build", _echo(args), args.seed, args.partitions)
+    manifest = RunManifest("build", _echo(args), args.seed)
     circuit = parse_circuit(_read(args.circuit))
     obs = parse_observable(_read(args.observable), n=circuit.n)
     policy = _policy(args)
     t0 = time.perf_counter()
-    po = backpropagate(circuit, obs, policy, mode=SYMBOLIC, partitions=args.partitions)
+    po = backpropagate(circuit, obs, policy, mode=SYMBOLIC)
     manifest.timings["build_s"] = time.perf_counter() - t0
     save_artifact(po, args.out)
     manifest.outputs.append(os.path.basename(args.out))
@@ -305,7 +302,7 @@ def cmd_shot_compare(args) -> int:
 
 
 def cmd_kz_scan(args) -> int:
-    manifest = RunManifest("kz-scan", _echo(args), args.seed, args.partitions)
+    manifest = RunManifest("kz-scan", _echo(args), args.seed)
     top = _load_topology(args.topology)
     i, j = args.obs_edge
     if (min(i, j), max(i, j)) not in top.edges:
@@ -323,8 +320,7 @@ def cmd_kz_scan(args) -> int:
             circuit = build_tfi_trotter(top, layers=layers, dt=dt,
                                         ramp=RampSpec(ramp_kind, t_f), binding="fixed")
             t0 = time.perf_counter()
-            po = backpropagate(circuit, obs, policy, mode=NUMERIC,
-                               partitions=args.partitions)
+            po = backpropagate(circuit, obs, policy, mode=NUMERIC)
             build_s = time.perf_counter() - t0
             manifest.timings[f"build_s_{ramp_kind}_tf{t_f:g}"] = build_s
             t0 = time.perf_counter()
@@ -397,8 +393,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int,
                    default=int(os.environ.get(SEED_ENV, "2024")),
                    help=f"rng seed (default from ${SEED_ENV} or 2024)")
-    p.add_argument("--partitions", type=int, default=1,
-                   help="initial-term partitions for the deterministic reduction")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -345,6 +344,26 @@ def _check(cond: bool, message: str) -> None:
 # --- binary record logs ---------------------------------------------------------------
 
 _LOG_VERSION = 1
+_SHOT_RECORD = np.dtype([("index", "<u4"), ("outcome", "i1")])  # 5 packed bytes
+
+
+def _read_log(path, fmt: str) -> tuple[dict, bytes]:
+    """Header and record payload of a binary log of format ``fmt``."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode())
+        payload = fh.read()
+    if header.get("format") != fmt or header.get("version") != _LOG_VERSION:
+        raise ValidationError(f"not a {fmt} log: {header.get('format')!r}")
+    return header, payload
+
+
+def _records(payload: bytes, count: int, dtype: np.dtype, fmt: str) -> np.ndarray:
+    """The ``count`` records of ``payload``, which must hold exactly that many."""
+    if len(payload) != count * dtype.itemsize:
+        raise ValidationError(
+            f"{fmt} log holds {len(payload)} record bytes, expected {count * dtype.itemsize}"
+        )
+    return np.frombuffer(payload, dtype=dtype, count=count)
 
 
 def save_shot_records(records: ShotRecords, plan: AllocationPlan, path) -> None:
@@ -359,31 +378,24 @@ def save_shot_records(records: ShotRecords, plan: AllocationPlan, path) -> None:
         "paulis": [p.to_text() for p in plan.paulis],
         "beta": [b for _, b in plan.entries],
     }
+    table = np.empty(len(records), dtype=_SHOT_RECORD)
+    table["index"] = records.pauli_index
+    table["outcome"] = records.outcomes
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
-        for i in range(len(records)):
-            fh.write(struct.pack("<Ib", int(records.pauli_index[i]),
-                                 int(records.outcomes[i])))
+        fh.write(table.tobytes())
 
 
 def load_shot_records(path) -> tuple[ShotRecords, AllocationPlan]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != "shot-records" or header.get("version") != _LOG_VERSION:
-            raise ValidationError(f"not a shot-record log: {header.get('format')!r}")
-        count = header["count"]
-        raw = fh.read(5 * count)
-    if len(raw) != 5 * count:
-        raise ValidationError("truncated shot-record log")
-    idx = np.empty(count, dtype=np.uint32)
-    out = np.empty(count, dtype=np.int8)
-    for i in range(count):
-        idx[i], out[i] = struct.unpack_from("<Ib", raw, 5 * i)
+    header, payload = _read_log(path, "shot-records")
+    table = _records(payload, header["count"], _SHOT_RECORD, "shot-records")
     paulis = [PauliString.from_text(t) for t in header["paulis"]]
     plan = AllocationPlan(
         tuple(zip(paulis, header["beta"])), header["strategy"], header["shots"]
     )
-    return ShotRecords(idx, out, header["stream"]), plan
+    records = ShotRecords(table["index"].astype(np.uint32), table["outcome"].astype(np.int8),
+                          header["stream"])
+    return records, plan
 
 
 def save_shadow_records(records: ShadowRecords, path) -> None:
@@ -395,25 +407,16 @@ def save_shadow_records(records: ShadowRecords, path) -> None:
         "n": records.n,
         "stream": records.stream,
     }
-    packed = np.packbits(records.bits, axis=1)
+    rows = np.concatenate([records.bases, np.packbits(records.bits, axis=1)], axis=1)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
-        for i in range(len(records)):
-            fh.write(records.bases[i].tobytes())
-            fh.write(packed[i].tobytes())
+        fh.write(rows.tobytes())
 
 
 def load_shadow_records(path) -> ShadowRecords:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != "shadow-records" or header.get("version") != _LOG_VERSION:
-            raise ValidationError(f"not a shadow-record log: {header.get('format')!r}")
-        count, n = header["count"], header["n"]
-        packed_len = -(-n // 8)
-        bases = np.empty((count, n), dtype=np.uint8)
-        bits = np.empty((count, n), dtype=np.uint8)
-        for i in range(count):
-            bases[i] = np.frombuffer(fh.read(n), dtype=np.uint8)
-            packed = np.frombuffer(fh.read(packed_len), dtype=np.uint8)
-            bits[i] = np.unpackbits(packed)[:n]
-    return ShadowRecords(bases, bits, header["stream"])
+    header, payload = _read_log(path, "shadow-records")
+    n = header["n"]
+    row = np.dtype((np.uint8, (n + -(-n // 8),)))  # bases, then packed bits
+    rows = _records(payload, header["count"], row, "shadow-records")
+    bits = np.unpackbits(rows[:, n:], axis=1)[:, :n]
+    return ShadowRecords(rows[:, :n].copy(), bits, header["stream"])

@@ -149,21 +149,24 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return (((p.x & q.z).bit_count() ^ (p.z & q.x).bit_count()) & 1) == 0
 
 
+def phase_exponent(px: int, pz: int, qx: int, qz: int) -> int:
+    """Exponent k of the phase i^k in the product (px, pz) @ (qx, qz) of Pauli masks."""
+    # Each Hermitian letter is i^(x*z) X^x Z^z; collecting reordering signs
+    # gives the exponent below (mod 4).
+    return (
+        (px & pz).bit_count()
+        + (qx & qz).bit_count()
+        - ((px ^ qx) & (pz ^ qz)).bit_count()
+        + 2 * (pz & qx).bit_count()
+    ) % 4
+
+
 def multiply(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
     """Operator product ``p @ q`` as ``(phase, result)`` with phase in {1, i, -1, -i}."""
     if p.n != q.n:
         raise DimensionError(f"qubit counts differ: {p.n} vs {q.n}")
-    x = p.x ^ q.x
-    z = p.z ^ q.z
-    # Each Hermitian letter is i^(x*z) X^x Z^z; collecting reordering signs
-    # gives the exponent below (mod 4).
-    exponent = (
-        (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        - (x & z).bit_count()
-        + 2 * (p.z & q.x).bit_count()
-    ) % 4
-    return _PHASES[exponent], PauliString(p.n, x, z)
+    return (_PHASES[phase_exponent(p.x, p.z, q.x, q.z)],
+            PauliString(p.n, p.x ^ q.x, p.z ^ q.z))
 
 
 # --- Clifford gates and their conjugation tables -------------------------------
@@ -284,32 +287,35 @@ class CliffordGate:
             raise ValidationError("only seq gates carry a sequence")
 
 
-def conjugate_clifford(p: PauliString, gate: CliffordGate) -> SignedPauli:
-    """Heisenberg map ``C^dagger P C`` via lookup tables on the gate support."""
-    for q in gate.qubits:
-        if not 0 <= q < p.n:
-            raise DimensionError(f"gate qubit {q} out of range for n={p.n}")
+def conjugate_masks(x: int, z: int, gate: CliffordGate) -> tuple[int, int, int]:
+    """Heisenberg map ``C^dagger P C`` on the masks of ``P``: ``(x, z, sign)``."""
     if gate.kind == "seq":
         # C = g_k ... g_1 (sub-circuit order), so conjugation folds from the
         # last generator inward.
         sign = 1
         for sub in reversed(gate.sequence):
-            sp = conjugate_clifford(p, sub)
-            p = sp.pauli
-            sign *= sp.sign
-        return SignedPauli(p, sign)
-
+            x, z, s = conjugate_masks(x, z, sub)
+            sign *= s
+        return x, z, sign
     codes, signs = gate_table(gate.kind)
     code = 0
     for j, q in enumerate(gate.qubits):
-        code |= ((p.x >> q & 1) + 2 * (p.z >> q & 1)) << (2 * j)
+        code |= ((x >> q & 1) + 2 * (z >> q & 1)) << (2 * j)
     new_code = int(codes[code])
-    x, z = p.x, p.z
     for j, q in enumerate(gate.qubits):
         bit = 1 << q
         x = (x & ~bit) | (((new_code >> (2 * j)) & 1) << q)
         z = (z & ~bit) | (((new_code >> (2 * j + 1)) & 1) << q)
-    return SignedPauli(PauliString(p.n, x, z), int(signs[code]))
+    return x, z, int(signs[code])
+
+
+def conjugate_clifford(p: PauliString, gate: CliffordGate) -> SignedPauli:
+    """Heisenberg map ``C^dagger P C`` via lookup tables on the gate support."""
+    for q in gate.qubits + tuple(q for sub in gate.sequence for q in sub.qubits):
+        if not 0 <= q < p.n:
+            raise DimensionError(f"gate qubit {q} out of range for n={p.n}")
+    x, z, sign = conjugate_masks(p.x, p.z, gate)
+    return SignedPauli(PauliString(p.n, x, z), sign)
 
 
 # --- Observables ----------------------------------------------------------------

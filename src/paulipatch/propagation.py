@@ -28,19 +28,26 @@ from __future__ import annotations
 import gzip
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, ParamRef, Rotation
+from .circuits import Circuit
 from .errors import (
     ConfigError,
     DimensionError,
     PolicyOverflowError,
     ValidationError,
 )
-from .pauli import CliffordGate, ObservableSpec, PauliString, gate_table
+from .pauli import (
+    CliffordGate,
+    ObservableSpec,
+    PauliString,
+    conjugate_masks,
+    gate_table,
+    phase_exponent,
+)
 
 NUMERIC = "numeric"
 SYMBOLIC = "symbolic"
@@ -89,10 +96,6 @@ class PathMonomial:
     @property
     def sine_order(self) -> int:
         return sum(s for _, _, s in self.factors)
-
-    @property
-    def cos_order(self) -> int:
-        return sum(c for _, c, _ in self.factors)
 
     def evaluate(self, cos_values: np.ndarray, sin_values: np.ndarray) -> float:
         out = 1.0
@@ -147,13 +150,6 @@ class PropagationStats:
     terms_final: int = 0
     monomials_final: int = 0
 
-    def merge(self, other: "PropagationStats") -> None:
-        self.paths_expanded += other.paths_expanded
-        self.truncated_sine += other.truncated_sine
-        self.truncated_weight += other.truncated_weight
-        self.truncated_coeff += other.truncated_coeff
-        self.truncated_cap += other.truncated_cap
-
     def as_dict(self) -> dict:
         return {
             "paths_expanded": self.paths_expanded,
@@ -178,7 +174,6 @@ class PropagatedObservable:
     m: int
     n_rotations: int
     n_paulis_initial: int
-    partitions: int = 1
 
     @property
     def n_paulis(self) -> int:
@@ -228,104 +223,10 @@ def path_stats(po: PropagatedObservable) -> dict:
     }
 
 
-# --- single-term rotation rule (reference semantics) -------------------------------
-
-
-def _sine_sign(gen: PauliString, p: PauliString) -> int:
-    """Real sign s with i * gen @ p = s * (gen.x^p.x, gen.z^p.z), anticommuting case."""
-    x = gen.x ^ p.x
-    z = gen.z ^ p.z
-    exponent = (
-        (gen.x & gen.z).bit_count()
-        + (p.x & p.z).bit_count()
-        - (x & z).bit_count()
-        + 2 * (gen.z & p.x).bit_count()
-    ) % 4
+def _sine_sign(gx: int, gz: int, x: int, z: int) -> int:
+    """Real sign s with i * gen @ p = s * (gx^x, gz^z) for anticommuting gen, p."""
     # product phase is +/-i for anticommuting strings; multiplying by i gives +/-1
-    return 1 if exponent == 3 else -1
-
-
-def apply_rotation(
-    term: PropagatedTerm,
-    generator: PauliString,
-    param: ParamRef,
-    policy: TruncationPolicy,
-    mode: str,
-    alphas: Sequence[float] | None = None,
-    stats: PropagationStats | None = None,
-) -> list[PropagatedTerm]:
-    """Back-propagate one term through exp(-i*theta*P/2); 0..2 terms result."""
-    if generator.is_identity:
-        raise ValidationError("rotation generator must not be identity")
-    stats = stats if stats is not None else PropagationStats()
-    p = term.pauli
-    gx, gz = generator.x, generator.z
-    if (((p.x & gz).bit_count() ^ (p.z & gx).bit_count()) & 1) == 0:
-        return [term]
-    stats.paths_expanded += 1
-    sign = _sine_sign(generator, p)
-    new_pauli = PauliString(p.n, p.x ^ gx, p.z ^ gz)
-    kappa = math.inf if policy.kappa is None else policy.kappa
-    max_w = math.inf if policy.max_weight is None else policy.max_weight
-
-    if param.is_fixed:
-        theta = param.value
-        cos_f, sin_f = math.cos(theta), math.sin(theta)
-    else:
-        if mode == NUMERIC:
-            theta = float(alphas[param.index])
-            cos_f, sin_f = math.cos(theta), math.sin(theta)
-        else:
-            cos_f = sin_f = None  # symbolic slots
-
-    out: list[PropagatedTerm] = []
-    if mode == NUMERIC:
-        sines = term.min_sine_count
-        cos_coeff = term.coefficient * cos_f
-        if abs(cos_coeff) >= policy.coeff_floor:
-            out.append(replace(term, coefficient=cos_coeff))
-        else:
-            stats.truncated_coeff += 1
-        sin_coeff = term.coefficient * sin_f * sign
-        if sines + 1 > kappa:
-            stats.truncated_sine += 1
-        elif new_pauli.weight > max_w:
-            stats.truncated_weight += 1
-        elif abs(sin_coeff) < policy.coeff_floor:
-            stats.truncated_coeff += 1
-        else:
-            out.append(PropagatedTerm(new_pauli, coefficient=sin_coeff,
-                                      min_sine_count=sines + 1))
-        return out
-
-    # symbolic: path sine counts derive from the monomial sine orders here; the
-    # engine additionally tracks sines contributed by fixed-angle gates.
-    new_monos: list[tuple[PathMonomial, float]] = []
-    sin_monos: list[tuple[PathMonomial, float]] = []
-    for mono, weight in term.monomials:
-        if param.is_fixed:
-            new_monos.append((mono, weight * cos_f))
-        else:
-            new_monos.append((PathMonomial(_mono_raised(mono.factors, param.index, "cos")),
-                              weight))
-    for mono, weight in term.monomials:
-        path_sines = mono.sine_order  # fixed-angle sines are invisible here
-        if path_sines + 1 > kappa:
-            stats.truncated_sine += 1
-            continue
-        if new_pauli.weight > max_w:
-            stats.truncated_weight += 1
-            continue
-        if param.is_fixed:
-            sin_monos.append((mono, weight * sin_f * sign))
-        else:
-            sin_monos.append((PathMonomial(_mono_raised(mono.factors, param.index, "sin")),
-                              weight * sign))
-    if new_monos:
-        out.append(replace(term, monomials=tuple(new_monos)))
-    if sin_monos:
-        out.append(PropagatedTerm(new_pauli, monomials=tuple(sin_monos)))
-    return out
+    return 1 if phase_exponent(gx, gz, x, z) == 3 else -1
 
 
 # --- symbolic engine (dict based) ---------------------------------------------------
@@ -336,25 +237,6 @@ def apply_rotation(
 # collapses to 0 and only the minimum count is tracked, mirroring the numeric
 # engine's pooling (see _NumericFrontier._merge on why pooling matters).
 _SymbolicFrontier = dict[tuple[int, int], dict[tuple[MonoKey, int], list]]
-
-
-def _conj_key(x: int, z: int, gate: CliffordGate) -> tuple[int, int, int]:
-    if gate.kind == "seq":
-        sign = 1
-        for sub in reversed(gate.sequence):
-            x, z, s = _conj_key(x, z, sub)
-            sign *= s
-        return x, z, sign
-    codes, signs = gate_table(gate.kind)
-    code = 0
-    for j, q in enumerate(gate.qubits):
-        code |= ((x >> q & 1) + 2 * (z >> q & 1)) << (2 * j)
-    new_code = int(codes[code])
-    for j, q in enumerate(gate.qubits):
-        bit = 1 << q
-        x = (x & ~bit) | (((new_code >> (2 * j)) & 1) << q)
-        z = (z & ~bit) | (((new_code >> (2 * j + 1)) & 1) << q)
-    return x, z, int(signs[code])
 
 
 def _sym_insert(frontier: _SymbolicFrontier, key: tuple[int, int], mono: MonoKey,
@@ -392,7 +274,7 @@ def _run_symbolic(circuit: Circuit, terms: Iterable[tuple[PauliString, float]],
         if isinstance(gate, CliffordGate):
             new: _SymbolicFrontier = {}
             for (x, z), monos in frontier.items():
-                nx, nz, sign = _conj_key(x, z, gate)
+                nx, nz, sign = conjugate_masks(x, z, gate)
                 for (mono, _), (w, s) in monos.items():
                     _sym_insert(new, (nx, nz), mono, w * sign, s, resolved)
             frontier = new
@@ -409,7 +291,7 @@ def _run_symbolic(circuit: Circuit, terms: Iterable[tuple[PauliString, float]],
                         _sym_insert(new, (x, z), mono, w, s, resolved)
                     continue
                 sx, sz = x ^ gx, z ^ gz
-                sign = _sine_sign(gen, PauliString(n, x, z))
+                sign = _sine_sign(gx, gz, x, z)
                 new_weight_ok = (sx | sz).bit_count() <= max_w
                 for (mono, _), (w, s) in monos.items():
                     stats.paths_expanded += 1
@@ -617,13 +499,13 @@ def backpropagate(
     policy: TruncationPolicy | None = None,
     mode: str = NUMERIC,
     alphas: Sequence[float] | None = None,
-    partitions: int = 1,
 ) -> PropagatedObservable:
     """Back-propagate ``obs`` through ``circuit`` under ``policy``.
 
-    ``partitions`` splits the initial Pauli terms into independently propagated
-    chunks merged in fixed order; it only permutes floating-point summation
-    order and is echoed on the result for reproducibility.
+    Numeric mode binds the free parameters to ``alphas`` and returns one
+    merged coefficient per surviving Pauli; symbolic mode returns each
+    coefficient as trigonometric monomials in the free parameters. Terms are
+    listed in text-lexicographic Pauli order.
     """
     policy = policy or TruncationPolicy.exact()
     if mode not in (NUMERIC, SYMBOLIC):
@@ -635,24 +517,18 @@ def backpropagate(
             raise ConfigError("symbolic mode takes no parameter vector")
         if policy.coeff_floor > 0.0:
             raise ConfigError("coefficient floor needs magnitudes; use numeric mode")
-        alpha_arr = None
     else:
         alpha_arr = np.asarray([] if alphas is None else alphas, dtype=float)
         if alpha_arr.shape != (circuit.m,):
             raise DimensionError(
                 f"numeric mode needs {circuit.m} parameters, got {alpha_arr.shape}"
             )
-    if partitions < 1:
-        raise ConfigError(f"partitions must be >= 1, got {partitions}")
-
-    chunk_count = min(partitions, len(obs.terms))
-    chunks = [list(chunk) for chunk in np.array_split(np.arange(len(obs.terms)), chunk_count)]
     stats = PropagationStats()
 
     # With no free parameters every monomial is empty, so the symbolic result
     # is the numeric one wrapped in constant monomials; use the fast kernel.
     if mode == SYMBOLIC and circuit.m == 0:
-        po = backpropagate(circuit, obs, policy, NUMERIC, None, partitions)
+        po = backpropagate(circuit, obs, policy, NUMERIC, None)
         terms = {
             p: PropagatedTerm(p, monomials=((PathMonomial(), t.coefficient),),
                               min_sine_count=t.min_sine_count)
@@ -662,43 +538,32 @@ def backpropagate(
         po.terms = terms
         return po
 
+    def sort_key(key: tuple[int, int]) -> tuple:
+        return _pauli_sort_key(circuit.n, *key)
+
+    terms = {}
     if mode == NUMERIC:
-        merged: dict[tuple[int, int], list] = {}
-        for chunk in chunks:
-            part_terms = [obs.terms[i] for i in chunk]
-            frontier = _run_numeric(circuit, part_terms, policy, alpha_arr, stats)
-            for i in range(len(frontier)):
-                key = (_words_to_mask(frontier.xw[i]), _words_to_mask(frontier.zw[i]))
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [float(frontier.coeff[i]), int(frontier.sines[i])]
-                else:
-                    entry[0] += float(frontier.coeff[i])
-                    entry[1] = min(entry[1], int(frontier.sines[i]))
-        terms = {}
-        for (x, z) in sorted(merged, key=lambda k: _pauli_sort_key(circuit.n, *k)):
-            coeff, sines = merged[(x, z)]
-            if coeff == 0.0:
-                continue
+        frontier = _run_numeric(circuit, obs.terms, policy, alpha_arr, stats)
+        # frontier rows hold distinct Paulis: Cliffords permute them, merges dedupe
+        rows = {
+            (_words_to_mask(xw), _words_to_mask(zw)): (float(coeff), int(sines))
+            for xw, zw, coeff, sines in zip(frontier.xw, frontier.zw,
+                                            frontier.coeff, frontier.sines)
+            if coeff != 0.0
+        }
+        for (x, z) in sorted(rows, key=sort_key):
             p = PauliString(circuit.n, x, z)
+            coeff, sines = rows[(x, z)]
             terms[p] = PropagatedTerm(p, coefficient=coeff, min_sine_count=sines)
         stats.terms_final = len(terms)
         stats.monomials_final = len(terms)
     else:
-        merged_sym: _SymbolicFrontier = {}
-        resolved = policy.kappa is not None
-        for chunk in chunks:
-            part_terms = [obs.terms[i] for i in chunk]
-            frontier = _run_symbolic(circuit, part_terms, policy, stats)
-            for key, monos in frontier.items():
-                for (mono, _), (w, s) in monos.items():
-                    _sym_insert(merged_sym, key, mono, w, s, resolved)
-        terms = {}
-        for (x, z) in sorted(merged_sym, key=lambda k: _pauli_sort_key(circuit.n, *k)):
+        sym = _run_symbolic(circuit, obs.terms, policy, stats)
+        for (x, z) in sorted(sym, key=sort_key):
             p = PauliString(circuit.n, x, z)
             # pool sine-count classes of one monomial into a unique-key list
             combined: dict[MonoKey, list] = {}
-            for (mono, _), (w, s) in merged_sym[(x, z)].items():
+            for (mono, _), (w, s) in sym[(x, z)].items():
                 entry = combined.setdefault(mono, [0.0, s])
                 entry[0] += w
                 entry[1] = min(entry[1], s)
@@ -725,7 +590,6 @@ def backpropagate(
         m=circuit.m,
         n_rotations=len(circuit.rotations),
         n_paulis_initial=obs.n_paulis,
-        partitions=partitions,
     )
 
 
@@ -749,7 +613,6 @@ def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObser
         n=po.n, mode=SYMBOLIC, terms=terms, stats=po.stats,
         policy=replace(po.policy, kappa=kappa),
         m=po.m, n_rotations=po.n_rotations, n_paulis_initial=po.n_paulis_initial,
-        partitions=po.partitions,
     )
 
 
@@ -777,7 +640,6 @@ def save_artifact(po: PropagatedObservable, path) -> None:
         "m": po.m,
         "n_rotations": po.n_rotations,
         "n_paulis_initial": po.n_paulis_initial,
-        "partitions": po.partitions,
         "policy": {
             "kappa": po.policy.kappa,
             "max_weight": po.policy.max_weight,
@@ -844,5 +706,4 @@ def load_artifact(path) -> PropagatedObservable:
         m=doc["m"],
         n_rotations=doc["n_rotations"],
         n_paulis_initial=doc["n_paulis_initial"],
-        partitions=doc.get("partitions", 1),
     )

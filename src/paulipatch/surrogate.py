@@ -158,20 +158,13 @@ class SurrogateEvaluator:
         return np.array([self.value(row) for row in alpha_rows])
 
 
-_EVALUATOR_MEMO: dict[tuple[int, int], SurrogateEvaluator] = {}
-
-
 def evaluate(po: PropagatedObservable, alphas: Sequence[float],
              state: InitialState) -> float:
-    """Surrogate landscape value sum_P d_P c_P(alpha) for a symbolic surrogate."""
-    key = (id(po), id(state))
-    ev = _EVALUATOR_MEMO.get(key)
-    if ev is None:
-        ev = SurrogateEvaluator(po, state)
-        if len(_EVALUATOR_MEMO) > 64:
-            _EVALUATOR_MEMO.clear()
-        _EVALUATOR_MEMO[key] = ev
-    return ev.value(alphas)
+    """Surrogate landscape value sum_P d_P c_P(alpha) for a symbolic surrogate.
+
+    Builds a fresh ``SurrogateEvaluator``; hold one for repeated evaluations.
+    """
+    return SurrogateEvaluator(po, state).value(alphas)
 
 
 # --- exact trigonometric patch moments ----------------------------------------------

@@ -7,6 +7,9 @@ is the exact first derivative, and composing it covers mixed and higher
 orders. Only unique derivatives are evaluated (multisets of parameter
 indices), and all shifted evaluation points are memoized within a build, so
 the oracle-call ledger stays well under the multinomial worst case.
+
+The rule is exact only when each parameter drives a single rotation, so the
+circuit-backed oracles refuse circuits that reuse a parameter.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Rotation
-from .errors import ConfigError, DimensionError, PauliPatchError
+from .circuits import Circuit
+from .errors import ConfigError, DimensionError, HypothesisViolationError, PauliPatchError
 from .measurement import estimate, make_allocation, simulate_direct
 from .pauli import ObservableSpec
 from .states import InitialState, evolve_state, exact_expectation
@@ -66,8 +70,20 @@ class LossOracle:
         return float(self.func(alphas))
 
 
+def _require_single_use_parameters(circuit: Circuit) -> None:
+    """Refuse circuits where the two-point shift rule is not the exact derivative."""
+    uses = Counter(g.param.index for g in circuit.rotations if not g.param.is_fixed)
+    shared = sorted(index for index, count in uses.items() if count > 1)
+    if shared:
+        raise HypothesisViolationError(
+            f"parameters {shared} each drive more than one rotation; the two-point "
+            "shift rule is exact only for one rotation per parameter"
+        )
+
+
 def exact_oracle(circuit: Circuit, obs: ObservableSpec, state: InitialState) -> LossOracle:
     """Loss oracle backed by the dense statevector reference."""
+    _require_single_use_parameters(circuit)
     return LossOracle(
         func=lambda a: exact_expectation(circuit, a, obs, state),
         m=circuit.m,
@@ -83,6 +99,7 @@ def sampled_oracle(circuit: Circuit, obs: ObservableSpec, state: InitialState,
     Calls consume consecutive substreams of the base seed, so a rebuilt
     oracle replays the identical noise sequence.
     """
+    _require_single_use_parameters(circuit)
     coeffs = {p: c for p, c in obs.terms}
     plan = make_allocation("abs-coeff", shots, coeffs=coeffs)
     counter = itertools.count()
@@ -293,8 +310,6 @@ def derivative_growth_gamma(circuit: Circuit) -> float:
     Every rotation here is exp(-i*alpha*P/2) with ||P/2|| = 1/2, so the
     constant is 1; ``gamma_for_generator_norm`` covers rescaled generators.
     """
-    if not any(isinstance(g, Rotation) for g in circuit.gates):
-        return 1.0
     return 1.0
 
 

@@ -17,6 +17,7 @@ from paulipatch import (
     PauliString,
     Rotation,
     ParamRef,
+    ValidationError,
     backpropagate,
     estimate,
     make_allocation,
@@ -304,6 +305,20 @@ def test_shadow_record_log_round_trip(tmp_path):
     assert np.array_equal(loaded.bits, records.bits)
     assert shadow_estimate(loaded, PauliString.from_sparse("Z0 Z2", 3)) == \
         shadow_estimate(records, PauliString.from_sparse("Z0 Z2", 3))
+
+
+def test_record_logs_reject_truncated_or_padded_files(tmp_path):
+    plan = make_allocation("abs-coeff", 50, coeffs={Z1: 0.7, X1: 0.3})
+    shots = tmp_path / "shots.bin"
+    save_shot_records(simulate_direct(AllZero(1), plan, seed=17), plan, shots)
+    shadows = tmp_path / "shadows.bin"
+    save_shadow_records(simulate_shadows(AllZero(3), 40, seed=18), shadows)
+    for path, load in ((shots, load_shot_records), (shadows, load_shadow_records)):
+        good = path.read_bytes()
+        for bad in (good[:-1], good + b"\x00", good + b"extra"):
+            path.write_bytes(bad)
+            with pytest.raises(ValidationError):
+                load(path)
 
 
 def test_records_reproducible_for_seed():

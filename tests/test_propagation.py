@@ -1,5 +1,6 @@
 """Back-propagation engines against the dense oracle and each other."""
 
+import json
 import math
 
 import numpy as np
@@ -16,11 +17,8 @@ from paulipatch import (
     PathMonomial,
     PauliString,
     PolicyOverflowError,
-    PropagatedTerm,
     Rotation,
     TruncationPolicy,
-    ValidationError,
-    apply_rotation,
     backpropagate,
     exact_expectation_batch,
     load_artifact,
@@ -37,45 +35,38 @@ def propagated_expectation(po, state):
     return sum(t.coefficient * overlap(state, p) for p, t in po.terms.items())
 
 
-# --- single-term rotation rule ---------------------------------------------------------
+# --- one-rotation circuits ------------------------------------------------------------
 
 
-def test_apply_rotation_commuting_passthrough():
-    term = PropagatedTerm(PauliString.from_text("Z"), coefficient=0.5, min_sine_count=0)
-    out = apply_rotation(term, PauliString.from_text("Z"), ParamRef.fixed(0.3),
-                         TruncationPolicy(), NUMERIC)
-    assert out == [term]
+def test_rotation_commuting_passthrough():
+    c = Circuit(1, 0, (Rotation("Z", (0,), ParamRef.fixed(0.3)),))
+    po = backpropagate(c, ObservableSpec.single(PauliString.from_text("Z"), 0.5),
+                       mode=NUMERIC)
+    assert [(p.to_text(), t.coefficient, t.min_sine_count)
+            for p, t in po.terms.items()] == [("Z", 0.5, 0)]
+    assert po.stats.paths_expanded == 0
 
 
-def test_apply_rotation_splits_to_cos_and_minus_sin():
+def test_rotation_splits_to_cos_and_minus_sin():
     # back-propagating X through exp(-i a Z / 2) gives cos(a) X - sin(a) Y,
     # frozen from the dense conjugation oracle exp(i a Z/2) X exp(-i a Z/2)
     alpha = 0.81
-    term = PropagatedTerm(PauliString.from_text("X"), coefficient=1.0, min_sine_count=0)
-    out = apply_rotation(term, PauliString.from_text("Z"), ParamRef.free(0),
-                         TruncationPolicy(), NUMERIC, alphas=[alpha])
-    by_pauli = {t.pauli.to_text(): t for t in out}
+    c = Circuit(1, 1, (Rotation("Z", (0,), ParamRef.free(0)),))
+    po = backpropagate(c, ObservableSpec.single(PauliString.from_text("X")),
+                       mode=NUMERIC, alphas=[alpha])
+    by_pauli = {p.to_text(): t for p, t in po.terms.items()}
     assert by_pauli["X"].coefficient == pytest.approx(math.cos(alpha))
     assert by_pauli["Y"].coefficient == pytest.approx(-math.sin(alpha))
     assert by_pauli["Y"].min_sine_count == 1
 
 
-def test_apply_rotation_kappa_zero_keeps_cos_only():
-    from paulipatch.propagation import PropagationStats
-
-    stats = PropagationStats()
-    term = PropagatedTerm(PauliString.from_text("X"), coefficient=1.0, min_sine_count=0)
-    out = apply_rotation(term, PauliString.from_text("Z"), ParamRef.fixed(0.4),
-                         TruncationPolicy(kappa=0), NUMERIC, stats=stats)
-    assert len(out) == 1 and out[0].pauli == PauliString.from_text("X")
-    assert stats.truncated_sine == 1
-
-
-def test_apply_rotation_rejects_identity_generator():
-    term = PropagatedTerm(PauliString.from_text("X"), coefficient=1.0, min_sine_count=0)
-    with pytest.raises(ValidationError):
-        apply_rotation(term, PauliString.identity(1), ParamRef.fixed(0.1),
-                       TruncationPolicy(), NUMERIC)
+def test_rotation_kappa_zero_keeps_cos_only():
+    c = Circuit(1, 0, (Rotation("Z", (0,), ParamRef.fixed(0.4)),))
+    po = backpropagate(c, ObservableSpec.single(PauliString.from_text("X")),
+                       TruncationPolicy(kappa=0), mode=NUMERIC)
+    assert [(p.to_text(), t.coefficient) for p, t in po.terms.items()] == [
+        ("X", math.cos(0.4))]
+    assert po.stats.truncated_sine == 1
 
 
 # --- backpropagate basics ----------------------------------------------------------------
@@ -510,23 +501,17 @@ def test_backpropagate_golden_output():
                 for p, t in po.terms.items()] == _GOLDEN[(SYMBOLIC, kappa)]
 
 
-# --- determinism and partitions ---------------------------------------------------------------
+# --- determinism ------------------------------------------------------------------------------
 
 
-def test_partitions_deterministic_and_consistent(rng):
+def test_numeric_bitwise_reproducible(rng):
     n = 4
     c = random_mixed_circuit(rng, n=n, n_rot=8)
     obs = random_observable(rng, n, terms=4)
     alphas = rng.uniform(-0.5, 0.5, size=c.m)
-    p1 = backpropagate(c, obs, mode=NUMERIC, alphas=alphas, partitions=1)
-    p1b = backpropagate(c, obs, mode=NUMERIC, alphas=alphas, partitions=1)
-    p3 = backpropagate(c, obs, mode=NUMERIC, alphas=alphas, partitions=3)
-    c1 = p1.coefficients_at()
-    assert c1 == p1b.coefficients_at()  # bitwise reproducible
-    c3 = p3.coefficients_at()
-    for key in set(c1) | set(c3):
-        assert c1.get(key, 0.0) == pytest.approx(c3.get(key, 0.0), abs=1e-12)
-    assert p3.partitions == 3
+    first = backpropagate(c, obs, mode=NUMERIC, alphas=alphas)
+    again = backpropagate(c, obs, mode=NUMERIC, alphas=alphas)
+    assert list(first.terms.items()) == list(again.terms.items())
 
 
 # --- artifact io -------------------------------------------------------------------------------
@@ -558,6 +543,13 @@ def test_numeric_artifact_round_trip(tmp_path, rng):
     save_artifact(po, path)
     loaded = load_artifact(path)
     assert loaded.coefficients_at() == po.coefficients_at()
+    # older artifacts carry a partitions key, which loading ignores
+    doc = json.loads(path.read_text())
+    assert "partitions" not in doc
+    doc["partitions"] = 1
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    assert load_artifact(old).coefficients_at() == po.coefficients_at()
 
 
 # --- property-based checks ----------------------------------------------------------------------

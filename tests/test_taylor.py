@@ -10,6 +10,7 @@ from paulipatch import (
     AllZero,
     Circuit,
     ConfigError,
+    HypothesisViolationError,
     LossOracle,
     ObservableSpec,
     ParamRef,
@@ -17,6 +18,8 @@ from paulipatch import (
     Rotation,
     TaylorSurrogate,
     build_taylor,
+    build_tfi_trotter,
+    chain,
     derivative_growth_gamma,
     eval_taylor,
     exact_expectation,
@@ -244,6 +247,18 @@ def test_second_derivative_bounded_by_gamma(rng):
             kvec[int(local.integers(c.m))] = 2
             value = shift_derivative(oracle, center, kvec)
             assert abs(value) <= oracle.gamma**2 * obs.norm1 + 1e-9
+
+
+def test_oracles_refuse_shared_parameters():
+    # one parameter drives all 10 rotations; for <ZZI> on |000> at alpha=0.3 the
+    # two-point rule gives -0.223 where a central difference gives -1.655
+    c = build_tfi_trotter(chain(3), layers=2, dt=0.3, binding="shared")
+    assert c.m == 1 and len(c.rotations) == 10
+    obs = ObservableSpec.single(PauliString.from_text("ZZI"))
+    with pytest.raises(HypothesisViolationError):
+        exact_oracle(c, obs, AllZero(3))
+    with pytest.raises(HypothesisViolationError):
+        sampled_oracle(c, obs, AllZero(3), shots=100, seed=1)
 
 
 def test_surrogate_json_round_trip(rng):
