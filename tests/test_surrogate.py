@@ -10,6 +10,7 @@ from paulipatch import (
     AllPlus,
     AllZero,
     Circuit,
+    CliffordGate,
     ConfigError,
     HypothesisViolationError,
     ObservableSpec,
@@ -23,6 +24,8 @@ from paulipatch import (
     bound_correlated_avg,
     bound_mse_truncation,
     bound_worst_truncation,
+    build_tfi_trotter,
+    chain,
     effective_norm_avg,
     effective_norm_worst,
     evaluate,
@@ -130,6 +133,61 @@ def test_evaluate_mode_and_length_errors(rng):
         evaluate(po, np.zeros(c.m + 1), AllZero(3))
 
 
+# Exact output of the evaluator and the worst-case bounds on one small surrogate with
+# free and shared parameters, an exponent above one and constant monomials. A change
+# to the flat kernel's arithmetic or order, or to the bound's sum, shows here.
+
+
+def _pinned_surrogate():
+    c = Circuit(4, 3, (
+        Rotation("X", (0,), ParamRef.free(0)),
+        CliffordGate("cnot", (0, 1)),
+        Rotation("ZZ", (1, 2), ParamRef.shared(1)),
+        Rotation("Y", (3,), ParamRef.fixed(0.41)),
+        Rotation("XY", (0, 2), ParamRef.free(2)),
+        CliffordGate("h", (1,)),
+        Rotation("ZZ", (0, 1), ParamRef.shared(1)),
+        Rotation("X", (1,), ParamRef.shared(1)),
+    ))
+    obs = ObservableSpec(((PauliString.from_text("ZIZI"), 0.8),
+                          (PauliString.from_text("IIIZ"), -0.35),
+                          (PauliString.from_text("YYII"), 0.5)))
+    return backpropagate(c, obs, TruncationPolicy(kappa=3), mode=SYMBOLIC)
+
+
+_PINNED_ALPHAS = [0.3660035084944562, 0.3695289476837925,
+                  0.018390673250570422]  # np.random.default_rng(5).uniform(-0.6, 0.6, 3)
+
+_PINNED_COEFFS = [
+    ("IIIX", 0.139513264794548), ("IIIZ", -0.32099228798581175),
+    ("IYYI", 0.008574145829099947), ("XXII", -0.06522412982930734),
+    ("XZII", 0.4347023479775578), ("XZZI", -0.06081105823850382),
+    ("YIII", -0.1466049936886981), ("YIZI", 0.12909165348858034),
+    ("YXYI", 0.0011082949286722818), ("ZIII", 0.05618966802621254),
+    ("ZIZI", 0.8072692442865828), ("ZXYI", 0.0028916627688104187),
+]
+
+_PINNED_WORST = [
+    ("IIIX", 0.139513264794548), ("IIIZ", 0.32099228798581175),
+    ("IYYI", 0.14776010333066977), ("XXII", 0.04366609627258042),
+    ("XZII", 0.5), ("XZZI", 0.04366609627258042),
+    ("YIII", 0.14776010333066977), ("YIZI", 0.3841762686597414),
+    ("YXYI", 0.012904213794566913), ("ZIII", 0.04366609627258042),
+    ("ZIZI", 0.8436660962725805), ("ZXYI", 0.04366609627258042),
+]
+
+
+def test_evaluator_and_worst_bounds_pinned_output():
+    po = _pinned_surrogate()
+    assert any(mono.factors == () for t in po.terms.values() for mono, _ in t.monomials)
+    ev = SurrogateEvaluator(po, AllZero(4))
+    coeffs = ev.coefficients(_PINNED_ALPHAS)
+    got = [(p.to_text(), float(v)) for p, v in zip(ev.paulis, coeffs)]
+    assert got == _PINNED_COEFFS
+    worst = [(p.to_text(), v) for p, v in worst_case_coeff_bounds(po, 0.3).items()]
+    assert worst == _PINNED_WORST
+
+
 def test_evaluator_batch_values(rng):
     c = random_mixed_circuit(rng, n=3, n_rot=6)
     obs = random_observable(rng, 3)
@@ -219,6 +277,64 @@ def test_pairwise_cap_triggers_monte_carlo_fallback():
     assert any(f.startswith("monte-carlo-fallback") for f in mc_flags)
     for pauli, value in exact_sq.items():
         assert mc_sq[pauli] == pytest.approx(value, rel=0.08, abs=1e-4)
+
+
+def _pairwise_mean_squares(po, r):
+    """Reference: E[c_P^2] as the pairwise sum over monomials, one pair at a time."""
+
+    def pair_moment(fac_a, fac_b):
+        exps: dict[int, list[int]] = {}
+        for param, c, s in fac_a:
+            exps[param] = [c, s]
+        for param, c, s in fac_b:
+            e = exps.setdefault(param, [0, 0])
+            e[0] += c
+            e[1] += s
+        out = 1.0
+        for c, s in exps.values():
+            if s % 2 == 1:
+                return 0.0
+            out *= trig_moment(c, s, r)
+            if out == 0.0:
+                return 0.0
+        return out
+
+    out = {}
+    for pauli, term in po.terms.items():
+        monos = term.monomials
+        total = 0.0
+        for i, (mono_i, w_i) in enumerate(monos):
+            for j in range(i, len(monos)):
+                mono_j, w_j = monos[j]
+                moment = pair_moment(mono_i.factors, mono_j.factors)
+                if moment != 0.0:
+                    contrib = w_i * w_j * moment
+                    total += contrib if i == j else 2.0 * contrib
+        out[pauli] = max(total, 0.0)
+    return out
+
+
+def _moment_reference_surrogate(case):
+    if case == "random-mixed":
+        rng = np.random.default_rng(41)
+        c = random_mixed_circuit(rng, n=4, n_rot=10)
+        obs = random_observable(rng, 4, terms=2)
+        return backpropagate(c, obs, TruncationPolicy(kappa=4), mode=SYMBOLIC)
+    c = build_tfi_trotter(chain(4), layers=3, dt=0.3, binding="shared")
+    obs = ObservableSpec.single(PauliString.from_text("ZZII"))
+    return backpropagate(c, obs, mode=SYMBOLIC)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.7, math.pi])
+@pytest.mark.parametrize("case", ["random-mixed", "tfi-chain-shared"])
+def test_mean_squares_match_pairwise_reference(case, r):
+    po = _moment_reference_surrogate(case)
+    assert max(len(t.monomials) for t in po.terms.values()) > 1
+    squares, _ = pauli_mean_squares(po, PatchDistribution.centered(po.m, r))
+    want = _pairwise_mean_squares(po, r)
+    assert list(squares) == list(want)
+    for pauli, value in want.items():
+        assert squares[pauli] == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_nonzero_center_rejected():
