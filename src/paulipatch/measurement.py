@@ -111,9 +111,7 @@ def make_allocation(
         if surrogate is None or r is None:
             raise ConfigError(f"{strategy} needs a symbolic surrogate and half-width r")
         if strategy == "eff1norm-avg":
-            squares, _ = pauli_mean_squares(
-                surrogate, PatchDistribution.centered(surrogate.m, r)
-            )
+            squares = pauli_mean_squares(surrogate, PatchDistribution.centered(surrogate.m, r))
             weights = {p: math.sqrt(v) for p, v in squares.items()}
         else:
             weights = worst_case_coeff_bounds(surrogate, r)

@@ -283,6 +283,8 @@ class CliffordGate:
             if not all(g.kind != "seq" for g in self.sequence):
                 raise ValidationError("seq gates must not nest")
             object.__setattr__(self, "sequence", tuple(self.sequence))
+            if set(self.qubits) != {q for g in self.sequence for q in g.qubits}:
+                raise ValidationError(f"seq qubits {self.qubits} differ from its sub-gates'")
         elif self.sequence:
             raise ValidationError("only seq gates carry a sequence")
 
@@ -311,7 +313,7 @@ def conjugate_masks(x: int, z: int, gate: CliffordGate) -> tuple[int, int, int]:
 
 def conjugate_clifford(p: PauliString, gate: CliffordGate) -> SignedPauli:
     """Heisenberg map ``C^dagger P C`` via lookup tables on the gate support."""
-    for q in gate.qubits + tuple(q for sub in gate.sequence for q in sub.qubits):
+    for q in gate.qubits:
         if not 0 <= q < p.n:
             raise DimensionError(f"gate qubit {q} out of range for n={p.n}")
     x, z, sign = conjugate_masks(p.x, p.z, gate)

@@ -88,20 +88,14 @@ class PathMonomial:
 
     def __post_init__(self) -> None:
         for param, cos_e, sin_e in self.factors:
-            if cos_e < 0 or sin_e < 0 or (cos_e == 0 and sin_e == 0):
-                raise ValidationError(f"bad exponents for param {param}: {cos_e},{sin_e}")
+            if param < 0 or cos_e < 0 or sin_e < 0 or (cos_e == 0 and sin_e == 0):
+                raise ValidationError(f"bad factor (param, cos, sin) = {param},{cos_e},{sin_e}")
         if list(self.factors) != sorted(self.factors):
             raise ValidationError("monomial factors must be sorted by param index")
 
     @property
     def sine_order(self) -> int:
         return sum(s for _, _, s in self.factors)
-
-    def evaluate(self, cos_values: np.ndarray, sin_values: np.ndarray) -> float:
-        out = 1.0
-        for param, cos_e, sin_e in self.factors:
-            out *= cos_values[param] ** cos_e * sin_values[param] ** sin_e
-        return out
 
 
 def _mono_raised(mono: MonoKey, param: int, which: str) -> MonoKey:
@@ -136,6 +130,66 @@ class PropagatedTerm:
             raise ValidationError("term must be numeric xor symbolic")
         if numeric and not math.isfinite(self.coefficient):
             raise ValidationError(f"non-finite coefficient for {self.pauli}")
+
+
+class MonomialTable:
+    """A symbolic surrogate's monomials as flat arrays, in term order.
+
+    Term ``t`` owns monomials ``term_starts[t]:term_starts[t + 1]``; monomial
+    ``k`` has weight ``mono_weight[k]`` and its (param, cos, sin) factors start
+    at ``fac_starts[k]``. A constant monomial holds one dummy factor (param 0,
+    exponents 0) that evaluates to 1, so every monomial owns a factor.
+    """
+
+    def __init__(self, po: PropagatedObservable) -> None:
+        if po.mode != SYMBOLIC:
+            raise ConfigError("monomial tables require a symbolic surrogate")
+        self.m = po.m
+        term_starts: list[int] = [0]
+        mono_term: list[int] = []
+        mono_weight: list[float] = []
+        fac_param: list[int] = []
+        fac_cos: list[int] = []
+        fac_sin: list[int] = []
+        fac_starts: list[int] = []
+        for t_idx, term in enumerate(po.terms.values()):
+            for mono, weight in term.monomials:
+                mono_term.append(t_idx)
+                mono_weight.append(weight)
+                fac_starts.append(len(fac_param))
+                # a constant monomial gets one dummy factor that evaluates to 1
+                for param, cos_e, sin_e in mono.factors or ((0, 0, 0),):
+                    fac_param.append(param)
+                    fac_cos.append(cos_e)
+                    fac_sin.append(sin_e)
+            term_starts.append(len(mono_term))
+        self.term_starts = np.array(term_starts, dtype=np.intp)
+        self.mono_term = np.array(mono_term, dtype=np.intp)
+        self.mono_weight = np.array(mono_weight)
+        self.fac_param = np.array(fac_param, dtype=np.intp)
+        self.fac_cos = np.array(fac_cos)
+        self.fac_sin = np.array(fac_sin)
+        self.fac_starts = np.array(fac_starts, dtype=np.intp)
+
+    @property
+    def n_monomials(self) -> int:
+        return self.mono_term.shape[0]
+
+    def coefficients(self, alphas: Sequence[float]) -> np.ndarray:
+        """c_P(alpha) per term, in term order."""
+        alphas = np.asarray(alphas, dtype=float)
+        if alphas.shape != (self.m,):
+            raise DimensionError(f"expected {self.m} parameters, got {alphas.shape}")
+        n_terms = self.term_starts.shape[0] - 1
+        if self.n_monomials == 0:
+            return np.zeros(n_terms)
+        cos_v = np.cos(alphas) if self.m else np.ones(1)
+        sin_v = np.sin(alphas) if self.m else np.zeros(1)
+        factors = cos_v[self.fac_param] ** self.fac_cos * sin_v[self.fac_param] ** self.fac_sin
+        mono_vals = np.multiply.reduceat(factors, self.fac_starts)
+        coeffs = np.zeros(n_terms)
+        np.add.at(coeffs, self.mono_term, self.mono_weight * mono_vals)
+        return coeffs
 
 
 @dataclass
@@ -183,14 +237,8 @@ class PropagatedObservable:
         """Numeric coefficient of every surviving Pauli at parameters ``alphas``."""
         if self.mode == NUMERIC:
             return {p: t.coefficient for p, t in self.terms.items()}
-        alphas = np.asarray([] if alphas is None else alphas, dtype=float)
-        if alphas.shape != (self.m,):
-            raise DimensionError(f"expected {self.m} parameters, got {alphas.shape}")
-        cos_v, sin_v = np.cos(alphas), np.sin(alphas)
-        return {
-            p: float(sum(w * mono.evaluate(cos_v, sin_v) for mono, w in t.monomials))
-            for p, t in self.terms.items()
-        }
+        coeffs = MonomialTable(self).coefficients([] if alphas is None else alphas)
+        return dict(zip(self.terms, coeffs.tolist()))
 
     def norm2_sq(self, alphas: Sequence[float] | None = None) -> float:
         """Frobenius weight sum(c_P^2); equals sum(a_P^2) when nothing is cut."""
@@ -674,6 +722,7 @@ def _term_doc(term: PropagatedTerm) -> dict:
 
 
 def load_artifact(path) -> PropagatedObservable:
+    """Read a ``save_artifact`` file; a malformed one raises ``ValidationError``."""
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rb") as fh:
@@ -682,28 +731,35 @@ def load_artifact(path) -> PropagatedObservable:
         raise ValidationError(f"not a surrogate artifact: {doc.get('format')!r}")
     if doc.get("version") != ARTIFACT_VERSION:
         raise ValidationError(f"unsupported artifact version {doc.get('version')!r}")
-    n = doc["n"]
-    policy = TruncationPolicy(**doc["policy"])
-    terms: dict[PauliString, PropagatedTerm] = {}
-    for raw in doc["terms"]:
-        p = PauliString.from_text(raw["pauli"], n)
-        if "coeff" in raw:
-            terms[p] = PropagatedTerm(p, coefficient=raw["coeff"],
-                                      min_sine_count=raw["sines"])
-        else:
+    try:
+        n, mode, m = doc["n"], doc["mode"], doc["m"]
+        if mode not in (NUMERIC, SYMBOLIC):
+            raise ValidationError(f"unknown artifact mode {mode!r}")
+        terms: dict[PauliString, PropagatedTerm] = {}
+        for raw in doc["terms"]:
+            p = PauliString.from_text(raw["pauli"], n)
+            if ("coeff" in raw) != (mode == NUMERIC):
+                raise ValidationError(f"term {raw['pauli']} does not match mode {mode!r}")
+            if mode == NUMERIC:
+                terms[p] = PropagatedTerm(p, coefficient=raw["coeff"],
+                                          min_sine_count=raw["sines"])
+                continue
             monos = tuple(
                 (PathMonomial(tuple(tuple(f) for f in entry["params"])), float(entry["w"]))
                 for entry in raw["monomials"]
             )
+            if any(param >= m for mono, _ in monos for param, _, _ in mono.factors):
+                raise ValidationError(f"term {raw['pauli']} has a param index outside [0, {m})")
             terms[p] = PropagatedTerm(p, monomials=monos, min_sine_count=raw["sines"])
-    stats = PropagationStats(**doc["stats"])
-    return PropagatedObservable(
-        n=n,
-        mode=doc["mode"],
-        terms=terms,
-        stats=stats,
-        policy=policy,
-        m=doc["m"],
-        n_rotations=doc["n_rotations"],
-        n_paulis_initial=doc["n_paulis_initial"],
-    )
+        return PropagatedObservable(
+            n=n,
+            mode=mode,
+            terms=terms,
+            stats=PropagationStats(**doc["stats"]),
+            policy=TruncationPolicy(**doc["policy"]),
+            m=m,
+            n_rotations=doc["n_rotations"],
+            n_paulis_initial=doc["n_paulis_initial"],
+        )
+    except KeyError as exc:
+        raise ValidationError(f"artifact is missing key {exc.args[0]!r}") from None

@@ -1,14 +1,17 @@
 """Landscape-surrogate evaluation, patch moments, and truncation-error bounds.
 
 The symbolic surrogate represents each surviving Pauli's coefficient as a sum
-of trigonometric monomials in the free parameters. ``SurrogateEvaluator``
-compiles that structure into flat index arrays once, so repeated evaluations
-over a patch cost a handful of vectorized passes.
+of trigonometric monomials in the free parameters. ``SurrogateEvaluator`` and
+``pauli_mean_squares`` both read it through one ``MonomialTable``, compiled
+once into flat index arrays, so repeated evaluations over a patch cost a
+handful of vectorized passes.
 
 Patch moments ``E[cos^p(a) sin^q(a)]`` over a ~ Unif[-r, r] are computed
 exactly by expanding into complex exponentials, where ``E[e^{ika}] =
-sin(kr)/(kr)``; odd sine powers vanish identically. These exact moments feed
-the average-case effective 1-norm, which in turn drives shot allocation.
+sin(kr)/(kr)``; odd sine powers vanish identically. Because the parameters are
+independent, E[c_P^2] factors per parameter into products of these moments,
+summed exactly over all monomial pairs. It feeds the average-case effective
+1-norm, which in turn drives shot allocation.
 
 Bound calculators check their stated hypotheses and refuse to extrapolate
 outside them.
@@ -18,19 +21,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, HypothesisViolationError
+from .errors import ConfigError, HypothesisViolationError
 from .pauli import PauliString
-from .propagation import SYMBOLIC, PropagatedObservable
+from .propagation import SYMBOLIC, MonomialTable, PropagatedObservable
 from .states import InitialState, overlap
 
-PAIRWISE_MONOMIAL_CAP = 10_000
 _MPMATH_THRESHOLD = 24  # switch to high precision when p+q grows past this
+_MOMENT_WORK_BYTES = 32 << 20  # work arrays of one row block in pauli_mean_squares
 
 
 @dataclass(frozen=True)
@@ -85,70 +88,22 @@ class BoundReport:
 # --- compiled evaluation ------------------------------------------------------------
 
 
-class SurrogateEvaluator:
-    """Flattens a symbolic surrogate for fast repeated evaluation.
+class SurrogateEvaluator(MonomialTable):
+    """A symbolic surrogate's ``MonomialTable`` plus its initial-state overlaps.
 
-    Initial-state overlaps d_P are computed once per Pauli at construction;
-    each ``value`` call costs one pass over the flattened factor table.
+    Overlaps d_P are computed once per Pauli at construction, aligned with
+    ``paulis`` and with ``coefficients``; each ``value`` call costs one pass
+    over the flattened factor table.
     """
 
     def __init__(self, po: PropagatedObservable, state: InitialState | None = None) -> None:
-        if po.mode != SYMBOLIC:
-            raise ConfigError("evaluator requires a symbolic surrogate")
-        self.m = po.m
+        super().__init__(po)
         self.paulis: list[PauliString] = list(po.terms.keys())
-        t_count = len(self.paulis)
         self.d = (
             np.array([overlap(state, p) for p in self.paulis])
             if state is not None
-            else np.ones(t_count)
+            else np.ones(len(self.paulis))
         )
-
-        mono_term: list[int] = []
-        mono_weight: list[float] = []
-        fac_param: list[int] = []
-        fac_cos: list[int] = []
-        fac_sin: list[int] = []
-        fac_starts: list[int] = []
-        for t_idx, term in enumerate(po.terms.values()):
-            for mono, weight in term.monomials:
-                mono_term.append(t_idx)
-                mono_weight.append(weight)
-                fac_starts.append(len(fac_param))
-                if mono.factors:
-                    for param, cos_e, sin_e in mono.factors:
-                        fac_param.append(param)
-                        fac_cos.append(cos_e)
-                        fac_sin.append(sin_e)
-                else:  # constant monomial: one dummy factor that evaluates to 1
-                    fac_param.append(0)
-                    fac_cos.append(0)
-                    fac_sin.append(0)
-        self.mono_term = np.array(mono_term, dtype=np.intp)
-        self.mono_weight = np.array(mono_weight)
-        self.fac_param = np.array(fac_param, dtype=np.intp)
-        self.fac_cos = np.array(fac_cos)
-        self.fac_sin = np.array(fac_sin)
-        self.fac_starts = np.array(fac_starts, dtype=np.intp)
-
-    @property
-    def n_monomials(self) -> int:
-        return self.mono_term.shape[0]
-
-    def coefficients(self, alphas: Sequence[float]) -> np.ndarray:
-        """c_P(alpha) per surviving Pauli, aligned with ``self.paulis``."""
-        alphas = np.asarray(alphas, dtype=float)
-        if alphas.shape != (self.m,):
-            raise DimensionError(f"expected {self.m} parameters, got {alphas.shape}")
-        if self.n_monomials == 0:
-            return np.zeros(len(self.paulis))
-        cos_v = np.cos(alphas) if self.m else np.ones(1)
-        sin_v = np.sin(alphas) if self.m else np.zeros(1)
-        factors = cos_v[self.fac_param] ** self.fac_cos * sin_v[self.fac_param] ** self.fac_sin
-        mono_vals = np.multiply.reduceat(factors, self.fac_starts)
-        coeffs = np.zeros(len(self.paulis))
-        np.add.at(coeffs, self.mono_term, self.mono_weight * mono_vals)
-        return coeffs
 
     def value(self, alphas: Sequence[float]) -> float:
         return float(self.d @ self.coefficients(alphas))
@@ -225,86 +180,55 @@ def trig_moment(p: int, q: int, r: float) -> float:
 # --- effective 1-norms ----------------------------------------------------------------
 
 
-def _pair_moment(fac_a, fac_b, r: float) -> float:
-    """E[Phi_a Phi_b] with per-parameter independence factorization."""
-    exps: dict[int, list[int]] = {}
-    for param, c, s in fac_a:
-        exps[param] = [c, s]
-    for param, c, s in fac_b:
-        e = exps.setdefault(param, [0, 0])
-        e[0] += c
-        e[1] += s
-    out = 1.0
-    for c, s in exps.values():
-        if s % 2 == 1:
-            return 0.0
-        out *= trig_moment(c, s, r)
-        if out == 0.0:
-            return 0.0
+def pauli_mean_squares(po: PropagatedObservable,
+                       dist: PatchDistribution) -> dict[PauliString, float]:
+    """E[c_P(alpha)^2] per surviving Pauli over a zero-centered patch, exactly.
+
+    With c_P = sum_a w_a prod_j cos^c_aj(a_j) sin^s_aj(a_j) and independent
+    uniform parameters, E[c_P^2] = sum_ab w_a w_b prod_j M[c_aj + c_bj, s_aj + s_bj]
+    with M[p, q] = ``trig_moment(p, q, r)``. Each Pauli's exponents are laid out
+    densely over the parameters it depends on, and its monomial pairs are
+    formed in row blocks whose work arrays stay within about 32 MB.
+    """
+    if not dist.is_zero_centered:
+        raise ConfigError("patch moments are defined for zero-centered patches")
+    table = MonomialTable(po)
+    p_max = 2 * int(table.fac_cos.max(initial=0))
+    q_max = 2 * int(table.fac_sin.max(initial=0))
+    # factor code c * (q_max + 1) + s: the sum of two codes indexes M[c_a + c_b, s_a + s_b].
+    # Only sums of two codes of one parameter (0 where a monomial lacks it) are looked
+    # up, so only those moments are computed; high orders cost a multiprecision sum.
+    fac_code = table.fac_cos * (q_max + 1) + table.fac_sin
+    needed: set[int] = set()
+    for param in np.unique(table.fac_param):
+        codes = np.append(np.unique(fac_code[table.fac_param == param]), 0)
+        needed.update(np.add.outer(codes, codes).ravel().tolist())
+    moments = np.zeros((p_max + 1) * (q_max + 1))
+    for code in needed:
+        moments[code] = trig_moment(*divmod(code, q_max + 1), dist.r) if code else 1.0
+    fac_bounds = np.append(table.fac_starts, table.fac_param.shape[0])
+    fac_mono = np.repeat(np.arange(table.n_monomials), np.diff(fac_bounds))
+    out: dict[PauliString, float] = {}
+    for t_idx, pauli in enumerate(po.terms):
+        lo, hi = table.term_starts[t_idx], table.term_starts[t_idx + 1]
+        facs = slice(fac_bounds[lo], fac_bounds[hi])
+        support, cols = np.unique(table.fac_param[facs], return_inverse=True)
+        codes = np.zeros((hi - lo, support.shape[0]), dtype=np.intp)
+        codes[fac_mono[facs] - lo, cols] = fac_code[facs]
+        weights = table.mono_weight[lo:hi]
+        # 16 bytes per element: the summed codes and the looked-up moments
+        block = max(1, _MOMENT_WORK_BYTES // (16 * max(1, codes.size)))
+        total = 0.0
+        for start in range(0, hi - lo, block):
+            pair = moments[codes[start:start + block, None, :] + codes[None, :, :]]
+            total += float(weights[start:start + block] @ pair.prod(axis=2) @ weights)
+        out[pauli] = max(total, 0.0)
     return out
 
 
-def pauli_mean_squares(
-    po: PropagatedObservable,
-    dist: PatchDistribution,
-    monomial_cap: int = PAIRWISE_MONOMIAL_CAP,
-    mc_samples: int = 1_000_000,
-    mc_seed: int = 7,
-) -> tuple[dict[PauliString, float], tuple[str, ...]]:
-    """E[c_P(alpha)^2] per surviving Pauli over a zero-centered patch.
-
-    Exact pairwise uniform-hypercube moments, except that Paulis holding more
-    than ``monomial_cap`` monomials fall back to seeded Monte Carlo (flagged).
-    """
-    if po.mode != SYMBOLIC:
-        raise ConfigError("patch moments require a symbolic surrogate")
-    if not dist.is_zero_centered:
-        raise ConfigError("patch moments are defined for zero-centered patches")
-    r = dist.r
-    flags: list[str] = []
-    out: dict[PauliString, float] = {}
-    mc_values: np.ndarray | None = None
-    for t_idx, (pauli, term) in enumerate(po.terms.items()):
-        monos = term.monomials
-        if len(monos) > monomial_cap:
-            if mc_values is None:
-                mc_values = _mc_mean_squares(po, r, mc_samples, mc_seed)
-                flags.append(f"monte-carlo-fallback:{mc_samples}")
-            out[pauli] = float(mc_values[t_idx])
-            continue
-        total = 0.0
-        for i, (mono_i, w_i) in enumerate(monos):
-            for j in range(i, len(monos)):
-                mono_j, w_j = monos[j]
-                moment = _pair_moment(mono_i.factors, mono_j.factors, r)
-                if moment != 0.0:
-                    contrib = w_i * w_j * moment
-                    total += contrib if i == j else 2.0 * contrib
-        out[pauli] = max(total, 0.0)
-    return out, tuple(flags)
-
-
-def _mc_mean_squares(po: PropagatedObservable, r: float, samples: int,
-                     seed: int) -> np.ndarray:
-    ev = SurrogateEvaluator(po)
-    rng = np.random.Generator(np.random.Philox(seed))
-    acc = np.zeros(len(ev.paulis))
-    chunk = 4096
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        for _ in range(take):
-            c = ev.coefficients(rng.uniform(-r, r, size=po.m))
-            acc += c * c
-        done += take
-    return acc / samples
-
-
-def effective_norm_avg(po: PropagatedObservable, dist: PatchDistribution,
-                       **kwargs) -> float:
+def effective_norm_avg(po: PropagatedObservable, dist: PatchDistribution) -> float:
     """Average-case effective 1-norm sum_P sqrt(E[c_P^2]) over the patch."""
-    squares, _ = pauli_mean_squares(po, dist, **kwargs)
-    return float(sum(math.sqrt(v) for v in squares.values()))
+    return float(sum(math.sqrt(v) for v in pauli_mean_squares(po, dist).values()))
 
 
 def worst_case_coeff_bounds(po: PropagatedObservable, r: float) -> dict[PauliString, float]:

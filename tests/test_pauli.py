@@ -205,6 +205,11 @@ def test_gate_validation():
         CliffordGate("toffoli", (0, 1))
     with pytest.raises(DimensionError):
         conjugate_clifford(PauliString.from_text("X"), CliffordGate("h", (3,)))
+    # a seq gate's qubits must be exactly the union of its sub-gates' qubits
+    with pytest.raises(ValidationError):
+        CliffordGate("seq", (0,), (CliffordGate("h", (1,)),))
+    with pytest.raises(ValidationError):
+        CliffordGate("seq", (0, 1), (CliffordGate("h", (1,)),))
 
 
 def test_signed_pauli_rejects_drift():

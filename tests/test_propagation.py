@@ -19,6 +19,7 @@ from paulipatch import (
     PolicyOverflowError,
     Rotation,
     TruncationPolicy,
+    ValidationError,
     backpropagate,
     exact_expectation_batch,
     load_artifact,
@@ -171,7 +172,7 @@ def test_patch_mean_norm_monotone_in_kappa():
     means = []
     for kappa in (0, 1, 2, 3, None):
         po = backpropagate(c, obs, TruncationPolicy(kappa=kappa), mode=SYMBOLIC)
-        squares, _ = pauli_mean_squares(po, dist)
+        squares = pauli_mean_squares(po, dist)
         means.append(sum(squares.values()))
     for a, b in zip(means, means[1:]):
         assert a <= b + 1e-12
@@ -233,9 +234,15 @@ def test_path_orthogonality_monte_carlo():
     r = 0.4
     draws = rng.uniform(-r, r, size=(4000, c.m))
     cos_v, sin_v = np.cos(draws), np.sin(draws)
+
+    def mono_values(mono):
+        out = np.ones(len(draws))
+        for param, cos_e, sin_e in mono.factors:
+            out *= cos_v[:, param] ** cos_e * sin_v[:, param] ** sin_e
+        return out
+
     for a, b in pairs:
-        values = np.array([a.evaluate(cv, sv) * b.evaluate(cv, sv)
-                           for cv, sv in zip(cos_v, sin_v)])
+        values = mono_values(a) * mono_values(b)
         stderr = values.std() / math.sqrt(len(values))
         assert abs(values.mean()) <= 4 * max(stderr, 1e-15)
 
@@ -550,6 +557,42 @@ def test_numeric_artifact_round_trip(tmp_path, rng):
     old = tmp_path / "old.json"
     old.write_text(json.dumps(doc))
     assert load_artifact(old).coefficients_at() == po.coefficients_at()
+
+
+def _set_param(doc, factor, value):
+    # the last term is Z with factors [[0, 1, 0], [1, 1, 0]]; either edit keeps them sorted
+    doc["terms"][-1]["monomials"][0]["params"][factor][0] = value
+
+
+def _make_numeric_term(doc):
+    term = doc["terms"][0]
+    del term["monomials"]
+    term["coeff"] = 0.5
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: _set_param(doc, 0, -2),
+    lambda doc: _set_param(doc, 1, 2),
+    lambda doc: doc.update(mode="banana"),
+    lambda doc: doc.update(mode=NUMERIC),
+    _make_numeric_term,
+    lambda doc: doc["terms"][0].pop("sines"),
+    lambda doc: doc.pop("stats"),
+], ids=["negative-param", "param-at-m", "unknown-mode", "symbolic-term-in-numeric",
+        "numeric-term-in-symbolic", "missing-sines", "missing-stats"])
+def test_load_artifact_rejects_malformed_files(tmp_path, corrupt):
+    c = Circuit(1, 2, (Rotation("X", (0,), ParamRef.free(0)),
+                       Rotation("Y", (0,), ParamRef.free(1))))
+    po = backpropagate(c, ObservableSpec.single(PauliString.from_text("Z")), mode=SYMBOLIC)
+    path = tmp_path / "artifact.json"
+    save_artifact(po, path)
+    doc = json.loads(path.read_text())
+    assert doc["terms"][-1]["monomials"][0]["params"] == [[0, 1, 0], [1, 1, 0]]
+    load_artifact(path)
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError):
+        load_artifact(path)
 
 
 # --- property-based checks ----------------------------------------------------------------------

@@ -223,8 +223,7 @@ def test_avg_norm_matches_monte_carlo(rng):
     obs = random_observable(rng, 3)
     po = backpropagate(c, obs, TruncationPolicy(kappa=3), mode=SYMBOLIC)
     r = 0.4
-    squares, flags = pauli_mean_squares(po, PatchDistribution.centered(c.m, r))
-    assert flags == ()
+    squares = pauli_mean_squares(po, PatchDistribution.centered(c.m, r))
     ev = SurrogateEvaluator(po)
     draws = rng.uniform(-r, r, size=(60000, c.m))
     samples = np.array([ev.coefficients(a) for a in draws])
@@ -263,20 +262,6 @@ def test_avg_norm_respects_printed_bound(rng):
     worst = effective_norm_worst(po, r)
     assert avg <= worst + 1e-12
     assert worst <= obs.norm1 * (math.e * m * r / kappa) ** kappa
-
-
-def test_pairwise_cap_triggers_monte_carlo_fallback():
-    gates = tuple(Rotation("X", (0,), ParamRef.free(i)) for i in range(4))
-    c = Circuit(1, 4, gates)
-    obs = ObservableSpec.single(PauliString.from_text("Z"))
-    po = backpropagate(c, obs, TruncationPolicy(kappa=2), mode=SYMBOLIC)
-    dist = PatchDistribution.centered(4, 0.2)
-    exact_sq, flags = pauli_mean_squares(po, dist)
-    assert flags == ()
-    mc_sq, mc_flags = pauli_mean_squares(po, dist, monomial_cap=2, mc_samples=200000)
-    assert any(f.startswith("monte-carlo-fallback") for f in mc_flags)
-    for pauli, value in exact_sq.items():
-        assert mc_sq[pauli] == pytest.approx(value, rel=0.08, abs=1e-4)
 
 
 def _pairwise_mean_squares(po, r):
@@ -330,7 +315,7 @@ def _moment_reference_surrogate(case):
 def test_mean_squares_match_pairwise_reference(case, r):
     po = _moment_reference_surrogate(case)
     assert max(len(t.monomials) for t in po.terms.values()) > 1
-    squares, _ = pauli_mean_squares(po, PatchDistribution.centered(po.m, r))
+    squares = pauli_mean_squares(po, PatchDistribution.centered(po.m, r))
     want = _pairwise_mean_squares(po, r)
     assert list(squares) == list(want)
     for pauli, value in want.items():
