@@ -27,7 +27,14 @@ from paulipatch import (
     path_stats,
     save_artifact,
 )
-from paulipatch.propagation import NUMERIC, SYMBOLIC
+from paulipatch.propagation import (
+    NUMERIC,
+    SYMBOLIC,
+    PropagationStats,
+    _mask_to_words,
+    _NumericFrontier,
+    _words_to_mask,
+)
 
 from conftest import random_mixed_circuit, random_observable
 
@@ -506,6 +513,166 @@ def test_backpropagate_golden_output():
         po = backpropagate(c, obs, policy, mode=SYMBOLIC)
         assert [(p.to_text(), tuple((m.factors, w) for m, w in t.monomials))
                 for p, t in po.terms.items()] == _GOLDEN[(SYMBOLIC, kappa)]
+
+
+# --- reference: the full-frontier merge ------------------------------------------------------
+# The numeric engine's earlier rotation step: after every rotation that keeps a sine child it
+# lexsorted and merged the whole frontier, and the output was ordered by a Python tuple key.
+# The engine must reproduce it bit for bit.
+
+
+def _popcount(arr):
+    return np.bitwise_count(arr).sum(axis=1, dtype=np.int64)
+
+
+class _FullMergeFrontier(_NumericFrontier):
+    def apply_rotation(self, gen, theta, policy, stats):
+        gxw = np.array(_mask_to_words(gen.x, self.n_words), dtype=np.uint64)
+        gzw = np.array(_mask_to_words(gen.z, self.n_words), dtype=np.uint64)
+        anti = (_popcount((self.xw & gzw) ^ (self.zw & gxw)) & 1).astype(bool)
+        n_anti = int(anti.sum())
+        if n_anti == 0:
+            return
+        stats.paths_expanded += n_anti
+        cos_f, sin_f = math.cos(theta), math.sin(theta)
+        ax, az = self.xw[anti], self.zw[anti]
+        sx, sz = ax ^ gxw, az ^ gzw
+        new_sines = self.sines[anti] + 1
+        exponent = (
+            int((gen.x & gen.z).bit_count())
+            + _popcount(ax & az)
+            - _popcount(sx & sz)
+            + 2 * _popcount(gzw & ax)
+        ) % 4
+        sign = np.where(exponent == 3, 1.0, -1.0)
+        sin_coeff = self.coeff[anti] * sin_f * sign
+        keep = np.ones(n_anti, dtype=bool)
+        if policy.kappa is not None:
+            over = new_sines > policy.kappa
+            stats.truncated_sine += int(over.sum())
+            keep &= ~over
+        if policy.max_weight is not None:
+            over = keep & (_popcount(sx | sz) > policy.max_weight)
+            stats.truncated_weight += int(over.sum())
+            keep &= ~over
+        if policy.coeff_floor > 0.0:
+            below = keep & (np.abs(sin_coeff) < policy.coeff_floor)
+            stats.truncated_coeff += int(below.sum())
+            keep &= ~below
+        self.coeff[anti] *= cos_f
+        keep_rows = np.ones(len(self), dtype=bool)
+        if policy.coeff_floor > 0.0:
+            drop = anti & (np.abs(self.coeff) < policy.coeff_floor)
+            stats.truncated_coeff += int(drop.sum())
+            keep_rows = ~drop
+        self.xw = np.concatenate([self.xw[keep_rows], sx[keep]])
+        self.zw = np.concatenate([self.zw[keep_rows], sz[keep]])
+        self.coeff = np.concatenate([self.coeff[keep_rows], sin_coeff[keep]])
+        self.sines = np.concatenate([self.sines[keep_rows], new_sines[keep]])
+        if keep.any() and len(self) > 1:
+            keys = [self.zw[:, w] for w in range(self.n_words - 1, -1, -1)]
+            keys += [self.xw[:, w] for w in range(self.n_words - 1, -1, -1)]
+            order = np.lexsort(keys)
+            xw, zw = self.xw[order], self.zw[order]
+            coeff, sines = self.coeff[order], self.sines[order]
+            boundary = np.ones(len(coeff), dtype=bool)
+            boundary[1:] = (np.any(xw[1:] != xw[:-1], axis=1)
+                            | np.any(zw[1:] != zw[:-1], axis=1))
+            starts = np.flatnonzero(boundary)
+            coeff = np.add.reduceat(coeff, starts)
+            sines = np.minimum.reduceat(sines, starts)
+            nonzero = coeff != 0.0
+            self.xw, self.zw = xw[starts][nonzero], zw[starts][nonzero]
+            self.coeff, self.sines = coeff[nonzero], sines[nonzero]
+
+
+def _full_merge_reference(circuit, obs, policy, alphas):
+    stats = PropagationStats()
+    frontier = _FullMergeFrontier(circuit.n, obs.terms)
+    for gate in reversed(circuit.gates):
+        if isinstance(gate, CliffordGate):
+            frontier.apply_clifford(gate)
+        else:
+            theta = gate.param.value if gate.param.is_fixed else float(alphas[gate.param.index])
+            frontier.apply_rotation(gate.generator(circuit.n), theta, policy, stats)
+    rows = {
+        (_words_to_mask(xw), _words_to_mask(zw)): (float(coeff), int(sines))
+        for xw, zw, coeff, sines in zip(frontier.xw, frontier.zw, frontier.coeff,
+                                        frontier.sines)
+        if coeff != 0.0
+    }
+    rank = (0, 1, 3, 2)  # I < X < Y < Z, indexed by x_bit + 2 * z_bit
+
+    def text_key(key):
+        x, z = key
+        return tuple(rank[(x >> q & 1) + 2 * (z >> q & 1)] for q in range(circuit.n))
+
+    ordered = [(PauliString(circuit.n, x, z).to_text(), *rows[(x, z)])
+               for x, z in sorted(rows, key=text_key)]
+    stats.terms_final = stats.monomials_final = len(ordered)
+    return ordered, stats.as_dict()
+
+
+def _shifted(circuit, offset, first_param):
+    """``circuit``'s gates moved onto qubits ``offset + q``, params renumbered from ``first_param``."""
+    gates = []
+    for gate in circuit.gates:
+        qubits = tuple(offset + q for q in gate.qubits)
+        if isinstance(gate, CliffordGate):
+            gates.append(CliffordGate(gate.kind, qubits))
+        else:
+            gates.append(Rotation(gate.letters, qubits,
+                                  ParamRef.free(first_param + gate.param.index)))
+    return gates
+
+
+def _two_word_case(seed):
+    # a dense 8-qubit block on qubits 58-65 inside a sparse 70-qubit circuit, with ZZ, XY
+    # and YX generators on (63, 64), which straddle the boundary of the two 64-bit words
+    rng = np.random.default_rng(seed)
+    sparse = random_mixed_circuit(rng, n=70, n_rot=10)
+    block = random_mixed_circuit(rng, n=8, n_rot=14)
+    m = sparse.m
+    gates = list(sparse.gates[:6])
+    for letters in ("ZZ", "XY", "YX"):
+        gates += _shifted(block, 58, m)[:7]
+        gates.append(Rotation(letters, (63, 64), ParamRef.free(m + block.m)))
+        gates += _shifted(block, 58, m)[7:]
+        m += block.m + 1
+    gates += sparse.gates[6:]
+    c = Circuit(70, m, tuple(gates))
+    obs = ObservableSpec(((PauliString.from_letters("XZY", (62, 63, 64), 70), 0.8),
+                          (PauliString.from_letters("YX", (60, 65), 70), -0.5),
+                          *random_observable(rng, 70, terms=1).terms))
+    return c, obs, rng
+
+
+def _one_word_case(seed):
+    rng = np.random.default_rng(seed)
+    c = random_mixed_circuit(rng, n=5, n_rot=14)
+    return c, random_observable(rng, 5, terms=3), rng
+
+
+@pytest.mark.parametrize("case", [(_one_word_case, 41), (_one_word_case, 42),
+                                  (_two_word_case, 43)], ids=["n5-a", "n5-b", "n70"])
+@pytest.mark.parametrize("policy", [
+    TruncationPolicy(),
+    TruncationPolicy(kappa=3),
+    TruncationPolicy(max_weight=3),
+    TruncationPolicy(coeff_floor=0.02),
+    TruncationPolicy(kappa=4, max_weight=4, coeff_floor=1e-3),
+], ids=["exact", "kappa", "max_weight", "coeff_floor", "combined"])
+def test_numeric_matches_full_merge_reference(case, policy):
+    make, seed = case
+    c, obs, rng = make(seed)
+    for _ in range(3):
+        alphas = rng.uniform(-1.2, 1.2, size=c.m)
+        alphas[rng.random(c.m) < 0.3] = 0.0  # sine children with zero coefficients
+        po = backpropagate(c, obs, policy, mode=NUMERIC, alphas=alphas)
+        ordered, stats = _full_merge_reference(c, obs, policy, alphas)
+        assert [(p.to_text(), t.coefficient, t.min_sine_count)
+                for p, t in po.terms.items()] == ordered
+        assert po.stats.as_dict() == stats
 
 
 # --- determinism ------------------------------------------------------------------------------
