@@ -283,7 +283,7 @@ def _sine_sign(gx: int, gz: int, x: int, z: int) -> int:
 # With a finite kappa the sine class is the exact path sine count (fixed-angle
 # sines included), keeping truncation per-path; without a cap the class
 # collapses to 0 and only the minimum count is tracked, mirroring the numeric
-# engine's pooling (see _NumericFrontier._merge on why pooling matters).
+# engine's pooling (see _merge_rows on why pooling matters).
 _SymbolicFrontier = dict[tuple[int, int], dict[tuple[MonoKey, int], list]]
 
 
@@ -381,7 +381,13 @@ def _mask_to_words(mask: int, n_words: int) -> list[int]:
     return [(mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(n_words)]
 
 
-def _words_to_mask(row: np.ndarray) -> int:
+def _masks_to_words(masks: Sequence[int], n: int) -> np.ndarray:
+    n_words = max(1, -(-n // 64))
+    return np.array([_mask_to_words(mask, n_words) for mask in masks],
+                    dtype=np.uint64).reshape(len(masks), n_words)
+
+
+def _words_to_mask(row: Sequence[int]) -> int:
     out = 0
     for w, val in enumerate(row):
         out |= int(val) << (64 * w)
@@ -392,16 +398,23 @@ def _popcount_words(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr).sum(axis=1, dtype=np.int64)
 
 
+def _text_order(n: int, xw: np.ndarray, zw: np.ndarray) -> np.ndarray:
+    """Row order listing the Paulis text-lexicographically, I < X < Y < Z per qubit."""
+    x = np.unpackbits(xw.astype("<u8").view(np.uint8), axis=1, count=n, bitorder="little")
+    z = np.unpackbits(zw.astype("<u8").view(np.uint8), axis=1, count=n, bitorder="little")
+    rank = (z << 1) | (x ^ z)  # uint8 keys: I=0, X=1, Y=2, Z=3
+    # qubit 0 is the most significant letter, and lexsort reads its last key first
+    return np.lexsort(rank.T[::-1])
+
+
 class _NumericFrontier:
     """Term store as (N, words) uint64 mask arrays plus coefficient vectors."""
 
     def __init__(self, n: int, terms: Sequence[tuple[PauliString, float]]) -> None:
         self.n = n
-        self.n_words = max(1, -(-n // 64))
-        self.xw = np.array([_mask_to_words(p.x, self.n_words) for p, _ in terms],
-                           dtype=np.uint64).reshape(len(terms), self.n_words)
-        self.zw = np.array([_mask_to_words(p.z, self.n_words) for p, _ in terms],
-                           dtype=np.uint64).reshape(len(terms), self.n_words)
+        self.xw = _masks_to_words([p.x for p, _ in terms], n)
+        self.zw = _masks_to_words([p.z for p, _ in terms], n)
+        self.n_words = self.xw.shape[1]
         self.coeff = np.array([c for _, c in terms], dtype=np.float64)
         self.sines = np.zeros(len(terms), dtype=np.int64)
 
@@ -437,16 +450,21 @@ class _NumericFrontier:
                        policy: TruncationPolicy, stats: PropagationStats) -> None:
         gxw = np.array(_mask_to_words(gen.x, self.n_words), dtype=np.uint64)
         gzw = np.array(_mask_to_words(gen.z, self.n_words), dtype=np.uint64)
-        anti = (_popcount_words((self.xw & gzw) ^ (self.zw & gxw)) & 1).astype(bool)
-        n_anti = int(anti.sum())
+        # symplectic parity, read only from the words where the generator acts
+        parity = np.zeros(len(self), dtype=np.uint8)
+        for w in np.flatnonzero(gxw | gzw):
+            parity ^= np.bitwise_count((self.xw[:, w] & gzw[w]) ^ (self.zw[:, w] & gxw[w]))
+        anti = np.flatnonzero(parity & 1)
+        n_anti = anti.shape[0]
         if n_anti == 0:
             return
         stats.paths_expanded += n_anti
         cos_f, sin_f = math.cos(theta), math.sin(theta)
 
-        ax, az = self.xw[anti], self.zw[anti]
+        ax, az = self.xw.take(anti, axis=0), self.zw.take(anti, axis=0)
+        a_coeff, a_sines = self.coeff[anti], self.sines[anti]
         sx, sz = ax ^ gxw, az ^ gzw
-        new_sines = self.sines[anti] + 1
+        new_sines = a_sines + 1
         # phase exponent of gen @ p, then sign of i * (gen @ p)
         exponent = (
             int((gen.x & gen.z).bit_count())
@@ -455,7 +473,7 @@ class _NumericFrontier:
             + 2 * _popcount_words(gzw & ax)
         ) % 4
         sign = np.where(exponent == 3, 1.0, -1.0)
-        sin_coeff = self.coeff[anti] * sin_f * sign
+        sin_coeff = a_coeff * sin_f * sign
 
         keep = np.ones(n_anti, dtype=bool)
         if policy.kappa is not None:
@@ -471,50 +489,61 @@ class _NumericFrontier:
             stats.truncated_coeff += int(below.sum())
             keep &= ~below
 
-        # cosine branch mutates in place; floor may prune the shrunken rows
-        self.coeff[anti] *= cos_f
-        keep_rows = np.ones(len(self), dtype=bool)
+        # cosine branch; the floor may prune the shrunken rows
+        a_coeff *= cos_f
+        a_keep = np.ones(n_anti, dtype=bool)
         if policy.coeff_floor > 0.0:
-            drop = anti & (np.abs(self.coeff) < policy.coeff_floor)
-            stats.truncated_coeff += int(drop.sum())
-            keep_rows = ~drop
+            a_keep = ~(np.abs(a_coeff) < policy.coeff_floor)
+            stats.truncated_coeff += n_anti - int(a_keep.sum())
 
-        self.xw = np.concatenate([self.xw[keep_rows], sx[keep]])
-        self.zw = np.concatenate([self.zw[keep_rows], sz[keep]])
-        self.coeff = np.concatenate([self.coeff[keep_rows], sin_coeff[keep]])
-        self.sines = np.concatenate([self.sines[keep_rows], new_sines[keep]])
-        if keep.any():
-            self._merge()
-
-    def _merge(self) -> None:
-        """Merge rows of equal Pauli, summing coefficients, min sine count.
-
-        Pooling by Pauli is what keeps this numerically viable on deep
-        circuits: partial sums of paths binned by their sine count grow
-        combinatorially and only cancel across bins, which float64 cannot
-        survive (a sine-resolved variant reached 1e21 coefficient mass on an
-        80-layer chain). The cost is that later sine-order cuts see the
-        minimum count of a merged term, deliberately erring toward keeping
-        mass.
-        """
-        if len(self) <= 1:
+        if not keep.any():
+            self.coeff[anti] = a_coeff
+            if not a_keep.all():
+                rows = np.ones(len(self), dtype=bool)
+                rows[anti[~a_keep]] = False
+                self.xw, self.zw = self.xw[rows], self.zw[rows]
+                self.coeff, self.sines = self.coeff[rows], self.sines[rows]
             return
-        keys = [self.zw[:, w] for w in range(self.n_words - 1, -1, -1)]
-        keys += [self.xw[:, w] for w in range(self.n_words - 1, -1, -1)]
-        order = np.lexsort(keys)
-        xw, zw = self.xw[order], self.zw[order]
-        coeff, sines = self.coeff[order], self.sines[order]
-        boundary = np.ones(len(coeff), dtype=bool)
-        boundary[1:] = (
-            np.any(xw[1:] != xw[:-1], axis=1)
-            | np.any(zw[1:] != zw[:-1], axis=1)
-        )
-        starts = np.flatnonzero(boundary)
-        coeff = np.add.reduceat(coeff, starts)
-        sines = np.minimum.reduceat(sines, starts)
-        keep = coeff != 0.0
-        self.xw, self.zw = xw[starts][keep], zw[starts][keep]
-        self.coeff, self.sines = coeff[keep], sines[keep]
+        # Invariant: a child p^g anticommutes with g as its parent p does, so it can only
+        # meet an anticommuting row. The commuting rows skip the merge; as the merge does
+        # with its own rows, the zero ones among them are dropped.
+        rows = np.ones(len(self), dtype=bool)
+        rows[anti] = False
+        rows = np.flatnonzero(rows & (self.coeff != 0.0))
+        bx, bz, bcoeff, bsines = _merge_rows(
+            np.concatenate([ax[a_keep], sx[keep]]), np.concatenate([az[a_keep], sz[keep]]),
+            np.concatenate([a_coeff[a_keep], sin_coeff[keep]]),
+            np.concatenate([a_sines[a_keep], new_sines[keep]]))
+        self.xw = np.concatenate([self.xw.take(rows, axis=0), bx])
+        self.zw = np.concatenate([self.zw.take(rows, axis=0), bz])
+        self.coeff = np.concatenate([self.coeff.take(rows), bcoeff])
+        self.sines = np.concatenate([self.sines.take(rows), bsines])
+
+
+def _merge_rows(xw: np.ndarray, zw: np.ndarray, coeff: np.ndarray,
+                sines: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Merge rows of equal Pauli, summing coefficients, min sine count; drop zero rows.
+
+    Pooling by Pauli is what keeps this numerically viable on deep
+    circuits: partial sums of paths binned by their sine count grow
+    combinatorially and only cancel across bins, which float64 cannot
+    survive (a sine-resolved variant reached 1e21 coefficient mass on an
+    80-layer chain). The cost is that later sine-order cuts see the
+    minimum count of a merged term, deliberately erring toward keeping
+    mass.
+    """
+    n_words = xw.shape[1]
+    keys = [zw[:, w] for w in range(n_words - 1, -1, -1)]
+    keys += [xw[:, w] for w in range(n_words - 1, -1, -1)]
+    order = np.lexsort(keys)
+    xw, zw, coeff, sines = xw[order], zw[order], coeff[order], sines[order]
+    boundary = np.ones(len(coeff), dtype=bool)
+    boundary[1:] = np.any(xw[1:] != xw[:-1], axis=1) | np.any(zw[1:] != zw[:-1], axis=1)
+    starts = np.flatnonzero(boundary)
+    coeff = np.add.reduceat(coeff, starts)
+    sines = np.minimum.reduceat(sines, starts)
+    nonzero = coeff != 0.0
+    return xw[starts][nonzero], zw[starts][nonzero], coeff[nonzero], sines[nonzero]
 
 
 def _run_numeric(circuit: Circuit, terms: Sequence[tuple[PauliString, float]],
@@ -586,28 +615,26 @@ def backpropagate(
         po.terms = terms
         return po
 
-    def sort_key(key: tuple[int, int]) -> tuple:
-        return _pauli_sort_key(circuit.n, *key)
-
     terms = {}
     if mode == NUMERIC:
         frontier = _run_numeric(circuit, obs.terms, policy, alpha_arr, stats)
         # frontier rows hold distinct Paulis: Cliffords permute them, merges dedupe
-        rows = {
-            (_words_to_mask(xw), _words_to_mask(zw)): (float(coeff), int(sines))
-            for xw, zw, coeff, sines in zip(frontier.xw, frontier.zw,
-                                            frontier.coeff, frontier.sines)
-            if coeff != 0.0
-        }
-        for (x, z) in sorted(rows, key=sort_key):
-            p = PauliString(circuit.n, x, z)
-            coeff, sines = rows[(x, z)]
+        nonzero = np.flatnonzero(frontier.coeff)
+        order = nonzero[_text_order(circuit.n, frontier.xw[nonzero], frontier.zw[nonzero])]
+        for xw, zw, coeff, sines in zip(frontier.xw[order].tolist(),
+                                        frontier.zw[order].tolist(),
+                                        frontier.coeff[order].tolist(),
+                                        frontier.sines[order].tolist()):
+            p = PauliString(circuit.n, _words_to_mask(xw), _words_to_mask(zw))
             terms[p] = PropagatedTerm(p, coefficient=coeff, min_sine_count=sines)
         stats.terms_final = len(terms)
         stats.monomials_final = len(terms)
     else:
         sym = _run_symbolic(circuit, obs.terms, policy, stats)
-        for (x, z) in sorted(sym, key=sort_key):
+        keys = list(sym)
+        order = _text_order(circuit.n, _masks_to_words([x for x, _ in keys], circuit.n),
+                            _masks_to_words([z for _, z in keys], circuit.n))
+        for x, z in (keys[i] for i in order.tolist()):
             p = PauliString(circuit.n, x, z)
             # pool sine-count classes of one monomial into a unique-key list
             combined: dict[MonoKey, list] = {}
@@ -662,14 +689,6 @@ def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObser
         policy=replace(po.policy, kappa=kappa),
         m=po.m, n_rotations=po.n_rotations, n_paulis_initial=po.n_paulis_initial,
     )
-
-
-# letter rank in text-lexicographic order I < X < Y < Z, indexed by x_bit + 2*z_bit
-_TEXT_RANK = (0, 1, 3, 2)
-
-
-def _pauli_sort_key(n: int, x: int, z: int) -> tuple:
-    return tuple(_TEXT_RANK[(x >> q & 1) + 2 * (z >> q & 1)] for q in range(n))
 
 
 # --- surrogate artifact file ---------------------------------------------------------

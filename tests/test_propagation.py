@@ -675,6 +675,28 @@ def test_numeric_matches_full_merge_reference(case, policy):
         assert po.stats.as_dict() == stats
 
 
+def test_merge_drops_zero_rows_that_skip_it():
+    # Z0 starts at 1e-300; two XXXXX rotations at pi/2 (sine children cut by the weight
+    # limit, so no merge runs) shrink it by cos(pi/2) ~ 6e-17 twice, to an exact zero. The
+    # Z1 rotation then keeps a child of X1, and its merge drops the zero Z0 row although
+    # Z0 commutes with Z1; so the last rotation, Y0, finds no Z0 row to expand.
+    c = Circuit(5, 0, (
+        Rotation("Y", (0,), ParamRef.fixed(0.3)),
+        Rotation("Z", (1,), ParamRef.fixed(0.3)),
+        Rotation("XXXXX", (0, 1, 2, 3, 4), ParamRef.fixed(math.pi / 2)),
+        Rotation("XXXXX", (0, 1, 2, 3, 4), ParamRef.fixed(math.pi / 2)),
+    ))
+    obs = ObservableSpec(((PauliString.from_letters("Z", (0,), 5), 1e-300),
+                          (PauliString.from_letters("X", (1,), 5), 1.0)))
+    policy = TruncationPolicy(max_weight=3)
+    po = backpropagate(c, obs, policy, mode=NUMERIC, alphas=[])
+    ordered, stats = _full_merge_reference(c, obs, policy, [])
+    assert [(p.to_text(), t.coefficient, t.min_sine_count)
+            for p, t in po.terms.items()] == ordered
+    assert po.stats.as_dict() == stats
+    assert stats["paths_expanded"] == 3  # Z0 twice, X1 once
+
+
 # --- determinism ------------------------------------------------------------------------------
 
 
