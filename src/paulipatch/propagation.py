@@ -780,5 +780,9 @@ def load_artifact(path) -> PropagatedObservable:
             n_rotations=doc["n_rotations"],
             n_paulis_initial=doc["n_paulis_initial"],
         )
+    except ValidationError:
+        raise
     except KeyError as exc:
         raise ValidationError(f"artifact is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # a field of the wrong type or shape
+        raise ValidationError(f"malformed artifact field: {exc}") from exc

@@ -33,6 +33,7 @@ from .propagation import SYMBOLIC, MonomialTable, PropagatedObservable
 from .states import InitialState, overlap
 
 _MPMATH_THRESHOLD = 24  # switch to high precision when p+q grows past this
+_FLOAT_MOMENT_FLOOR = 1e-3  # or when the float moment is this small, see _trig_moment_cached
 _MOMENT_WORK_BYTES = 32 << 20  # work arrays of one row block in pauli_mean_squares
 
 
@@ -145,14 +146,21 @@ def _trig_moment_cached(p: int, q: int, r: float) -> float:
             term = cj * math.comb(q, l) * _uniform_char(k, r)
             total += -term if (q - l) & 1 else term
     scale = (-1.0) ** (q // 2) / 2.0 ** (p + q)  # i^{-q} for even q
-    return scale * total
+    # The scaled terms' magnitudes sum to 1, so rounding leaves an absolute error of
+    # about (p+1)(q+1) eps: under the floor (a sine power at small r) it can swamp the
+    # moment, which then comes from the high-precision sum.
+    value = scale * total
+    if abs(value) < _FLOAT_MOMENT_FLOOR:
+        return _trig_moment_mp(p, q, r)
+    return value
 
 
 def _trig_moment_mp(p: int, q: int, r: float) -> float:
     """High-precision path: the alternating sum cancels catastrophically in floats."""
     import mpmath as mp
 
-    with mp.workdps(40 + 2 * (p + q)):
+    # the moment is about r^q against terms of order 1: q log10(1/r) digits cancel
+    with mp.workdps(40 + 2 * (p + q) + math.ceil(q * max(0.0, -math.log10(r)))):
         rr = mp.mpf(r)
         total = mp.mpf(0)
         for j in range(p + 1):

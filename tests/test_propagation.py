@@ -767,8 +767,13 @@ def _make_numeric_term(doc):
     _make_numeric_term,
     lambda doc: doc["terms"][0].pop("sines"),
     lambda doc: doc.pop("stats"),
+    lambda doc: doc["policy"].update(banana=1),
+    lambda doc: doc["stats"].update(banana=1),
+    lambda doc: doc.update(terms=5),
+    lambda doc: doc["terms"][0]["monomials"][0].update(w="banana"),
 ], ids=["negative-param", "param-at-m", "unknown-mode", "symbolic-term-in-numeric",
-        "numeric-term-in-symbolic", "missing-sines", "missing-stats"])
+        "numeric-term-in-symbolic", "missing-sines", "missing-stats", "extra-policy-key",
+        "extra-stats-key", "terms-not-a-list", "string-weight"])
 def test_load_artifact_rejects_malformed_files(tmp_path, corrupt):
     c = Circuit(1, 2, (Rotation("X", (0,), ParamRef.free(0)),
                        Rotation("Y", (0,), ParamRef.free(1))))

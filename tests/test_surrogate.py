@@ -36,6 +36,7 @@ from paulipatch import (
     worst_case_coeff_bounds,
 )
 from paulipatch.propagation import NUMERIC, SYMBOLIC
+from paulipatch.surrogate import _trig_moment_mp
 
 from conftest import random_mixed_circuit, random_observable
 
@@ -79,6 +80,26 @@ def test_high_order_moment_uses_stable_path():
         epsabs=1e-25, epsrel=1e-13)
     assert value == pytest.approx(quad, rel=1e-10)
     assert value > 0
+
+
+def test_moments_match_high_precision_grid():
+    # small r and a high sine power make the alternating float sum cancel:
+    # (2, 18, 0.05) is 1.99e-25 and (0, 20, 0.01) is 4.8e-42
+    for p in (0, 1, 2, 5, 12):
+        for q in (0, 2, 4, 8, 12, 18, 20):
+            for r in (0.01, 0.05, 0.3, 1.0, math.pi):
+                want = _trig_moment_mp(p, q, r)
+                assert trig_moment(p, q, r) == pytest.approx(want, rel=1e-10), (p, q, r)
+
+
+def test_tiny_patch_moments_match_quadrature():
+    # at r = 1e-4 the sum loses 4q digits, beyond a fixed working precision
+    import mpmath as mp
+
+    for p, q, r in [(0, 20, 1e-4), (2, 18, 1e-3), (3, 2, 1e-4)]:
+        with mp.workdps(150):
+            quad = mp.quad(lambda a: mp.cos(a) ** p * mp.sin(a) ** q, [-r, 0, r]) / (2 * r)
+        assert trig_moment(p, q, r) == pytest.approx(float(quad), rel=1e-10)
 
 
 def test_moment_domain_errors():
