@@ -377,14 +377,11 @@ def _run_symbolic(circuit: Circuit, terms: Iterable[tuple[PauliString, float]],
 # --- numeric engine (vectorized over packed words) ----------------------------------
 
 
-def _mask_to_words(mask: int, n_words: int) -> list[int]:
-    return [(mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(n_words)]
-
-
 def _masks_to_words(masks: Sequence[int], n: int) -> np.ndarray:
+    """One row of 64-bit words per ``n``-qubit mask, qubit q in bit q % 64 of word q // 64."""
     n_words = max(1, -(-n // 64))
-    return np.array([_mask_to_words(mask, n_words) for mask in masks],
-                    dtype=np.uint64).reshape(len(masks), n_words)
+    return np.array([[(mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(n_words)]
+                     for mask in masks], dtype=np.uint64).reshape(len(masks), n_words)
 
 
 def _words_to_mask(row: Sequence[int]) -> int:
@@ -411,10 +408,8 @@ class _NumericFrontier:
     """Term store as (N, words) uint64 mask arrays plus coefficient vectors."""
 
     def __init__(self, n: int, terms: Sequence[tuple[PauliString, float]]) -> None:
-        self.n = n
         self.xw = _masks_to_words([p.x for p, _ in terms], n)
         self.zw = _masks_to_words([p.z for p, _ in terms], n)
-        self.n_words = self.xw.shape[1]
         self.coeff = np.array([c for _, c in terms], dtype=np.float64)
         self.sines = np.zeros(len(terms), dtype=np.int64)
 
@@ -448,8 +443,7 @@ class _NumericFrontier:
 
     def apply_rotation(self, gen: PauliString, theta: float,
                        policy: TruncationPolicy, stats: PropagationStats) -> None:
-        gxw = np.array(_mask_to_words(gen.x, self.n_words), dtype=np.uint64)
-        gzw = np.array(_mask_to_words(gen.z, self.n_words), dtype=np.uint64)
+        gxw, gzw = _masks_to_words([gen.x, gen.z], gen.n)
         # symplectic parity, read only from the words where the generator acts
         parity = np.zeros(len(self), dtype=np.uint8)
         for w in np.flatnonzero(gxw | gzw):
@@ -489,27 +483,20 @@ class _NumericFrontier:
             stats.truncated_coeff += int(below.sum())
             keep &= ~below
 
-        # cosine branch; the floor may prune the shrunken rows
+        # cosine branch; the floor may prune the shrunken rows (a zero floor keeps all)
         a_coeff *= cos_f
-        a_keep = np.ones(n_anti, dtype=bool)
-        if policy.coeff_floor > 0.0:
-            a_keep = ~(np.abs(a_coeff) < policy.coeff_floor)
-            stats.truncated_coeff += n_anti - int(a_keep.sum())
+        a_keep = ~(np.abs(a_coeff) < policy.coeff_floor)
+        stats.truncated_coeff += n_anti - int(a_keep.sum())
 
-        if not keep.any():
+        if not keep.any() and a_keep.all():
             self.coeff[anti] = a_coeff
-            if not a_keep.all():
-                rows = np.ones(len(self), dtype=bool)
-                rows[anti[~a_keep]] = False
-                self.xw, self.zw = self.xw[rows], self.zw[rows]
-                self.coeff, self.sines = self.coeff[rows], self.sines[rows]
             return
         # Invariant: a child p^g anticommutes with g as its parent p does, so it can only
         # meet an anticommuting row. The commuting rows skip the merge; as the merge does
-        # with its own rows, the zero ones among them are dropped.
-        rows = np.ones(len(self), dtype=bool)
-        rows[anti] = False
-        rows = np.flatnonzero(rows & (self.coeff != 0.0))
+        # with its own rows, the zero ones among them are dropped. A merge that only prunes
+        # floored rows changes nothing else: under a floor no row is zero.
+        self.coeff[anti] = 0.0  # these rows move into the merged block
+        rows = np.flatnonzero(self.coeff)
         bx, bz, bcoeff, bsines = _merge_rows(
             np.concatenate([ax[a_keep], sx[keep]]), np.concatenate([az[a_keep], sz[keep]]),
             np.concatenate([a_coeff[a_keep], sin_coeff[keep]]),
@@ -532,10 +519,7 @@ def _merge_rows(xw: np.ndarray, zw: np.ndarray, coeff: np.ndarray,
     minimum count of a merged term, deliberately erring toward keeping
     mass.
     """
-    n_words = xw.shape[1]
-    keys = [zw[:, w] for w in range(n_words - 1, -1, -1)]
-    keys += [xw[:, w] for w in range(n_words - 1, -1, -1)]
-    order = np.lexsort(keys)
+    order = np.lexsort([*zw.T[::-1], *xw.T[::-1]])
     xw, zw, coeff, sines = xw[order], zw[order], coeff[order], sines[order]
     boundary = np.ones(len(coeff), dtype=bool)
     boundary[1:] = np.any(xw[1:] != xw[:-1], axis=1) | np.any(zw[1:] != zw[:-1], axis=1)
@@ -782,7 +766,5 @@ def load_artifact(path) -> PropagatedObservable:
         )
     except ValidationError:
         raise
-    except KeyError as exc:
-        raise ValidationError(f"artifact is missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:  # a field of the wrong type or shape
-        raise ValidationError(f"malformed artifact field: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a missing or mistyped field
+        raise ValidationError(f"malformed artifact: {exc!r}") from None

@@ -146,9 +146,8 @@ def _trig_moment_cached(p: int, q: int, r: float) -> float:
             term = cj * math.comb(q, l) * _uniform_char(k, r)
             total += -term if (q - l) & 1 else term
     scale = (-1.0) ** (q // 2) / 2.0 ** (p + q)  # i^{-q} for even q
-    # The scaled terms' magnitudes sum to 1, so rounding leaves an absolute error of
-    # about (p+1)(q+1) eps: under the floor (a sine power at small r) it can swamp the
-    # moment, which then comes from the high-precision sum.
+    # the scaled terms' magnitudes sum to 1, so rounding errs by about (p+1)(q+1) eps:
+    # a moment under the floor (a sine power at small r) may be mostly rounding
     value = scale * total
     if abs(value) < _FLOAT_MOMENT_FLOOR:
         return _trig_moment_mp(p, q, r)

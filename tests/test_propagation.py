@@ -31,7 +31,7 @@ from paulipatch.propagation import (
     NUMERIC,
     SYMBOLIC,
     PropagationStats,
-    _mask_to_words,
+    _masks_to_words,
     _NumericFrontier,
     _words_to_mask,
 )
@@ -527,8 +527,7 @@ def _popcount(arr):
 
 class _FullMergeFrontier(_NumericFrontier):
     def apply_rotation(self, gen, theta, policy, stats):
-        gxw = np.array(_mask_to_words(gen.x, self.n_words), dtype=np.uint64)
-        gzw = np.array(_mask_to_words(gen.z, self.n_words), dtype=np.uint64)
+        gxw, gzw = _masks_to_words([gen.x, gen.z], gen.n)
         anti = (_popcount((self.xw & gzw) ^ (self.zw & gxw)) & 1).astype(bool)
         n_anti = int(anti.sum())
         if n_anti == 0:
@@ -570,8 +569,9 @@ class _FullMergeFrontier(_NumericFrontier):
         self.coeff = np.concatenate([self.coeff[keep_rows], sin_coeff[keep]])
         self.sines = np.concatenate([self.sines[keep_rows], new_sines[keep]])
         if keep.any() and len(self) > 1:
-            keys = [self.zw[:, w] for w in range(self.n_words - 1, -1, -1)]
-            keys += [self.xw[:, w] for w in range(self.n_words - 1, -1, -1)]
+            n_words = self.xw.shape[1]
+            keys = [self.zw[:, w] for w in range(n_words - 1, -1, -1)]
+            keys += [self.xw[:, w] for w in range(n_words - 1, -1, -1)]
             order = np.lexsort(keys)
             xw, zw = self.xw[order], self.zw[order]
             coeff, sines = self.coeff[order], self.sines[order]
