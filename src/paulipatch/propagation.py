@@ -384,13 +384,6 @@ def _masks_to_words(masks: Sequence[int], n: int) -> np.ndarray:
                      for mask in masks], dtype=np.uint64).reshape(len(masks), n_words)
 
 
-def _words_to_mask(row: Sequence[int]) -> int:
-    out = 0
-    for w, val in enumerate(row):
-        out |= int(val) << (64 * w)
-    return out
-
-
 def _popcount_words(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr).sum(axis=1, dtype=np.int64)
 
@@ -605,11 +598,11 @@ def backpropagate(
         # frontier rows hold distinct Paulis: Cliffords permute them, merges dedupe
         nonzero = np.flatnonzero(frontier.coeff)
         order = nonzero[_text_order(circuit.n, frontier.xw[nonzero], frontier.zw[nonzero])]
-        for xw, zw, coeff, sines in zip(frontier.xw[order].tolist(),
-                                        frontier.zw[order].tolist(),
-                                        frontier.coeff[order].tolist(),
-                                        frontier.sines[order].tolist()):
-            p = PauliString(circuit.n, _words_to_mask(xw), _words_to_mask(zw))
+        xs, zs = frontier.xw[order].astype("<u8"), frontier.zw[order].astype("<u8")
+        for x, z, coeff, sines in zip(xs, zs, frontier.coeff[order].tolist(),
+                                      frontier.sines[order].tolist()):
+            p = PauliString(circuit.n, int.from_bytes(x.tobytes(), "little"),
+                            int.from_bytes(z.tobytes(), "little"))
             terms[p] = PropagatedTerm(p, coefficient=coeff, min_sine_count=sines)
         stats.terms_final = len(terms)
         stats.monomials_final = len(terms)

@@ -33,7 +33,6 @@ from paulipatch.propagation import (
     PropagationStats,
     _masks_to_words,
     _NumericFrontier,
-    _words_to_mask,
 )
 
 from conftest import random_mixed_circuit, random_observable
@@ -584,6 +583,13 @@ class _FullMergeFrontier(_NumericFrontier):
             nonzero = coeff != 0.0
             self.xw, self.zw = xw[starts][nonzero], zw[starts][nonzero]
             self.coeff, self.sines = coeff[nonzero], sines[nonzero]
+
+
+def _words_to_mask(row):
+    out = 0
+    for w, val in enumerate(row):
+        out |= int(val) << (64 * w)
+    return out
 
 
 def _full_merge_reference(circuit, obs, policy, alphas):
