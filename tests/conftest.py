@@ -68,3 +68,57 @@ def random_observable(rng: np.random.Generator, n: int, terms: int = 1) -> Obser
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# --- the mask-indexed dense kernels, kept as the bitwise reference -----------------------
+# These are the statevector kernels the package used before its gather-free rewrite. The
+# rewrite must reproduce them exactly, so tests compare with ``==``, not a tolerance.
+
+
+def ref_apply_pauli_dense(batch: np.ndarray, p: PauliString) -> np.ndarray:
+    """Apply ``p`` to each row through a scattered index and a parity vector."""
+    dim = batch.shape[-1]
+    idx = np.arange(dim, dtype=np.int64)
+    counts = np.bitwise_count(idx & np.int64(p.z))
+    parity = 1.0 - 2.0 * (counts & 1).astype(float)
+    phase = (1j ** ((p.x & p.z).bit_count())) * parity
+    out = np.empty_like(batch)
+    out[..., idx ^ np.int64(p.x)] = phase * batch
+    return out
+
+
+def ref_apply_gate_matrix(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...],
+                          n: int) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix on ``qubits`` with ``moveaxis`` and ``einsum``."""
+    shaped = batch.reshape(batch.shape[0], *([2] * n))
+    axes = [n - q for q in reversed(qubits)]
+    moved = np.moveaxis(shaped, axes, range(1, 1 + len(qubits)))
+    head = moved.shape[: 1 + len(qubits)]
+    flat = moved.reshape(batch.shape[0], mat.shape[0], -1)
+    flat = np.einsum("ij,bjk->bik", mat, flat)
+    moved = flat.reshape(head + moved.shape[1 + len(qubits):])
+    shaped = np.moveaxis(moved, range(1, 1 + len(qubits)), axes)
+    return shaped.reshape(batch.shape[0], -1)
+
+
+def ref_apply_circuit(batch: np.ndarray, circuit: Circuit, alphas: np.ndarray) -> np.ndarray:
+    """Run ``circuit`` on a batch of states with the reference kernels."""
+    from paulipatch.pauli import gate_matrix
+
+    n = circuit.n
+    for gate in circuit.gates:
+        if isinstance(gate, CliffordGate):
+            subs = gate.sequence if gate.kind == "seq" else (gate,)
+            for sub in subs:
+                batch = ref_apply_gate_matrix(batch, gate_matrix(sub.kind), sub.qubits, n)
+        else:
+            theta = (
+                np.full(batch.shape[0], gate.param.value)
+                if gate.param.is_fixed
+                else alphas[:, gate.param.index]
+            )
+            rotated = ref_apply_pauli_dense(batch, gate.generator(n))
+            cos = np.cos(theta / 2.0)[:, np.newaxis]
+            sin = np.sin(theta / 2.0)[:, np.newaxis]
+            batch = cos * batch - 1j * sin * rotated
+    return batch

@@ -34,6 +34,9 @@ from paulipatch.measurement import (
     save_shot_records,
 )
 from paulipatch.propagation import SYMBOLIC
+from paulipatch.states import state_vector
+
+from conftest import ref_apply_gate_matrix
 
 Z1 = PauliString.from_text("Z")
 X1 = PauliString.from_text("X")
@@ -202,6 +205,48 @@ def test_shadows_dense_single_qubit():
     zbits = records.bits[records.bases[:, 0] == 2, 0]
     mean_z = 1 - 2 * zbits.mean()
     assert abs(mean_z - 0.6) <= 4 * math.sqrt(1 / len(zbits))
+
+
+REF_BASIS_ROTATIONS = {
+    0: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),          # X: H
+    1: np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2.0),        # Y: H S^dag
+    2: np.eye(2, dtype=complex),                                            # Z
+}
+
+
+def ref_dense_shadows(state, shots, seed):
+    """Per-shot, per-qubit conditional sampling with one scalar draw per bit."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = state.n
+    bases = rng.integers(0, 3, size=(shots, n), dtype=np.uint8)
+    psi0 = state_vector(state)
+    bits = np.zeros((shots, n), dtype=np.uint8)
+    for s in range(shots):
+        psi = psi0[np.newaxis, :].copy()
+        for q in range(n):
+            psi = ref_apply_gate_matrix(psi, REF_BASIS_ROTATIONS[int(bases[s, q])], (q,), n)
+            amp = psi[0]
+            mask = (np.arange(amp.size) >> q) & 1
+            p0 = float(np.sum(np.abs(amp[mask == 0]) ** 2))
+            bit = int(rng.random() >= p0)
+            bits[s, q] = bit
+            keep = mask == bit
+            amp = np.where(keep, amp, 0.0)
+            norm = math.sqrt(float(np.sum(np.abs(amp) ** 2)))
+            psi = (amp / norm)[np.newaxis, :]
+    return bases, bits
+
+
+@pytest.mark.parametrize("n, shots", [(4, 600), (10, 150)])
+def test_dense_shadows_match_per_shot_reference(n, shots):
+    # 150 shots span three of the 64-shot blocks of a 10-qubit state
+    rng = np.random.default_rng(9300 + n)
+    raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = Dense(raw / np.linalg.norm(raw))
+    records = simulate_shadows(state, shots, seed=31 + n)
+    bases, bits = ref_dense_shadows(state, shots, seed=31 + n)
+    assert np.array_equal(records.bases, bases)
+    assert np.array_equal(records.bits, bits)
 
 
 def test_shadow_estimator_contributions():

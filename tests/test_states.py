@@ -9,6 +9,7 @@ from paulipatch import (
     AllPlus,
     AllZero,
     Circuit,
+    CliffordGate,
     Dense,
     DimensionError,
     ObservableSpec,
@@ -25,9 +26,15 @@ from paulipatch import (
     grid,
     overlap,
 )
+from paulipatch.pauli import CLIFFORD_1Q, CLIFFORD_2Q
 from paulipatch.states import state_vector
 
-from conftest import random_mixed_circuit, random_observable
+from conftest import (
+    random_mixed_circuit,
+    random_observable,
+    ref_apply_circuit,
+    ref_apply_pauli_dense,
+)
 
 
 def test_allzero_overlaps():
@@ -127,3 +134,94 @@ def test_dense_binary_round_trip(tmp_path):
     assert loaded.n == 3
     assert abs(np.linalg.norm(loaded.vector) - 1.0) < 1e-12
     assert np.allclose(loaded.vector, state.vector, atol=1e-6)
+
+
+# --- bitwise equality with the reference kernels -------------------------------------
+
+
+def ref_expectation_batch(circuit, alphas, obs, state, chunk=64):
+    """The expectation loop of the reference oracle, over 64-row chunks."""
+    psi0 = state_vector(state)
+    out = np.empty(alphas.shape[0])
+    for start in range(0, alphas.shape[0], chunk):
+        block = alphas[start:start + chunk]
+        batch = np.repeat(psi0[np.newaxis, :], block.shape[0], axis=0)
+        batch = ref_apply_circuit(batch, circuit, block)
+        values = np.zeros(block.shape[0], dtype=complex)
+        for p, coeff in obs.terms:
+            values += coeff * np.einsum("bi,bi->b", batch.conj(), ref_apply_pauli_dense(batch, p))
+        out[start:start + chunk] = values.real
+    return out
+
+
+def every_gate_circuit(rng, n, n_rot):
+    """A random Clifford+rotation circuit followed by every Clifford kind, a seq gate,
+    X, Y and Z generators (and two-qubit ones when n > 1), and a fixed rotation."""
+    base = random_mixed_circuit(rng, n, n_rot)
+    gates = list(base.gates)
+    gates += [CliffordGate(kind, (int(rng.integers(n)),)) for kind in CLIFFORD_1Q]
+    if n > 1:
+        for kind in CLIFFORD_2Q:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append(CliffordGate(kind, (int(a), int(b))))
+        gates.append(CliffordGate("seq", (0, 1), (CliffordGate("h", (0,)),
+                                                  CliffordGate("cnot", (0, 1)),
+                                                  CliffordGate("s", (1,)))))
+    else:
+        gates.append(CliffordGate("seq", (0,), (CliffordGate("h", (0,)),
+                                                CliffordGate("sdg", (0,)))))
+    m = base.m
+    for letters in ("X", "Y", "Z") + (("XY", "ZZ", "YX", "ZX") if n > 1 else ()):
+        qubits = tuple(int(q) for q in rng.choice(n, size=len(letters), replace=False))
+        gates.append(Rotation(letters, qubits, ParamRef.free(m)))
+        m += 1
+    gates.append(Rotation("Y", (n - 1,), ParamRef.fixed(0.37)))
+    return Circuit(n, m, tuple(gates))
+
+
+def random_dense(rng, n):
+    raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return Dense(raw / np.linalg.norm(raw))
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("kind", ["zero", "plus", "dense", "trotter"])
+def test_expectation_batch_matches_reference_kernels(n, kind):
+    rng = np.random.default_rng(9100 + n)
+    circuit = every_gate_circuit(rng, n, n_rot=12)
+    obs = random_observable(rng, n, terms=min(4, 3 * n))
+    if kind == "zero":
+        state = AllZero(n)
+    elif kind == "plus":
+        state = AllPlus(n)
+    elif kind == "dense":
+        state = random_dense(rng, n)
+    else:
+        prep = every_gate_circuit(rng, n, n_rot=6)
+        state = TrotterEvolvedZero(prep.bind(rng.uniform(-np.pi, np.pi, prep.m)))
+        psi = np.zeros((1, 1 << n), dtype=complex)
+        psi[0, 0] = 1.0
+        assert np.array_equal(state.vector, ref_apply_circuit(psi, state.circuit,
+                                                              np.zeros((1, 0)))[0])
+    # 70 rows cross the 64-row block of a 10-qubit batch
+    alphas = rng.uniform(-np.pi, np.pi, size=(70, circuit.m))
+    got = exact_expectation_batch(circuit, alphas, obs, state)
+    assert np.array_equal(got, ref_expectation_batch(circuit, alphas, obs, state))
+    assert exact_expectation(circuit, alphas[5], obs, state) == got[5]
+    evolved = evolve_state(circuit, alphas[3], state)
+    want = ref_apply_circuit(state_vector(state)[np.newaxis, :], circuit, alphas[3:4])[0]
+    assert np.array_equal(evolved.vector, want)
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_dense_overlap_matches_reference_kernel(n):
+    rng = np.random.default_rng(9200 + n)
+    state = random_dense(rng, n)
+    if n == 3:
+        paulis = [PauliString.from_text("".join(t)) for t in itertools.product("IXYZ", repeat=3)]
+    else:
+        paulis = [PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
+                  for _ in range(60)]
+    for p in paulis:
+        want = np.vdot(state.vector, ref_apply_pauli_dense(state.vector[np.newaxis, :], p)[0])
+        assert overlap(state, p) == float(want.real)

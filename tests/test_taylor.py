@@ -1,5 +1,6 @@
 """Taylor patch surrogates: shift derivatives, budgets, and error bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from paulipatch import (
     taylor_bounds,
 )
 from paulipatch.taylor import (
+    EvalLedger,
+    _shift_combinations,
     evaluation_budget_bound,
     gamma_for_generator_norm,
     unique_derivative_count,
@@ -154,6 +157,54 @@ def test_unique_derivative_counts():
     assert unique_derivative_count(10, 2) == 66  # 1 + 10 + 55
     assert unique_derivative_count(2, 3) == 10
     assert unique_derivative_count(5, 0) == 1
+
+
+def one_call_per_point_build(oracle, center, kappa):
+    """Entries and ledger of a build that calls the oracle once per new shift point."""
+    center = np.asarray(center, dtype=float)
+    m = oracle.m
+    ledger = EvalLedger()
+    memo = {}
+    entries = {}
+    for k in range(kappa + 1):
+        for combo in itertools.combinations_with_replacement(range(m), k):
+            kvec = [0] * m
+            for param in combo:
+                kvec[param] += 1
+            ledger.nominal_evaluations += 2 ** k
+            ledger.n_d_max = max(ledger.n_d_max, 2 ** k)
+            ledger.unique_derivatives += 1
+            total = 0.0
+            for offset, weight in _shift_combinations(kvec).items():
+                value = memo.get(offset)
+                if value is None:
+                    value = oracle(center + (math.pi / 2.0) * np.asarray(offset, dtype=float))
+                    memo[offset] = value
+                    ledger.evaluations += 1
+                total += weight * value
+            entries[tuple((p, o) for p, o in enumerate(kvec) if o)] = total
+    ledger.b0 = 1.0
+    return entries, ledger
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_build_matches_one_call_per_point(sampled):
+    rng = np.random.default_rng(9400)
+    c = random_mixed_circuit(rng, n=4, n_rot=7)
+    obs = random_observable(rng, 4, terms=3)
+    center = rng.uniform(-0.4, 0.4, size=c.m)
+    kappa = 2 if sampled else 3
+
+    def make():
+        if sampled:
+            return sampled_oracle(c, obs, AllZero(4), shots=300, seed=77)
+        return exact_oracle(c, obs, AllZero(4))
+
+    ts = build_taylor(make(), center, kappa=kappa)
+    entries, ledger = one_call_per_point_build(make(), center, kappa)
+    assert ts.entries == entries
+    assert list(ts.entries) == list(entries)
+    assert ts.ledger.as_dict() == ledger.as_dict()
 
 
 def test_build_ledger_within_budget():
