@@ -28,7 +28,7 @@ from .states import (
     Dense,
     InitialState,
     TrotterEvolvedZero,
-    _apply_gate_matrix,
+    block_rows,
     overlap,
     state_vector,
 )
@@ -224,18 +224,21 @@ class ShadowRecords:
         return ("".join(_BASIS_LETTERS[b] for b in self.bases[i]), self.bits[i].copy())
 
 
-_BASIS_ROTATIONS = {
-    0: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),          # X: H
-    1: np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2.0),        # Y: H S^dag
-    2: np.eye(2, dtype=complex),                                            # Z
-}
+# basis change before a Z measurement, indexed by shadow basis code
+_BASIS_ROTATIONS = np.stack([
+    np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),          # X: H
+    np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2.0),        # Y: H S^dag
+    np.eye(2, dtype=complex),                                           # Z
+])
 
 
 def simulate_shadows(state: InitialState, shots: int, seed: int) -> ShadowRecords:
     """Measure every qubit in an independent uniformly random Pauli basis.
 
-    Stabilizer inputs sample in closed form; dense states sample each qubit's
-    conditional marginal sequentially (capped at 14 qubits).
+    Stabilizer inputs sample in closed form. Dense states (capped at 14
+    qubits) sample each qubit's conditional marginal in turn, on blocks of
+    ``block_rows(n)`` shots at once; bit ``(s, q)`` compares the ``(s, q)``
+    entry of one ``(shots, n)`` uniform draw with the probability of 0.
     """
     if shots < 1:
         raise ConfigError(f"shot count must be >= 1, got {shots}")
@@ -252,20 +255,28 @@ def simulate_shadows(state: InitialState, shots: int, seed: int) -> ShadowRecord
     if n > SHADOW_DENSE_CAP:
         raise OracleCapError(f"dense shadow sampling capped at {SHADOW_DENSE_CAP} qubits")
     psi0 = state_vector(state)
+    uniform = rng.random((shots, n))
     bits = np.zeros((shots, n), dtype=np.uint8)
-    for s in range(shots):
-        psi = psi0[np.newaxis, :].copy()
+    step = block_rows(n)
+    for start in range(0, shots, step):
+        block = slice(start, start + step)
+        psi = np.repeat(psi0[np.newaxis, :], uniform[block].shape[0], axis=0)
+        rows = psi.shape[0]
         for q in range(n):
-            psi = _apply_gate_matrix(psi, _BASIS_ROTATIONS[int(bases[s, q])], (q,), n)
-            amp = psi[0]
-            mask = (np.arange(amp.size) >> q) & 1
-            p0 = float(np.sum(np.abs(amp[mask == 0]) ** 2))
-            bit = int(rng.random() >= p0)
-            bits[s, q] = bit
-            keep = mask == bit
-            amp = np.where(keep, amp, 0.0)
-            norm = math.sqrt(float(np.sum(np.abs(amp) ** 2)))
-            psi = (amp / norm)[np.newaxis, :]
+            # basis change on qubit q, a different 2x2 matrix per shot
+            mats = _BASIS_ROTATIONS[bases[block, q]][:, :, :, np.newaxis, np.newaxis]
+            pairs = psi.reshape(rows, -1, 2, 1 << q)
+            amp = np.empty_like(pairs)
+            for i in (0, 1):
+                amp[:, :, i, :] = mats[:, i, 0] * pairs[:, :, 0, :] + mats[:, i, 1] * pairs[:, :, 1, :]
+            p0 = np.sum(np.abs(amp[:, :, 0, :].reshape(rows, -1)) ** 2, axis=1)
+            bit = uniform[block, q] >= p0
+            bits[block, q] = bit
+            amp[bit, :, 0, :] = 0.0
+            amp[~bit, :, 1, :] = 0.0
+            amp = amp.reshape(rows, -1)
+            norm = np.sqrt(np.sum(np.abs(amp) ** 2, axis=1))
+            psi = amp / norm[:, np.newaxis]
     return ShadowRecords(bases, bits, seed)
 
 

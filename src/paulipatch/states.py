@@ -2,8 +2,11 @@
 
 The dense simulator is the ground truth every propagation result is checked
 against. States are vectors of complex amplitudes with qubit ``q`` on basis
-bit ``q``; Pauli expectations are evaluated by mask-indexed traversal, never
-by materializing operator matrices.
+bit ``q``. Gates act on the ``(rows, 2, ..., 2)`` view of a batch, where
+qubit ``q`` is axis ``n - q``: a Pauli flips its X/Y axes and multiplies by a
+sign spanning only its Z/Y axes, and every Clifford kind but ``h`` moves
+slices of its axes with a fixed index and phase. No operator matrix over all
+qubits is ever built, and nothing of size ``2**n`` outlives a call.
 
 Caps: expectation oracles run up to 14 qubits; dense state construction and
 overlap evaluation are allowed up to 16 so that a Trotter-prepared 16-qubit
@@ -19,10 +22,14 @@ import numpy as np
 
 from .circuits import Circuit, Rotation
 from .errors import DimensionError, OracleCapError, ValidationError
-from .pauli import CliffordGate, ObservableSpec, PauliString, gate_matrix
+from .pauli import CLIFFORD_1Q, CLIFFORD_2Q, CliffordGate, ObservableSpec, PauliString, gate_matrix
 
 DENSE_EXPECTATION_CAP = 14
 DENSE_STATE_CAP = 16
+
+# Working-array budget of one block of rows: 64 rows of a 10-qubit state. Larger blocks
+# buy no speed here and raise peak memory (512 rows cost 8 MB per working array).
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -114,20 +121,32 @@ def state_vector(state: InitialState) -> np.ndarray:
 # --- Pauli action on dense vectors ------------------------------------------------
 
 
-def _parity_of(values: np.ndarray, mask: int) -> np.ndarray:
-    """Bit parity of ``values & mask`` as a +/-1 float array."""
-    counts = np.bitwise_count(values & np.int64(mask))
-    return 1.0 - 2.0 * (counts & 1).astype(float)
+def block_rows(n: int) -> int:
+    """Rows of ``2**n`` complex amplitudes per block of the fixed byte budget (at least 1)."""
+    return max(1, _BLOCK_BYTES // (16 << n))
 
 
 def apply_pauli_dense(batch: np.ndarray, p: PauliString) -> np.ndarray:
-    """Apply ``p`` to each row of a (batch, 2**n) amplitude array."""
-    dim = batch.shape[-1]
-    idx = np.arange(dim, dtype=np.int64)
-    phase = (1j ** ((p.x & p.z).bit_count())) * _parity_of(idx, p.z)
-    out = np.empty_like(batch)
-    out[..., idx ^ np.int64(p.x)] = phase * batch
-    return out
+    """Apply ``p`` to each row of a (batch, 2**n) amplitude array.
+
+    The result is ``phase * np.flip(view, x_axes)`` on the (batch, 2, ..., 2)
+    view. ``phase`` is the exact +/-1, +/-i factor of each basis state; it
+    spans only the Z/Y axes (2**|z| values) and broadcasts over the rest. A
+    generator without X/Y letters needs no flip.
+    """
+    n = p.n
+    shaped = batch.reshape(batch.shape[0], *([2] * n))
+    parity = np.ones((1,) * (n + 1))
+    for q in range(n):
+        if p.z >> q & 1:
+            sign = np.array([1.0, -1.0]).reshape((1,) * (n - q) + (2,) + (1,) * q)
+            parity = parity * sign
+    phase = (1j ** ((p.x & p.z).bit_count())) * parity
+    x_axes = tuple(n - q for q in range(n) if p.x >> q & 1)
+    if x_axes:
+        # out[j] is phase[j ^ x] * in[j ^ x]: flip the phase with the amplitudes
+        phase, shaped = np.flip(phase, x_axes), np.flip(shaped, x_axes)
+    return (phase * shaped).reshape(batch.shape[0], -1)
 
 
 def _apply_gate_matrix(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...],
@@ -146,16 +165,44 @@ def _apply_gate_matrix(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ..
     return shaped.reshape(batch.shape[0], -1)
 
 
+def _index_and_phase(mat: np.ndarray) -> tuple[tuple[int, ...], tuple[complex, ...]]:
+    """Row ``i`` of a permutation-times-phase matrix is ``phase[i]`` at column ``index[i]``."""
+    index = [int(j) for j in np.argmax(np.abs(mat), axis=1)]
+    return tuple(index), tuple(mat[i, j] for i, j in enumerate(index))
+
+
+_H = gate_matrix("h")
+_MONOMIAL_GATES = {kind: _index_and_phase(gate_matrix(kind))
+                   for kind in CLIFFORD_1Q + CLIFFORD_2Q if kind != "h"}
+
+
+def _apply_clifford(batch: np.ndarray, kind: str, qubits: tuple[int, ...],
+                    n: int) -> np.ndarray:
+    """Apply one non-seq Clifford gate; all kinds but ``h`` move slices of their axes."""
+    if kind == "h":
+        return _apply_gate_matrix(batch, _H, qubits, n)
+    index, phase = _MONOMIAL_GATES[kind]
+    shaped = batch.reshape(batch.shape[0], *([2] * n))
+    out = np.empty_like(shaped)
+
+    def local(i: int) -> tuple:
+        view: list = [slice(None)] * (n + 1)
+        for bit, q in enumerate(qubits):
+            view[n - q] = (i >> bit) & 1
+        return tuple(view)
+
+    for i, (j, factor) in enumerate(zip(index, phase)):
+        np.multiply(factor, shaped[local(j)], out=out[local(i)])
+    return out.reshape(batch.shape[0], -1)
+
+
 def _apply_circuit(batch: np.ndarray, circuit: Circuit, alphas: np.ndarray) -> np.ndarray:
     """Run ``circuit`` on a batch of states; row b uses parameter row b."""
     n = circuit.n
     for gate in circuit.gates:
         if isinstance(gate, CliffordGate):
-            if gate.kind == "seq":
-                for sub in gate.sequence:
-                    batch = _apply_gate_matrix(batch, gate_matrix(sub.kind), sub.qubits, n)
-            else:
-                batch = _apply_gate_matrix(batch, gate_matrix(gate.kind), gate.qubits, n)
+            for sub in gate.sequence if gate.kind == "seq" else (gate,):
+                batch = _apply_clifford(batch, sub.kind, sub.qubits, n)
         else:
             theta = (
                 np.full(batch.shape[0], gate.param.value)
@@ -165,7 +212,10 @@ def _apply_circuit(batch: np.ndarray, circuit: Circuit, alphas: np.ndarray) -> n
             rotated = apply_pauli_dense(batch, gate.generator(n))
             cos = np.cos(theta / 2.0)[:, np.newaxis]
             sin = np.sin(theta / 2.0)[:, np.newaxis]
-            batch = cos * batch - 1j * sin * rotated
+            # cos * batch - 1j * sin * rotated, with one temporary fewer
+            rotated *= 1j * sin
+            batch = cos * batch
+            batch -= rotated
     return batch
 
 
@@ -206,8 +256,12 @@ def exact_expectation(circuit: Circuit, alphas, obs: ObservableSpec,
 
 
 def exact_expectation_batch(circuit: Circuit, alphas: np.ndarray, obs: ObservableSpec,
-                            state: InitialState, chunk: int = 64) -> np.ndarray:
-    """Vectorized oracle over many parameter vectors (rows of ``alphas``)."""
+                            state: InitialState) -> np.ndarray:
+    """Vectorized oracle over many parameter vectors (rows of ``alphas``).
+
+    Rows are evolved in blocks of ``block_rows(n)``; every row's value is
+    independent of the block it falls in.
+    """
     if circuit.n != state.n or obs.n != circuit.n:
         raise DimensionError("circuit, observable, and state qubit counts must match")
     cap = DENSE_STATE_CAP if isinstance(state, TrotterEvolvedZero) else DENSE_EXPECTATION_CAP
@@ -220,12 +274,13 @@ def exact_expectation_batch(circuit: Circuit, alphas: np.ndarray, obs: Observabl
         raise DimensionError(f"expected (draws, {circuit.m}) parameters, got {alphas.shape}")
     psi0 = state_vector(state)
     out = np.empty(alphas.shape[0])
-    for start in range(0, alphas.shape[0], chunk):
-        block = alphas[start:start + chunk]
+    step = block_rows(circuit.n)
+    for start in range(0, alphas.shape[0], step):
+        block = alphas[start:start + step]
         batch = np.repeat(psi0[np.newaxis, :], block.shape[0], axis=0)
         batch = _apply_circuit(batch, circuit, block)
         values = np.zeros(block.shape[0], dtype=complex)
         for p, coeff in obs.terms:
             values += coeff * np.einsum("bi,bi->b", batch.conj(), apply_pauli_dense(batch, p))
-        out[start:start + chunk] = values.real
+        out[start:start + step] = values.real
     return out

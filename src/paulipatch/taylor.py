@@ -6,7 +6,8 @@ rotations ``exp(-i*alpha*P/2)`` the rule ``[f(a + pi/2) - f(a - pi/2)] / 2``
 is the exact first derivative, and composing it covers mixed and higher
 orders. Only unique derivatives are evaluated (multisets of parameter
 indices), and all shifted evaluation points are memoized within a build, so
-the oracle-call ledger stays well under the multinomial worst case.
+the oracle-call ledger stays well under the multinomial worst case. The new
+points of each derivative order go to the oracle as one batch.
 
 The rule is exact only when each parameter drives a single rotation, so the
 circuit-backed oracles refuse circuits that reuse a parameter.
@@ -27,7 +28,7 @@ from .circuits import Circuit
 from .errors import ConfigError, DimensionError, HypothesisViolationError, PauliPatchError
 from .measurement import estimate, make_allocation, simulate_direct
 from .pauli import ObservableSpec
-from .states import InitialState, evolve_state, exact_expectation
+from .states import InitialState, evolve_state, exact_expectation_batch
 from .surrogate import BoundReport
 
 # sparse multi-index: sorted ((param, order), ...) with all orders >= 1
@@ -56,9 +57,14 @@ class EvalLedger:
 
 @dataclass
 class LossOracle:
-    """A loss landscape ``alpha -> f(alpha)`` with derivative-bound metadata."""
+    """A loss landscape ``alpha -> f(alpha)`` with derivative-bound metadata.
 
-    func: Callable[[np.ndarray], float]
+    ``func`` evaluates a batch: it maps a ``(rows, m)`` array of parameter
+    points to the ``(rows,)`` array of their losses. Calling the oracle
+    evaluates one point.
+    """
+
+    func: Callable[[np.ndarray], np.ndarray]
     m: int
     gamma: float = 1.0
     obs_norm: float = 1.0
@@ -67,7 +73,16 @@ class LossOracle:
         alphas = np.asarray(alphas, dtype=float)
         if alphas.shape != (self.m,):
             raise DimensionError(f"expected {self.m} parameters, got {alphas.shape}")
-        return float(self.func(alphas))
+        return float(self.batch(alphas[np.newaxis, :])[0])
+
+    def batch(self, points: np.ndarray) -> np.ndarray:
+        """Losses at the rows of a ``(rows, m)`` array, in one ``func`` call."""
+        values = np.asarray(self.func(points), dtype=float)
+        if values.shape != (points.shape[0],):
+            raise DimensionError(
+                f"loss function returned shape {values.shape} for {points.shape[0]} points"
+            )
+        return values
 
 
 def _require_single_use_parameters(circuit: Circuit) -> None:
@@ -85,7 +100,7 @@ def exact_oracle(circuit: Circuit, obs: ObservableSpec, state: InitialState) -> 
     """Loss oracle backed by the dense statevector reference."""
     _require_single_use_parameters(circuit)
     return LossOracle(
-        func=lambda a: exact_expectation(circuit, a, obs, state),
+        func=lambda points: exact_expectation_batch(circuit, points, obs, state),
         m=circuit.m,
         gamma=derivative_growth_gamma(circuit),
         obs_norm=obs.norm1,
@@ -94,20 +109,24 @@ def exact_oracle(circuit: Circuit, obs: ObservableSpec, state: InitialState) -> 
 
 def sampled_oracle(circuit: Circuit, obs: ObservableSpec, state: InitialState,
                    shots: int, seed: int) -> LossOracle:
-    """Shot-noisy oracle: each call measures the evolved state and reweights.
+    """Shot-noisy oracle: each point measures the evolved state and reweights.
 
-    Calls consume consecutive substreams of the base seed, so a rebuilt
-    oracle replays the identical noise sequence.
+    Points consume consecutive substreams of the base seed, one per row in
+    row order, so a rebuilt oracle replays the identical noise sequence.
     """
     _require_single_use_parameters(circuit)
     coeffs = {p: c for p, c in obs.terms}
     plan = make_allocation("abs-coeff", shots, coeffs=coeffs)
     counter = itertools.count()
 
-    def run(alphas: np.ndarray) -> float:
-        evolved = evolve_state(circuit, alphas, state)
-        records = simulate_direct(evolved, plan, seed=hash((seed, next(counter))) & 0x7FFFFFFF)
-        return estimate(records, coeffs, plan)
+    def run(points: np.ndarray) -> np.ndarray:
+        values = []
+        for alphas in points:
+            evolved = evolve_state(circuit, alphas, state)
+            records = simulate_direct(evolved, plan,
+                                      seed=hash((seed, next(counter))) & 0x7FFFFFFF)
+            values.append(estimate(records, coeffs, plan))
+        return np.array(values)
 
     return LossOracle(func=run, m=circuit.m,
                       gamma=derivative_growth_gamma(circuit), obs_norm=obs.norm1)
@@ -157,17 +176,25 @@ def shift_derivative(
         ledger.n_d_max = max(ledger.n_d_max, 2 ** order)
         ledger.unique_derivatives += 1
 
+    combinations = _shift_combinations(kvec)
+    _evaluate_new(oracle, center, combinations, memo, ledger)
     total = 0.0
-    for offset, weight in _shift_combinations(kvec).items():
-        value = memo.get(offset)
-        if value is None:
-            point = center + (math.pi / 2.0) * np.asarray(offset, dtype=float)
-            value = oracle(point)
-            memo[offset] = value
-            if ledger is not None:
-                ledger.evaluations += 1
-        total += weight * value
+    for offset, weight in combinations.items():
+        total += weight * memo[offset]
     return total
+
+
+def _evaluate_new(oracle: LossOracle, center: np.ndarray, offsets,
+                  memo: dict[tuple[int, ...], float], ledger: EvalLedger | None) -> None:
+    """Evaluate the offsets missing from ``memo``, in first-seen order, in one batch."""
+    new = list(dict.fromkeys(offset for offset in offsets if offset not in memo))
+    if not new:
+        return
+    points = center + (math.pi / 2.0) * np.asarray(new, dtype=float)
+    for offset, value in zip(new, oracle.batch(points)):
+        memo[offset] = float(value)
+    if ledger is not None:
+        ledger.evaluations += len(new)
 
 
 # --- the surrogate --------------------------------------------------------------------
@@ -241,10 +268,17 @@ def build_taylor(oracle: LossOracle, center: Sequence[float], kappa: int) -> Tay
     memo: dict[tuple[int, ...], float] = {}
     entries: dict[SparseIndex, float] = {}
     for k in range(kappa + 1):
+        kvecs = []
         for combo in itertools.combinations_with_replacement(range(m), k):
             kvec = [0] * m
             for param in combo:
                 kvec[param] += 1
+            kvecs.append(kvec)
+        # the order's new shift points go to the oracle as one batch
+        _evaluate_new(oracle, center,
+                      (offset for kvec in kvecs for offset in _shift_combinations(kvec)),
+                      memo, ledger)
+        for kvec in kvecs:
             sparse = tuple((p, o) for p, o in enumerate(kvec) if o)
             entries[sparse] = shift_derivative(oracle, center, kvec,
                                                ledger=ledger, memo=memo)

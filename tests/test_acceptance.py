@@ -203,7 +203,7 @@ def test_criterion_05_grid_anchor_rmse(grid16):
     rng = np.random.default_rng(GLOBAL_SEED + 5)
     draws = rng.uniform(-0.1, 0.1, size=(200, hva.m))
     approx = ev.values(draws)
-    exact = exact_expectation_batch(hva, draws, obs, rho, chunk=25)
+    exact = exact_expectation_batch(hva, draws, obs, rho)
     rmse = float(np.sqrt(np.mean((approx - exact) ** 2)))
     elapsed = time.perf_counter() - start
     assert rmse < 1e-5, f"rmse {rmse:.2e}"
