@@ -717,6 +717,13 @@ def _term_doc(term: PropagatedTerm) -> dict:
     return doc
 
 
+def _json_number(value) -> float:
+    """A coefficient or weight read from JSON; strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def load_artifact(path) -> PropagatedObservable:
     """Read a ``save_artifact`` file; a malformed one raises ``ValidationError``."""
     path = str(path)
@@ -736,17 +743,21 @@ def load_artifact(path) -> PropagatedObservable:
             p = PauliString.from_text(raw["pauli"], n)
             if ("coeff" in raw) != (mode == NUMERIC):
                 raise ValidationError(f"term {raw['pauli']} does not match mode {mode!r}")
+            sines = raw["sines"]
+            if isinstance(sines, bool) or not isinstance(sines, int):
+                raise ValidationError(f"term {raw['pauli']} has a non-integer sine count")
             if mode == NUMERIC:
-                terms[p] = PropagatedTerm(p, coefficient=raw["coeff"],
-                                          min_sine_count=raw["sines"])
+                terms[p] = PropagatedTerm(p, coefficient=_json_number(raw["coeff"]),
+                                          min_sine_count=sines)
                 continue
             monos = tuple(
-                (PathMonomial(tuple(tuple(f) for f in entry["params"])), float(entry["w"]))
+                (PathMonomial(tuple(tuple(f) for f in entry["params"])),
+                 _json_number(entry["w"]))
                 for entry in raw["monomials"]
             )
             if any(param >= m for mono, _ in monos for param, _, _ in mono.factors):
                 raise ValidationError(f"term {raw['pauli']} has a param index outside [0, {m})")
-            terms[p] = PropagatedTerm(p, monomials=monos, min_sine_count=raw["sines"])
+            terms[p] = PropagatedTerm(p, monomials=monos, min_sine_count=sines)
         return PropagatedObservable(
             n=n,
             mode=mode,

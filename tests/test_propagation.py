@@ -765,6 +765,28 @@ def _make_numeric_term(doc):
     term["coeff"] = 0.5
 
 
+def _make_numeric_doc(doc, coeff=0.5, sines=0):
+    doc["mode"] = NUMERIC
+    for term in doc["terms"]:
+        del term["monomials"]
+        term["coeff"] = coeff
+    doc["terms"][0]["sines"] = sines
+
+
+def test_numeric_doc_helper_loads(tmp_path):
+    c = Circuit(1, 2, (Rotation("X", (0,), ParamRef.free(0)),
+                       Rotation("Y", (0,), ParamRef.free(1))))
+    po = backpropagate(c, ObservableSpec.single(PauliString.from_text("Z")), mode=SYMBOLIC)
+    path = tmp_path / "artifact.json"
+    save_artifact(po, path)
+    doc = json.loads(path.read_text())
+    _make_numeric_doc(doc)
+    path.write_text(json.dumps(doc))
+    loaded = load_artifact(path)
+    assert loaded.mode == NUMERIC
+    assert all(t.coefficient == 0.5 for t in loaded.terms.values())
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda doc: _set_param(doc, 0, -2),
     lambda doc: _set_param(doc, 1, 2),
@@ -777,9 +799,19 @@ def _make_numeric_term(doc):
     lambda doc: doc["stats"].update(banana=1),
     lambda doc: doc.update(terms=5),
     lambda doc: doc["terms"][0]["monomials"][0].update(w="banana"),
+    lambda doc: doc["terms"][0]["monomials"][0].update(w="0.5"),
+    lambda doc: doc["terms"][0]["monomials"][0].update(w=True),
+    lambda doc: doc["terms"][0].update(sines="x"),
+    lambda doc: doc["terms"][0].update(sines=True),
+    lambda doc: doc["terms"][0].update(sines=1.0),
+    lambda doc: _make_numeric_doc(doc, coeff="0.5"),
+    lambda doc: _make_numeric_doc(doc, coeff=False),
+    lambda doc: _make_numeric_doc(doc, sines="0"),
 ], ids=["negative-param", "param-at-m", "unknown-mode", "symbolic-term-in-numeric",
         "numeric-term-in-symbolic", "missing-sines", "missing-stats", "extra-policy-key",
-        "extra-stats-key", "terms-not-a-list", "string-weight"])
+        "extra-stats-key", "terms-not-a-list", "string-weight", "numeric-string-weight",
+        "bool-weight", "string-sines", "bool-sines", "float-sines", "numeric-string-coeff",
+        "numeric-bool-coeff", "numeric-string-sines"])
 def test_load_artifact_rejects_malformed_files(tmp_path, corrupt):
     c = Circuit(1, 2, (Rotation("X", (0,), ParamRef.free(0)),
                        Rotation("Y", (0,), ParamRef.free(1))))
