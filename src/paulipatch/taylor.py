@@ -111,10 +111,13 @@ def sampled_oracle(circuit: Circuit, obs: ObservableSpec, state: InitialState,
                    shots: int, seed: int) -> LossOracle:
     """Shot-noisy oracle: each point measures the evolved state and reweights.
 
-    Points consume consecutive substreams of the base seed, one per row in
-    row order, so a rebuilt oracle replays the identical noise sequence.
+    The ``k``-th point evaluated, counting rows in order across calls, draws
+    its shots from ``np.random.SeedSequence([seed, k])``, so a rebuilt oracle
+    replays the identical noise sequence.
     """
     _require_single_use_parameters(circuit)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     coeffs = {p: c for p, c in obs.terms}
     plan = make_allocation("abs-coeff", shots, coeffs=coeffs)
     counter = itertools.count()
@@ -123,8 +126,8 @@ def sampled_oracle(circuit: Circuit, obs: ObservableSpec, state: InitialState,
         values = []
         for alphas in points:
             evolved = evolve_state(circuit, alphas, state)
-            records = simulate_direct(evolved, plan,
-                                      seed=hash((seed, next(counter))) & 0x7FFFFFFF)
+            stream = np.random.SeedSequence([seed, next(counter)])
+            records = simulate_direct(evolved, plan, seed=int(stream.generate_state(1)[0]))
             values.append(estimate(records, coeffs, plan))
         return np.array(values)
 

@@ -22,10 +22,14 @@ from paulipatch import (
     build_tfi_trotter,
     chain,
     derivative_growth_gamma,
+    estimate,
     eval_taylor,
+    evolve_state,
     exact_expectation,
     exact_oracle,
+    make_allocation,
     sampled_oracle,
+    simulate_direct,
     shift_derivative,
     taylor_bounds,
 )
@@ -298,6 +302,22 @@ def test_second_derivative_bounded_by_gamma(rng):
             kvec[int(local.integers(c.m))] = 2
             value = shift_derivative(oracle, center, kvec)
             assert abs(value) <= oracle.gamma**2 * obs.norm1 + 1e-9
+
+
+def test_sampled_oracle_seeds_each_point_from_a_seed_sequence():
+    c = Circuit(1, 1, (Rotation("X", (0,), ParamRef.free(0)),))
+    obs = ObservableSpec.single(PauliString.from_text("Z"))
+    oracle = sampled_oracle(c, obs, AllZero(1), shots=50, seed=9)
+    points = np.array([[0.3], [1.1], [0.3]])
+    plan = make_allocation("abs-coeff", 50, coeffs=dict(obs.terms))
+    expected = []
+    for k, point in enumerate(points):
+        stream = int(np.random.SeedSequence([9, k]).generate_state(1)[0])
+        records = simulate_direct(evolve_state(c, point, AllZero(1)), plan, seed=stream)
+        expected.append(estimate(records, dict(obs.terms), plan))
+    assert [oracle(points[0]), *oracle.batch(points[1:])] == expected
+    with pytest.raises(ConfigError):
+        sampled_oracle(c, obs, AllZero(1), shots=50, seed=-1)
 
 
 def test_oracles_refuse_shared_parameters():
