@@ -260,15 +260,16 @@ def simulate_shadows(state: InitialState, shots: int, seed: int) -> ShadowRecord
     step = block_rows(n)
     for start in range(0, shots, step):
         block = slice(start, start + step)
-        psi = np.repeat(psi0[np.newaxis, :], uniform[block].shape[0], axis=0)
-        rows = psi.shape[0]
+        rows = len(bases[block])
+        psi = np.repeat(psi0[np.newaxis, :], rows, axis=0)
         for q in range(n):
             # basis change on qubit q, a different 2x2 matrix per shot
             mats = _BASIS_ROTATIONS[bases[block, q]][:, :, :, np.newaxis, np.newaxis]
             pairs = psi.reshape(rows, -1, 2, 1 << q)
             amp = np.empty_like(pairs)
             for i in (0, 1):
-                amp[:, :, i, :] = mats[:, i, 0] * pairs[:, :, 0, :] + mats[:, i, 1] * pairs[:, :, 1, :]
+                amp[:, :, i, :] = (mats[:, i, 0] * pairs[:, :, 0, :]
+                                   + mats[:, i, 1] * pairs[:, :, 1, :])
             p0 = np.sum(np.abs(amp[:, :, 0, :].reshape(rows, -1)) ** 2, axis=1)
             bit = uniform[block, q] >= p0
             bits[block, q] = bit

@@ -6,7 +6,8 @@ bit ``q``. Gates act on the ``(rows, 2, ..., 2)`` view of a batch, where
 qubit ``q`` is axis ``n - q``: a Pauli flips its X/Y axes and multiplies by a
 sign spanning only its Z/Y axes, and every Clifford kind but ``h`` moves
 slices of its axes with a fixed index and phase. No operator matrix over all
-qubits is ever built, and nothing of size ``2**n`` outlives a call.
+qubits is ever built, and the kernels keep no array of size ``2**n`` between
+calls.
 
 Caps: expectation oracles run up to 14 qubits; dense state construction and
 overlap evaluation are allowed up to 16 so that a Trotter-prepared 16-qubit
@@ -22,7 +23,14 @@ import numpy as np
 
 from .circuits import Circuit, Rotation
 from .errors import DimensionError, OracleCapError, ValidationError
-from .pauli import CLIFFORD_1Q, CLIFFORD_2Q, CliffordGate, ObservableSpec, PauliString, gate_matrix
+from .pauli import (
+    CLIFFORD_1Q,
+    CLIFFORD_2Q,
+    CliffordGate,
+    ObservableSpec,
+    PauliString,
+    gate_matrix,
+)
 
 DENSE_EXPECTATION_CAP = 14
 DENSE_STATE_CAP = 16
