@@ -204,11 +204,17 @@ def test_build_matches_one_call_per_point(sampled):
             return sampled_oracle(c, obs, AllZero(4), shots=300, seed=77)
         return exact_oracle(c, obs, AllZero(4))
 
-    ts = build_taylor(make(), center, kappa=kappa)
+    oracle = make()
+    rows = []
+    func = oracle.func
+    oracle.func = lambda points: rows.append(len(points)) or func(points)
+    ts = build_taylor(oracle, center, kappa=kappa)
     entries, ledger = one_call_per_point_build(make(), center, kappa)
     assert ts.entries == entries
     assert list(ts.entries) == list(entries)
     assert ts.ledger.as_dict() == ledger.as_dict()
+    # one oracle call per derivative order
+    assert len(rows) == kappa + 1 and sum(rows) == ledger.evaluations
 
 
 def test_build_ledger_within_budget():
