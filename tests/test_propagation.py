@@ -703,6 +703,214 @@ def test_merge_drops_zero_rows_that_skip_it():
     assert stats["paths_expanded"] == 3  # Z0 twice, X1 once
 
 
+# --- reference: the dict-based symbolic engine -----------------------------------------------
+# Symbolic mode once ran on its own engine: a dict from Pauli to a dict from (monomial, sine
+# class) to [weight, minimum sine count]. With a finite kappa the class is the path's sine
+# count, so the sine cut is per path; without one it is 0 and only the minimum is kept. The
+# array engine must reproduce it bit for bit, except that one Pauli's sine classes of one
+# monomial are pooled here with ``math.fsum`` (the dict engine added them in insertion order).
+
+
+def _ref_raised(mono, param, which):
+    out, placed = [], False
+    for p, c, s in mono:
+        if p == param:
+            out.append((p, c + 1, s) if which == "cos" else (p, c, s + 1))
+            placed = True
+        else:
+            out.append((p, c, s))
+    if not placed:
+        out.append((param, 1, 0) if which == "cos" else (param, 0, 1))
+        out.sort()
+    return tuple(out)
+
+
+def _ref_insert(frontier, key, mono, weight, sines, resolved):
+    monos = frontier.setdefault(key, {})
+    slot = (mono, sines if resolved else 0)
+    entry = monos.get(slot)
+    if entry is None:
+        monos[slot] = [weight, sines]
+        return
+    entry[0] += weight
+    entry[1] = min(entry[1], sines)
+    if entry[0] == 0.0:
+        del monos[slot]
+        if not monos:
+            del frontier[key]
+
+
+def _ref_overflow(frontier, policy, stats):
+    size = sum(len(monos) for monos in frontier.values())
+    if policy.path_cap is not None and size > policy.path_cap:
+        stats.truncated_cap += 1
+        stats.terms_final = len(frontier)
+        stats.monomials_final = size
+        return True
+    return False
+
+
+def _dict_engine_reference(circuit, obs, policy):
+    """Ordered (Pauli text, monomials, min sine count) list and stats; ``None`` on overflow."""
+    from paulipatch.pauli import conjugate_masks, phase_exponent
+
+    kappa = math.inf if policy.kappa is None else policy.kappa
+    max_w = math.inf if policy.max_weight is None else policy.max_weight
+    resolved = policy.kappa is not None
+    stats = PropagationStats()
+    frontier = {}
+    for p, coeff in obs.terms:
+        _ref_insert(frontier, (p.x, p.z), (), float(coeff), 0, resolved)
+    for gate in reversed(circuit.gates):
+        new = {}
+        if isinstance(gate, CliffordGate):
+            for (x, z), monos in frontier.items():
+                nx, nz, sign = conjugate_masks(x, z, gate)
+                for (mono, _), (w, s) in monos.items():
+                    _ref_insert(new, (nx, nz), mono, w * sign, s, resolved)
+        else:
+            gen = gate.generator(circuit.n)
+            param = gate.param
+            if param.is_fixed:
+                cos_f, sin_f = math.cos(param.value), math.sin(param.value)
+            for (x, z), monos in frontier.items():
+                if (((x & gen.z).bit_count() ^ (z & gen.x).bit_count()) & 1) == 0:
+                    for (mono, _), (w, s) in monos.items():
+                        _ref_insert(new, (x, z), mono, w, s, resolved)
+                    continue
+                sx, sz = x ^ gen.x, z ^ gen.z
+                sign = 1 if phase_exponent(gen.x, gen.z, x, z) == 3 else -1
+                for (mono, _), (w, s) in monos.items():
+                    stats.paths_expanded += 1
+                    if param.is_fixed:
+                        _ref_insert(new, (x, z), mono, w * cos_f, s, resolved)
+                    else:
+                        _ref_insert(new, (x, z), _ref_raised(mono, param.index, "cos"), w, s,
+                                    resolved)
+                    if s + 1 > kappa:
+                        stats.truncated_sine += 1
+                    elif (sx | sz).bit_count() > max_w:
+                        stats.truncated_weight += 1
+                    elif param.is_fixed:
+                        _ref_insert(new, (sx, sz), mono, w * sin_f * sign, s + 1, resolved)
+                    else:
+                        _ref_insert(new, (sx, sz), _ref_raised(mono, param.index, "sin"),
+                                    w * sign, s + 1, resolved)
+        frontier = new
+        if _ref_overflow(frontier, policy, stats):
+            return None, stats.as_dict()
+    rank = (0, 1, 3, 2)  # I < X < Y < Z, indexed by x_bit + 2 * z_bit
+
+    def text_key(key):
+        x, z = key
+        return tuple(rank[(x >> q & 1) + 2 * (z >> q & 1)] for q in range(circuit.n))
+
+    ordered = []
+    for x, z in sorted(frontier, key=text_key):
+        pooled = {}
+        for (mono, _), (w, s) in frontier[(x, z)].items():
+            weights, sines = pooled.get(mono, ([], s))
+            pooled[mono] = (weights + [w], min(sines, s))
+        monos = tuple((mono, math.fsum(ws)) for mono, (ws, _) in sorted(pooled.items())
+                      if math.fsum(ws) != 0.0)
+        if monos:
+            ordered.append((PauliString(circuit.n, x, z).to_text(), monos,
+                            min(s for _, s in pooled.values())))
+    stats.terms_final = len(ordered)
+    stats.monomials_final = sum(len(monos) for _, monos, _ in ordered)
+    return ordered, stats.as_dict()
+
+
+def _symbolic_rows(po):
+    return [(p.to_text(), tuple((m.factors, w) for m, w in t.monomials), t.min_sine_count)
+            for p, t in po.terms.items()]
+
+
+def _assert_matches_dict_engine(circuit, obs, policy):
+    ordered, stats = _dict_engine_reference(circuit, obs, policy)
+    if ordered is None:
+        with pytest.raises(PolicyOverflowError) as err:
+            backpropagate(circuit, obs, policy, mode=SYMBOLIC)
+        assert err.value.stats.as_dict() == stats
+        return
+    po = backpropagate(circuit, obs, policy, mode=SYMBOLIC)
+    assert _symbolic_rows(po) == ordered
+    assert po.stats.as_dict() == stats
+
+
+def _mixed_angle_case(seed, n=4, n_rot=12):
+    """Rotations bound to fixed nonzero angles, free parameters or a shared pool of two."""
+    rng = np.random.default_rng(seed)
+    base = random_mixed_circuit(rng, n=n, n_rot=n_rot)
+    slots = {}
+    gates = []
+    for gate in base.gates:
+        if isinstance(gate, Rotation):
+            roll = int(rng.integers(3))
+            if roll == 0:
+                ref = ParamRef.fixed(float(rng.choice((-1, 1)) * rng.uniform(0.1, 1.4)))
+            else:
+                key = ("shared", int(rng.integers(2))) if roll == 1 else ("free", len(slots))
+                ref = ParamRef.free(slots.setdefault(key, len(slots)))
+            gate = Rotation(gate.letters, gate.qubits, ref)
+        gates.append(gate)
+    return Circuit(n, len(slots), tuple(gates)), random_observable(rng, n, terms=3)
+
+
+_REFERENCE_POLICIES = [
+    TruncationPolicy(),
+    TruncationPolicy(kappa=0),
+    TruncationPolicy(kappa=1),
+    TruncationPolicy(kappa=3),
+    TruncationPolicy(kappa=3, max_weight=2),
+    TruncationPolicy(max_weight=3),
+]
+_POLICY_IDS = ["exact", "kappa0", "kappa1", "kappa3", "kappa3-w2", "w3"]
+
+
+@pytest.mark.parametrize("policy", _REFERENCE_POLICIES, ids=_POLICY_IDS)
+@pytest.mark.parametrize("seed", range(6))
+def test_symbolic_matches_dict_engine_reference(seed, policy):
+    c, obs = _mixed_angle_case(500 + seed)
+    _assert_matches_dict_engine(c, obs, policy)
+    rng = np.random.default_rng(600 + seed)
+    for shared in (False, True):
+        c = random_mixed_circuit(rng, n=4, n_rot=10, shared=shared)
+        _assert_matches_dict_engine(c, random_observable(rng, 4, terms=2), policy)
+
+
+@pytest.mark.parametrize("policy", [TruncationPolicy(kappa=2), TruncationPolicy(kappa=3),
+                                    TruncationPolicy(kappa=4, max_weight=4)],
+                         ids=["kappa2", "kappa3", "kappa4-w4"])
+def test_symbolic_two_word_case_matches_dict_engine_reference(policy):
+    c, obs, _ = _two_word_case(44)
+    _assert_matches_dict_engine(c, obs, policy)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 12])
+def test_symbolic_path_cap_stats_match_dict_engine_reference(cap):
+    c, obs = _mixed_angle_case(77, n=3, n_rot=10)
+    policy = TruncationPolicy(kappa=3, path_cap=cap)
+    assert _dict_engine_reference(c, obs, policy)[0] is None  # every cap overflows
+    _assert_matches_dict_engine(c, obs, policy)
+
+
+def test_shared_parameter_driving_300_rotations():
+    # one parameter raises a cos exponent to 300, past what one byte holds
+    gates = []
+    for i in range(300):
+        gates.append(Rotation("XY", (0, 1), ParamRef.shared(0)))
+        if i % 50 == 0:
+            gates.append(CliffordGate("s", (1,)))
+    c = Circuit(2, 1, tuple(gates))
+    obs = ObservableSpec(((PauliString.from_text("ZI"), 0.6),
+                          (PauliString.from_text("XY"), -0.3)))
+    _assert_matches_dict_engine(c, obs, TruncationPolicy(kappa=0))
+    po = backpropagate(c, obs, TruncationPolicy(kappa=0), mode=SYMBOLIC)
+    assert max(cos_e for t in po.terms.values() for m, _ in t.monomials
+               for _, cos_e, _ in m.factors) > 255
+
+
 # --- determinism ------------------------------------------------------------------------------
 
 
