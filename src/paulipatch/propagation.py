@@ -1,26 +1,31 @@
 """Heisenberg back-propagation of observables through circuits with truncation.
 
-Two modes share one semantics:
+One engine serves two modes. Its frontier holds packed 64-bit-word Pauli
+masks with a weight and a path sine count per row, split and merged with
+vectorized numpy, so wide circuits (127 qubits, 10^4 gates) stay cheap.
 
 * ``numeric`` -- parameters are bound to floats; each surviving Pauli carries
   one merged coefficient plus the minimum sine count among its contributing
-  paths. Runs on packed 64-bit-word mask arrays with vectorized splitting and
-  sort-based merging, so wide circuits (127 qubits, 10^4 gates) stay cheap.
-* ``symbolic`` -- coefficients are trigonometric monomials in the free/shared
-  parameters; fixed angles multiply in numerically without consuming a
-  monomial slot. This is the landscape surrogate.
+  paths.
+* ``symbolic`` -- each row also carries cos and sin exponent columns over the
+  free/shared parameters, so coefficients are trigonometric monomials; fixed
+  angles multiply in numerically without consuming a monomial slot. This is
+  the landscape surrogate.
 
 Truncation is decided at split time: a sine branch is dropped when its path
 sine order would exceed ``kappa``, its Pauli weight would exceed
 ``max_weight``, or (numeric mode) its coefficient falls below the floor.
-Merging sums coefficients of equal Paulis (numeric) or equal
-(Pauli, monomial) pairs (symbolic) and keeps the minimum sine count.
-
-The two modes implement the same rules at different merge granularity:
-symbolic sine-order cuts are exactly per-path, while a numeric term's cut
-uses the minimum count of its merged contributors (keeping strictly more
-mass). The modes therefore agree exactly whenever ``kappa`` is unlimited,
-and to within the truncated-tail scale otherwise.
+Merging sums the weights of rows with equal keys and keeps the minimum sine
+count; a row whose weight is exactly zero is dropped by the merge (and at the
+end) in both modes. The key is the Pauli in numeric mode, and the Pauli and
+monomial in symbolic mode, plus the path sine count when ``kappa`` is finite.
+Symbolic sine-order cuts are therefore exactly per-path; at the end the
+sine-count classes of one (Pauli, monomial) are pooled with ``math.fsum``. (A
+circuit without free parameters is built in numeric mode and wrapped in
+constant monomials, so its cuts are pooled as in numeric mode.)
+A numeric term's cut uses the minimum count of its merged contributors
+(keeping strictly more mass), so the modes agree exactly whenever ``kappa``
+is unlimited, and to within the truncated-tail scale otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import gzip
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
@@ -44,9 +50,7 @@ from .pauli import (
     CliffordGate,
     ObservableSpec,
     PauliString,
-    conjugate_masks,
     gate_table,
-    phase_exponent,
 )
 
 NUMERIC = "numeric"
@@ -96,23 +100,6 @@ class PathMonomial:
     @property
     def sine_order(self) -> int:
         return sum(s for _, _, s in self.factors)
-
-
-def _mono_raised(mono: MonoKey, param: int, which: str) -> MonoKey:
-    """Raise the cos or sin exponent of ``param`` by one."""
-    out = []
-    placed = False
-    for entry in mono:
-        if entry[0] == param:
-            p, c, s = entry
-            out.append((p, c + 1, s) if which == "cos" else (p, c, s + 1))
-            placed = True
-        else:
-            out.append(entry)
-    if not placed:
-        out.append((param, 1, 0) if which == "cos" else (param, 0, 1))
-        out.sort()
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -271,110 +258,7 @@ def path_stats(po: PropagatedObservable) -> dict:
     }
 
 
-def _sine_sign(gx: int, gz: int, x: int, z: int) -> int:
-    """Real sign s with i * gen @ p = s * (gx^x, gz^z) for anticommuting gen, p."""
-    # product phase is +/-i for anticommuting strings; multiplying by i gives +/-1
-    return 1 if phase_exponent(gx, gz, x, z) == 3 else -1
-
-
-# --- symbolic engine (dict based) ---------------------------------------------------
-
-# frontier entry: dict[(x, z)] -> dict[(mono_key, sine_class)] -> [weight, min_sines].
-# With a finite kappa the sine class is the exact path sine count (fixed-angle
-# sines included), keeping truncation per-path; without a cap the class
-# collapses to 0 and only the minimum count is tracked, mirroring the numeric
-# engine's pooling (see _merge_rows on why pooling matters).
-_SymbolicFrontier = dict[tuple[int, int], dict[tuple[MonoKey, int], list]]
-
-
-def _sym_insert(frontier: _SymbolicFrontier, key: tuple[int, int], mono: MonoKey,
-                weight: float, sines: int, sine_resolved: bool = True) -> None:
-    monos = frontier.setdefault(key, {})
-    slot = (mono, sines if sine_resolved else 0)
-    entry = monos.get(slot)
-    if entry is None:
-        monos[slot] = [weight, sines]
-        return
-    entry[0] += weight
-    entry[1] = min(entry[1], sines)
-    if entry[0] == 0.0:
-        del monos[slot]
-        if not monos:
-            del frontier[key]
-
-
-def _sym_size(frontier: _SymbolicFrontier) -> int:
-    return sum(len(m) for m in frontier.values())
-
-
-def _run_symbolic(circuit: Circuit, terms: Iterable[tuple[PauliString, float]],
-                  policy: TruncationPolicy, stats: PropagationStats) -> _SymbolicFrontier:
-    kappa = math.inf if policy.kappa is None else policy.kappa
-    resolved = policy.kappa is not None
-    max_w = math.inf if policy.max_weight is None else policy.max_weight
-    n = circuit.n
-
-    frontier: _SymbolicFrontier = {}
-    for p, coeff in terms:
-        _sym_insert(frontier, (p.x, p.z), (), float(coeff), 0, resolved)
-
-    for gate in reversed(circuit.gates):
-        if isinstance(gate, CliffordGate):
-            new: _SymbolicFrontier = {}
-            for (x, z), monos in frontier.items():
-                nx, nz, sign = conjugate_masks(x, z, gate)
-                for (mono, _), (w, s) in monos.items():
-                    _sym_insert(new, (nx, nz), mono, w * sign, s, resolved)
-            frontier = new
-        else:
-            gen = gate.generator(n)
-            gx, gz = gen.x, gen.z
-            param = gate.param
-            if param.is_fixed:
-                cos_f, sin_f = math.cos(param.value), math.sin(param.value)
-            new = {}
-            for (x, z), monos in frontier.items():
-                if (((x & gz).bit_count() ^ (z & gx).bit_count()) & 1) == 0:
-                    for (mono, _), (w, s) in monos.items():
-                        _sym_insert(new, (x, z), mono, w, s, resolved)
-                    continue
-                sx, sz = x ^ gx, z ^ gz
-                sign = _sine_sign(gx, gz, x, z)
-                new_weight_ok = (sx | sz).bit_count() <= max_w
-                for (mono, _), (w, s) in monos.items():
-                    stats.paths_expanded += 1
-                    # cosine branch
-                    if param.is_fixed:
-                        _sym_insert(new, (x, z), mono, w * cos_f, s, resolved)
-                    else:
-                        _sym_insert(new, (x, z), _mono_raised(mono, param.index, "cos"),
-                                    w, s, resolved)
-                    # sine branch
-                    if s + 1 > kappa:
-                        stats.truncated_sine += 1
-                        continue
-                    if not new_weight_ok:
-                        stats.truncated_weight += 1
-                        continue
-                    if param.is_fixed:
-                        _sym_insert(new, (sx, sz), mono, w * sin_f * sign, s + 1,
-                                    resolved)
-                    else:
-                        _sym_insert(new, (sx, sz), _mono_raised(mono, param.index, "sin"),
-                                    w * sign, s + 1, resolved)
-            frontier = new
-        if policy.path_cap is not None and _sym_size(frontier) > policy.path_cap:
-            stats.truncated_cap += 1
-            stats.terms_final = len(frontier)
-            stats.monomials_final = _sym_size(frontier)
-            raise PolicyOverflowError(
-                f"frontier holds {_sym_size(frontier)} paths, cap is {policy.path_cap}",
-                stats=stats,
-            )
-    return frontier
-
-
-# --- numeric engine (vectorized over packed words) ----------------------------------
+# --- the engine (vectorized over packed words) --------------------------------------
 
 
 def _masks_to_words(masks: Sequence[int], n: int) -> np.ndarray:
@@ -398,16 +282,31 @@ def _text_order(n: int, xw: np.ndarray, zw: np.ndarray) -> np.ndarray:
 
 
 class _NumericFrontier:
-    """Term store as (N, words) uint64 mask arrays plus coefficient vectors."""
+    """Term store as (N, words) uint64 mask arrays plus per-row coefficient data.
 
-    def __init__(self, n: int, terms: Sequence[tuple[PauliString, float]]) -> None:
+    A row holds a Pauli, a weight, a sine count and, over ``m`` free parameters,
+    exponent columns ``pows``: row ``i`` carries the monomial
+    ``prod_k cos(a_k)^pows[i, k] * sin(a_k)^pows[i, m + k]``. Numeric mode has
+    ``m = 0``. With ``by_sines`` the sine count is part of a row's key, so rows
+    of one monomial are kept apart per path sine count; otherwise merged rows
+    keep the minimum count.
+    """
+
+    def __init__(self, n: int, terms: Sequence[tuple[PauliString, float]], m: int = 0,
+                 dtype: type = np.uint8, by_sines: bool = False) -> None:
         self.xw = _masks_to_words([p.x for p, _ in terms], n)
         self.zw = _masks_to_words([p.z for p, _ in terms], n)
         self.coeff = np.array([c for _, c in terms], dtype=np.float64)
         self.sines = np.zeros(len(terms), dtype=np.int64)
+        self.pows = np.zeros((len(terms), 2 * m), dtype=dtype)
+        self.m = m
+        self.by_sines = by_sines
 
     def __len__(self) -> int:
         return self.coeff.shape[0]
+
+    def n_paulis(self) -> int:
+        return np.unique(np.concatenate([self.xw, self.zw], axis=1), axis=0).shape[0]
 
     def _bit(self, arr: np.ndarray, q: int) -> np.ndarray:
         w, b = divmod(q, 64)
@@ -434,8 +333,14 @@ class _NumericFrontier:
             self._set_bit(self.zw, q, (new_code >> np.uint64(2 * j + 1)) & np.uint64(1))
         self.coeff *= signs[code]
 
-    def apply_rotation(self, gen: PauliString, theta: float,
-                       policy: TruncationPolicy, stats: PropagationStats) -> None:
+    def apply_rotation(self, gen: PauliString, theta: float | None,
+                       policy: TruncationPolicy, stats: PropagationStats,
+                       slot: int | None = None) -> None:
+        """Split the rows ``gen`` anticommutes with into cosine and sine children.
+
+        A bound angle ``theta`` multiplies the children by its cos and sin; a free
+        parameter ``slot`` (symbolic mode) raises its exponent column instead.
+        """
         gxw, gzw = _masks_to_words([gen.x, gen.z], gen.n)
         # symplectic parity, read only from the words where the generator acts
         parity = np.zeros(len(self), dtype=np.uint8)
@@ -446,10 +351,9 @@ class _NumericFrontier:
         if n_anti == 0:
             return
         stats.paths_expanded += n_anti
-        cos_f, sin_f = math.cos(theta), math.sin(theta)
 
         ax, az = self.xw.take(anti, axis=0), self.zw.take(anti, axis=0)
-        a_coeff, a_sines = self.coeff[anti], self.sines[anti]
+        a_coeff, a_sines, a_pows = self.coeff[anti], self.sines[anti], self.pows[anti]
         sx, sz = ax ^ gxw, az ^ gzw
         new_sines = a_sines + 1
         # phase exponent of gen @ p, then sign of i * (gen @ p)
@@ -460,7 +364,11 @@ class _NumericFrontier:
             + 2 * _popcount_words(gzw & ax)
         ) % 4
         sign = np.where(exponent == 3, 1.0, -1.0)
-        sin_coeff = a_coeff * sin_f * sign
+        if slot is None:
+            cos_f, sin_f = math.cos(theta), math.sin(theta)
+            sin_coeff = a_coeff * sin_f * sign
+        else:
+            sin_coeff = a_coeff * sign
 
         keep = np.ones(n_anti, dtype=bool)
         if policy.kappa is not None:
@@ -476,72 +384,146 @@ class _NumericFrontier:
             stats.truncated_coeff += int(below.sum())
             keep &= ~below
 
-        # cosine branch; the floor may prune the shrunken rows (a zero floor keeps all)
-        a_coeff *= cos_f
-        a_keep = ~(np.abs(a_coeff) < policy.coeff_floor)
-        stats.truncated_coeff += n_anti - int(a_keep.sum())
+        if slot is None:
+            # cosine branch; the floor may prune the shrunken rows (a zero floor keeps all)
+            a_coeff *= cos_f
+            a_keep = ~(np.abs(a_coeff) < policy.coeff_floor)
+            stats.truncated_coeff += n_anti - int(a_keep.sum())
+            if not keep.any() and a_keep.all():
+                self.coeff[anti] = a_coeff
+                return
+            s_pows = a_pows
+            # the children of two rows can meet at the same key
+            distinct = False
+        else:
+            if not keep.any():
+                self.pows[anti, slot] += 1
+                return
+            a_keep = slice(None)
+            # A cosine and a sine child share a key only if their rows already hold
+            # powers of this parameter; otherwise they differ in its column.
+            distinct = not a_pows[:, [slot, self.m + slot]].any()
+            s_pows = a_pows.copy()
+            a_pows[:, slot] += 1
+            s_pows[:, self.m + slot] += 1
 
-        if not keep.any() and a_keep.all():
-            self.coeff[anti] = a_coeff
-            return
         # Invariant: a child p^g anticommutes with g as its parent p does, so it can only
         # meet an anticommuting row. The commuting rows skip the merge; as the merge does
         # with its own rows, the zero ones among them are dropped. A merge that only prunes
         # floored rows changes nothing else: under a floor no row is zero.
         self.coeff[anti] = 0.0  # these rows move into the merged block
         rows = np.flatnonzero(self.coeff)
-        bx, bz, bcoeff, bsines = _merge_rows(
-            np.concatenate([ax[a_keep], sx[keep]]), np.concatenate([az[a_keep], sz[keep]]),
-            np.concatenate([a_coeff[a_keep], sin_coeff[keep]]),
-            np.concatenate([a_sines[a_keep], new_sines[keep]]))
-        self.xw = np.concatenate([self.xw.take(rows, axis=0), bx])
-        self.zw = np.concatenate([self.zw.take(rows, axis=0), bz])
-        self.coeff = np.concatenate([self.coeff.take(rows), bcoeff])
-        self.sines = np.concatenate([self.sines.take(rows), bsines])
+        block = (np.concatenate([ax[a_keep], sx[keep]]), np.concatenate([az[a_keep], sz[keep]]),
+                 np.concatenate([a_coeff[a_keep], sin_coeff[keep]]),
+                 np.concatenate([a_sines[a_keep], new_sines[keep]]),
+                 np.concatenate([a_pows[a_keep], s_pows[keep]]))
+        if distinct:
+            nonzero = block[2] != 0.0
+            block = tuple(arr[nonzero] for arr in block)
+        else:
+            block = _merge_rows(*block, self.by_sines)
+        self.xw, self.zw, self.coeff, self.sines, self.pows = (
+            np.concatenate([old.take(rows, axis=0), new])
+            for old, new in zip((self.xw, self.zw, self.coeff, self.sines, self.pows), block))
 
 
-def _merge_rows(xw: np.ndarray, zw: np.ndarray, coeff: np.ndarray,
-                sines: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Merge rows of equal Pauli, summing coefficients, min sine count; drop zero rows.
+def _merge_rows(xw: np.ndarray, zw: np.ndarray, coeff: np.ndarray, sines: np.ndarray,
+                pows: np.ndarray, by_sines: bool) -> tuple[np.ndarray, ...]:
+    """Merge rows of equal key, summing coefficients, min sine count; drop zero rows.
 
-    Pooling by Pauli is what keeps this numerically viable on deep
-    circuits: partial sums of paths binned by their sine count grow
-    combinatorially and only cancel across bins, which float64 cannot
+    The key is the Pauli plus the exponent columns, and the sine count when
+    ``by_sines``. Pooling numeric rows by Pauli is what keeps this numerically
+    viable on deep circuits: partial sums of paths binned by their sine count
+    grow combinatorially and only cancel across bins, which float64 cannot
     survive (a sine-resolved variant reached 1e21 coefficient mass on an
-    80-layer chain). The cost is that later sine-order cuts see the
-    minimum count of a merged term, deliberately erring toward keeping
-    mass.
+    80-layer chain). The cost is that later sine-order cuts see the minimum
+    count of a merged term, deliberately erring toward keeping mass.
     """
-    order = np.lexsort([*zw.T[::-1], *xw.T[::-1]])
-    xw, zw, coeff, sines = xw[order], zw[order], coeff[order], sines[order]
+    key = [xw, zw, pows[:, pows.any(axis=0)].astype(np.uint64)]
+    if by_sines:
+        key.append(sines[:, None].astype(np.uint64))
+    key = np.concatenate(key, axis=1)
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
     boundary = np.ones(len(coeff), dtype=bool)
-    boundary[1:] = np.any(xw[1:] != xw[:-1], axis=1) | np.any(zw[1:] != zw[:-1], axis=1)
+    boundary[1:] = np.any(key[1:] != key[:-1], axis=1)
     starts = np.flatnonzero(boundary)
-    coeff = np.add.reduceat(coeff, starts)
-    sines = np.minimum.reduceat(sines, starts)
+    coeff = np.add.reduceat(coeff[order], starts)
+    sines = np.minimum.reduceat(sines[order], starts)
     nonzero = coeff != 0.0
-    return xw[starts][nonzero], zw[starts][nonzero], coeff[nonzero], sines[nonzero]
+    rows = order[starts][nonzero]
+    return xw[rows], zw[rows], coeff[nonzero], sines[nonzero], pows[rows]
 
 
-def _run_numeric(circuit: Circuit, terms: Sequence[tuple[PauliString, float]],
-                 policy: TruncationPolicy, alphas: np.ndarray,
-                 stats: PropagationStats) -> _NumericFrontier:
-    frontier = _NumericFrontier(circuit.n, terms)
+def _propagate(circuit: Circuit, terms: Sequence[tuple[PauliString, float]],
+               policy: TruncationPolicy, stats: PropagationStats,
+               alphas: np.ndarray | None) -> _NumericFrontier:
+    """Back-propagate ``terms``; ``alphas=None`` keeps the free parameters symbolic."""
+    if alphas is None:
+        # a parameter driving r rotations reaches exponent r, which picks the column type
+        uses = np.bincount([g.param.index for g in circuit.rotations if not g.param.is_fixed],
+                           minlength=circuit.m)
+        frontier = _NumericFrontier(circuit.n, terms, circuit.m,
+                                    np.min_scalar_type(int(uses.max())),
+                                    by_sines=policy.kappa is not None)
+    else:
+        frontier = _NumericFrontier(circuit.n, terms)
     for gate in reversed(circuit.gates):
         if isinstance(gate, CliffordGate):
             frontier.apply_clifford(gate)
+        elif gate.param.is_fixed:
+            frontier.apply_rotation(gate.generator(circuit.n), gate.param.value, policy, stats)
+        elif alphas is None:
+            frontier.apply_rotation(gate.generator(circuit.n), None, policy, stats,
+                                    slot=gate.param.index)
         else:
-            theta = gate.param.value if gate.param.is_fixed else float(alphas[gate.param.index])
-            frontier.apply_rotation(gate.generator(circuit.n), theta, policy, stats)
+            frontier.apply_rotation(gate.generator(circuit.n), float(alphas[gate.param.index]),
+                                    policy, stats)
         if policy.path_cap is not None and len(frontier) > policy.path_cap:
             stats.truncated_cap += 1
-            stats.terms_final = len(frontier)
+            stats.terms_final = frontier.n_paulis()
             stats.monomials_final = len(frontier)
             raise PolicyOverflowError(
-                f"frontier holds {len(frontier)} terms, cap is {policy.path_cap}",
+                f"frontier holds {len(frontier)} paths, cap is {policy.path_cap}",
                 stats=stats,
             )
     return frontier
+
+
+def _symbolic_terms(n: int, m: int, xs: np.ndarray, zs: np.ndarray, coeffs: np.ndarray,
+                    sines: np.ndarray, pows: np.ndarray) -> dict[PauliString, PropagatedTerm]:
+    """Terms from rows grouped by Pauli, pooling a monomial's sine classes with ``fsum``."""
+    cos_e, sin_e = pows[:, :m], pows[:, m:]
+    row_of, params = np.nonzero(cos_e | sin_e)  # row-major: a row's factors by param
+    # the few distinct (param, cos, sin) factors are one tuple each, shared by the monomials
+    distinct: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    flat = [distinct.setdefault(f, f) for f in zip(params.tolist(),
+                                                   cos_e[row_of, params].tolist(),
+                                                   sin_e[row_of, params].tolist())]
+    ends = np.cumsum(np.bincount(row_of, minlength=len(coeffs))).tolist()
+    monos = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+    weights, sines = coeffs.tolist(), sines.tolist()
+    new_pauli = np.ones(len(coeffs), dtype=bool)
+    new_pauli[1:] = np.any(xs[1:] != xs[:-1], axis=1) | np.any(zs[1:] != zs[:-1], axis=1)
+    starts = np.flatnonzero(new_pauli).tolist()
+    terms = {}
+    for start, stop in zip(starts, starts[1:] + [len(coeffs)]):
+        rows = sorted(range(start, stop), key=monos.__getitem__)
+        entries = []
+        for mono, group in groupby(rows, key=monos.__getitem__):
+            weight = math.fsum(weights[i] for i in group)
+            if weight != 0.0:
+                entries.append((PathMonomial(mono), weight))
+        if entries:
+            p = _pauli(n, xs[start], zs[start])
+            terms[p] = PropagatedTerm(p, monomials=tuple(entries),
+                                      min_sine_count=min(sines[start:stop]))
+    return terms
+
+
+def _pauli(n: int, x: np.ndarray, z: np.ndarray) -> PauliString:
+    return PauliString(n, int.from_bytes(x.tobytes(), "little"),
+                       int.from_bytes(z.tobytes(), "little"))
 
 
 # --- public entry point --------------------------------------------------------------
@@ -592,46 +574,24 @@ def backpropagate(
         po.terms = terms
         return po
 
-    terms = {}
+    frontier = _propagate(circuit, obs.terms, policy, stats,
+                          None if mode == SYMBOLIC else alpha_arr)
+    # rows of one Pauli (one row in numeric mode) end up adjacent, in text order
+    nonzero = np.flatnonzero(frontier.coeff)
+    order = nonzero[_text_order(circuit.n, frontier.xw[nonzero], frontier.zw[nonzero])]
+    xs, zs = frontier.xw[order].astype("<u8"), frontier.zw[order].astype("<u8")
     if mode == NUMERIC:
-        frontier = _run_numeric(circuit, obs.terms, policy, alpha_arr, stats)
-        # frontier rows hold distinct Paulis: Cliffords permute them, merges dedupe
-        nonzero = np.flatnonzero(frontier.coeff)
-        order = nonzero[_text_order(circuit.n, frontier.xw[nonzero], frontier.zw[nonzero])]
-        xs, zs = frontier.xw[order].astype("<u8"), frontier.zw[order].astype("<u8")
+        terms = {}
         for x, z, coeff, sines in zip(xs, zs, frontier.coeff[order].tolist(),
                                       frontier.sines[order].tolist()):
-            p = PauliString(circuit.n, int.from_bytes(x.tobytes(), "little"),
-                            int.from_bytes(z.tobytes(), "little"))
+            p = _pauli(circuit.n, x, z)
             terms[p] = PropagatedTerm(p, coefficient=coeff, min_sine_count=sines)
-        stats.terms_final = len(terms)
-        stats.monomials_final = len(terms)
     else:
-        sym = _run_symbolic(circuit, obs.terms, policy, stats)
-        keys = list(sym)
-        order = _text_order(circuit.n, _masks_to_words([x for x, _ in keys], circuit.n),
-                            _masks_to_words([z for _, z in keys], circuit.n))
-        for x, z in (keys[i] for i in order.tolist()):
-            p = PauliString(circuit.n, x, z)
-            # pool sine-count classes of one monomial into a unique-key list
-            combined: dict[MonoKey, list] = {}
-            for (mono, _), (w, s) in sym[(x, z)].items():
-                entry = combined.setdefault(mono, [0.0, s])
-                entry[0] += w
-                entry[1] = min(entry[1], s)
-            entries = tuple(
-                (PathMonomial(mono), float(vals[0]))
-                for mono, vals in sorted(combined.items())
-                if vals[0] != 0.0
-            )
-            if not entries:
-                continue
-            terms[p] = PropagatedTerm(
-                p, monomials=entries,
-                min_sine_count=min(vals[1] for vals in combined.values()),
-            )
-        stats.terms_final = len(terms)
-        stats.monomials_final = sum(len(t.monomials) for t in terms.values())
+        terms = _symbolic_terms(circuit.n, circuit.m, xs, zs, frontier.coeff[order],
+                                frontier.sines[order], frontier.pows[order])
+    stats.terms_final = len(terms)
+    stats.monomials_final = (len(terms) if mode == NUMERIC
+                             else sum(len(t.monomials) for t in terms.values()))
 
     return PropagatedObservable(
         n=circuit.n,
@@ -693,7 +653,8 @@ def save_artifact(po: PropagatedObservable, path) -> None:
         "stats": po.stats.as_dict(),
         "terms": [_term_doc(t) for t in po.terms.values()],
     }
-    payload = json.dumps(doc, indent=1).encode()
+    # compact separators keep json on its C encoder; an indent runs the Python one
+    payload = json.dumps(doc, separators=(",", ":")).encode()
     path = str(path)
     if path.endswith(".gz"):
         with gzip.open(path, "wb") as fh:
@@ -724,6 +685,13 @@ def _json_number(value) -> float:
     return float(value)
 
 
+def _json_int(value) -> int:
+    """A count or index read from JSON; floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def load_artifact(path) -> PropagatedObservable:
     """Read a ``save_artifact`` file; a malformed one raises ``ValidationError``."""
     path = str(path)
@@ -743,9 +711,7 @@ def load_artifact(path) -> PropagatedObservable:
             p = PauliString.from_text(raw["pauli"], n)
             if ("coeff" in raw) != (mode == NUMERIC):
                 raise ValidationError(f"term {raw['pauli']} does not match mode {mode!r}")
-            sines = raw["sines"]
-            if isinstance(sines, bool) or not isinstance(sines, int):
-                raise ValidationError(f"term {raw['pauli']} has a non-integer sine count")
+            sines = _json_int(raw["sines"])
             if mode == NUMERIC:
                 terms[p] = PropagatedTerm(p, coefficient=_json_number(raw["coeff"]),
                                           min_sine_count=sines)

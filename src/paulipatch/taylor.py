@@ -25,9 +25,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuits import Circuit
-from .errors import ConfigError, DimensionError, HypothesisViolationError, PauliPatchError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    HypothesisViolationError,
+    PauliPatchError,
+    ValidationError,
+)
 from .measurement import estimate, make_allocation, simulate_direct
 from .pauli import ObservableSpec
+from .propagation import _json_int, _json_number
 from .states import InitialState, evolve_state, exact_expectation_batch
 from .surrogate import BoundReport
 
@@ -232,19 +239,29 @@ class TaylorSurrogate:
 
     @classmethod
     def from_json(cls, document: str) -> "TaylorSurrogate":
+        """Read a ``to_json`` document; a malformed one raises ``ValidationError``."""
         doc = json.loads(document)
         if doc.get("format") != "taylor-surrogate":
             raise ConfigError(f"not a taylor surrogate: {doc.get('format')!r}")
-        entries = {
-            tuple(tuple(pair) for pair in raw["k"]): float(raw["value"])
-            for raw in doc["entries"]
-        }
-        return cls(
-            center=tuple(doc["center"]),
-            order=int(doc["order"]),
-            entries=entries,
-            ledger=EvalLedger(**doc["ledger"]),
-        )
+        if doc.get("version") != 1:
+            raise ValidationError(f"unsupported taylor surrogate version {doc.get('version')!r}")
+        try:
+            center = tuple(_json_number(value) for value in doc["center"])
+            entries = {}
+            for raw in doc["entries"]:
+                key = tuple((_json_int(param), _json_int(power)) for param, power in raw["k"])
+                if any(not 0 <= param < len(center) or power < 1 for param, power in key):
+                    raise ValidationError(
+                        f"entry {raw['k']} needs params in [0, {len(center)}) and orders >= 1")
+                entries[key] = _json_number(raw["value"])
+            for value in doc["ledger"].values():
+                _json_number(value)
+            return cls(center=center, order=_json_int(doc["order"]), entries=entries,
+                       ledger=EvalLedger(**doc["ledger"]))
+        except ValidationError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a mistyped field
+            raise ValidationError(f"malformed taylor surrogate: {exc!r}") from None
 
 
 def unique_derivative_count(m: int, kappa: int) -> int:

@@ -911,6 +911,19 @@ def test_shared_parameter_driving_300_rotations():
                for _, cos_e, _ in m.factors) > 255
 
 
+def test_symbolic_zero_weight_rows_follow_numeric_rule():
+    # Back-propagating Z: the fixed X rotation at angle 0 leaves a sine child Y of weight
+    # exactly 0 (sine count 1). Like a numeric merge, the rotation's merge drops it, so it
+    # is not expanded by the free Z rotation and does not lower Y's minimum sine count.
+    c = Circuit(1, 2, (Rotation("Z", (0,), ParamRef.free(1)),
+                       Rotation("Y", (0,), ParamRef.free(0)),
+                       Rotation("X", (0,), ParamRef.fixed(0.0))))
+    po = backpropagate(c, ObservableSpec.single(PauliString.from_text("Z")), mode=SYMBOLIC)
+    assert [(p.to_text(), t.min_sine_count) for p, t in po.terms.items()] == [
+        ("X", 1), ("Y", 2), ("Z", 0)]
+    assert po.stats.paths_expanded == 3  # Z at X and Y, X at Z
+
+
 # --- determinism ------------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Taylor patch surrogates: shift derivatives, budgets, and error bounds."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from paulipatch import (
     PauliString,
     Rotation,
     TaylorSurrogate,
+    ValidationError,
     build_taylor,
     build_tfi_trotter,
     chain,
@@ -347,6 +349,45 @@ def test_surrogate_json_round_trip(rng):
     assert loaded.center == ts.center
     probe = rng.uniform(-0.2, 0.2, size=c.m)
     assert eval_taylor(loaded, probe) == eval_taylor(ts, probe)
+
+
+def _taylor_doc():
+    ts = TaylorSurrogate((0.1, -0.2), 2, {(): 0.5, ((0, 1),): 0.25, ((0, 1), (1, 1)): -0.125},
+                         EvalLedger(evaluations=9, unique_derivatives=3))
+    return json.loads(ts.to_json())
+
+
+def _set_pair(doc, index, value):
+    doc["entries"][-1]["k"][0][index] = value  # the last entry is ((0, 1), (1, 1))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(version=99),
+    lambda doc: doc.pop("version"),
+    lambda doc: doc["entries"][0].update(value="0.5"),
+    lambda doc: doc["entries"][0].update(value=True),
+    lambda doc: _set_pair(doc, 0, 2),
+    lambda doc: _set_pair(doc, 0, -1),
+    lambda doc: _set_pair(doc, 0, 0.0),
+    lambda doc: _set_pair(doc, 1, 0),
+    lambda doc: doc["entries"][-1]["k"][0].append(1),
+    lambda doc: doc["entries"][0].pop("value"),
+    lambda doc: doc.update(entries=5),
+    lambda doc: doc.update(center=["0.1", -0.2]),
+    lambda doc: doc.update(order="2"),
+    lambda doc: doc.update(ledger=5),
+    lambda doc: doc["ledger"].update(evaluations="9"),
+    lambda doc: doc["ledger"].update(banana=1),
+], ids=["version-99", "no-version", "string-value", "bool-value", "param-at-m",
+        "negative-param", "float-param", "zero-order", "three-item-pair", "missing-value",
+        "entries-not-a-list", "string-center", "string-order", "ledger-not-a-dict",
+        "string-ledger-count", "extra-ledger-key"])
+def test_surrogate_from_json_rejects_malformed_documents(corrupt):
+    doc = _taylor_doc()
+    assert TaylorSurrogate.from_json(json.dumps(doc)).entries[((0, 1), (1, 1))] == -0.125
+    corrupt(doc)
+    with pytest.raises(ValidationError):
+        TaylorSurrogate.from_json(json.dumps(doc))
 
 
 def test_loss_oracle_validates_length():
