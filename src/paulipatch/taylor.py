@@ -241,6 +241,8 @@ class TaylorSurrogate:
     def from_json(cls, document: str) -> "TaylorSurrogate":
         """Read a ``to_json`` document; a malformed one raises ``ValidationError``."""
         doc = json.loads(document)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
         if doc.get("format") != "taylor-surrogate":
             raise ConfigError(f"not a taylor surrogate: {doc.get('format')!r}")
         if doc.get("version") != 1:

@@ -390,6 +390,11 @@ def test_surrogate_from_json_rejects_malformed_documents(corrupt):
         TaylorSurrogate.from_json(json.dumps(doc))
 
 
+def test_surrogate_from_json_rejects_a_non_object_document():
+    with pytest.raises(ValidationError):
+        TaylorSurrogate.from_json(json.dumps([_taylor_doc()]))
+
+
 def test_loss_oracle_validates_length():
     oracle = LossOracle(func=lambda a: 0.0, m=3)
     with pytest.raises(Exception):
