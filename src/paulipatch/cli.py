@@ -169,15 +169,6 @@ def _load_topology(spec: str) -> Topology:
     raise ValidationError(f"unknown topology {spec!r}")
 
 
-def _policy(args) -> TruncationPolicy:
-    return TruncationPolicy(
-        kappa=args.kappa,
-        max_weight=args.max_weight,
-        coeff_floor=getattr(args, "coeff_floor", 0.0),
-        path_cap=getattr(args, "path_cap", None),
-    )
-
-
 # --- commands ---------------------------------------------------------------------------
 
 
@@ -185,7 +176,8 @@ def cmd_build(args) -> int:
     manifest = RunManifest("build", _echo(args), args.seed)
     circuit = parse_circuit(_read(args.circuit))
     obs = parse_observable(_read(args.observable), n=circuit.n)
-    policy = _policy(args)
+    policy = TruncationPolicy(kappa=args.kappa, max_weight=args.max_weight,
+                              path_cap=args.path_cap)
     t0 = time.perf_counter()
     po = backpropagate(circuit, obs, policy, mode=SYMBOLIC)
     manifest.timings["build_s"] = time.perf_counter() - t0
@@ -407,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable", required=True)
     p.add_argument("--kappa", type=int, default=None, help="max sine order")
     p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--coeff-floor", type=float, default=0.0)
     p.add_argument("--path-cap", type=int, default=None)
     p.add_argument("--out", required=True, help="artifact path (.json or .json.gz)")
     _add_common(p)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, OracleCapError, ValidationError
 from .pauli import PauliString
-from .propagation import PropagatedObservable
+from .propagation import PropagatedObservable, _json_int, _json_number
 from .states import (
     AllPlus,
     AllZero,
@@ -360,10 +360,15 @@ _SHOT_RECORD = np.dtype([("index", "<u4"), ("outcome", "i1")])  # 5 packed bytes
 def _read_log(path, fmt: str) -> tuple[dict, bytes]:
     """Header and record payload of a binary log of format ``fmt``."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        line = fh.readline()
         payload = fh.read()
-    if header.get("format") != fmt or header.get("version") != _LOG_VERSION:
-        raise ValidationError(f"not a {fmt} log: {header.get('format')!r}")
+    try:
+        header = json.loads(line.decode())
+    except ValueError:  # not UTF-8, or not JSON
+        raise ValidationError(f"{fmt} log header is not JSON") from None
+    if (not isinstance(header, dict) or header.get("format") != fmt
+            or header.get("version") != _LOG_VERSION):
+        raise ValidationError(f"not a version {_LOG_VERSION} {fmt} log")
     return header, payload
 
 
@@ -397,14 +402,24 @@ def save_shot_records(records: ShotRecords, plan: AllocationPlan, path) -> None:
 
 
 def load_shot_records(path) -> tuple[ShotRecords, AllocationPlan]:
+    """Read a ``save_shot_records`` log; a malformed one raises ``ValidationError``."""
     header, payload = _read_log(path, "shot-records")
-    table = _records(payload, header["count"], _SHOT_RECORD, "shot-records")
-    paulis = [PauliString.from_text(t) for t in header["paulis"]]
-    plan = AllocationPlan(
-        tuple(zip(paulis, header["beta"])), header["strategy"], header["shots"]
-    )
-    records = ShotRecords(table["index"].astype(np.uint32), table["outcome"].astype(np.int8),
-                          header["stream"])
+    try:
+        table = _records(payload, _json_int(header["count"]), _SHOT_RECORD, "shot-records")
+        if not isinstance(header["paulis"], list):
+            raise ValidationError("shot-records paulis must be a JSON list")
+        paulis = [PauliString.from_text(t) for t in header["paulis"]]
+        beta = [_json_number(b) for b in header["beta"]]
+        plan = AllocationPlan(tuple(zip(paulis, beta, strict=True)), header["strategy"],
+                              _json_int(header["shots"]))
+        records = ShotRecords(table["index"].astype(np.uint32),
+                              table["outcome"].astype(np.int8), _json_int(header["stream"]))
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ValidationError(f"malformed shot-records header: {exc!r}") from None
+    if records.pauli_index.max(initial=0) >= len(paulis):
+        raise ValidationError(f"a shot measures a Pauli outside the {len(paulis)}-entry plan")
     return records, plan
 
 
@@ -424,9 +439,18 @@ def save_shadow_records(records: ShadowRecords, path) -> None:
 
 
 def load_shadow_records(path) -> ShadowRecords:
+    """Read a ``save_shadow_records`` log; a malformed one raises ``ValidationError``."""
     header, payload = _read_log(path, "shadow-records")
-    n = header["n"]
-    row = np.dtype((np.uint8, (n + -(-n // 8),)))  # bases, then packed bits
-    rows = _records(payload, header["count"], row, "shadow-records")
+    try:
+        n = _json_int(header["n"])
+        row = np.dtype((np.uint8, (n + -(-n // 8),)))  # bases, then packed bits
+        rows = _records(payload, _json_int(header["count"]), row, "shadow-records")
+        stream = _json_int(header["stream"])
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed shadow-records header: {exc!r}") from None
+    if rows[:, :n].max(initial=0) >= len(_BASIS_LETTERS):
+        raise ValidationError("a shadow record holds a basis code outside X, Y, Z")
     bits = np.unpackbits(rows[:, n:], axis=1)[:, :n]
-    return ShadowRecords(rows[:, :n].copy(), bits, header["stream"])
+    return ShadowRecords(rows[:, :n].copy(), bits, stream)

@@ -55,6 +55,8 @@ class PauliString:
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "PauliString":
         """Parse dense text like ``"ZZII"``; index 0 is the leftmost character."""
+        if not isinstance(text, str):
+            raise ValidationError(f"expected Pauli text, got {text!r}")
         text = text.strip().upper()
         if n is None:
             n = len(text)

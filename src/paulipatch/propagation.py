@@ -21,8 +21,8 @@ end) in both modes. The key is the Pauli in numeric mode, and the Pauli and
 monomial in symbolic mode, plus the path sine count when ``kappa`` is finite.
 Symbolic sine-order cuts are therefore exactly per-path; at the end the
 sine-count classes of one (Pauli, monomial) are pooled with ``math.fsum``. (A
-circuit without free parameters is built in numeric mode and wrapped in
-constant monomials, so its cuts are pooled as in numeric mode.)
+circuit without free parameters has only constant monomials; its key leaves
+out the sine count, so its cuts are pooled as in numeric mode.)
 A numeric term's cut uses the minimum count of its merged contributors
 (keeping strictly more mass), so the modes agree exactly whenever ``kappa``
 is unlimited, and to within the truncated-tail scale otherwise.
@@ -34,7 +34,7 @@ import gzip
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Sequence
 
 import numpy as np
@@ -91,11 +91,14 @@ class PathMonomial:
     factors: MonoKey = ()
 
     def __post_init__(self) -> None:
+        last = -1
         for param, cos_e, sin_e in self.factors:
-            if param < 0 or cos_e < 0 or sin_e < 0 or (cos_e == 0 and sin_e == 0):
+            if param <= last:
+                raise ValidationError("monomial factors need distinct param indices >= 0, "
+                                      f"in increasing order: {self.factors}")
+            if cos_e < 0 or sin_e < 0 or (cos_e == 0 and sin_e == 0):
                 raise ValidationError(f"bad factor (param, cos, sin) = {param},{cos_e},{sin_e}")
-        if list(self.factors) != sorted(self.factors):
-            raise ValidationError("monomial factors must be sorted by param index")
+            last = param
 
     @property
     def sine_order(self) -> int:
@@ -463,9 +466,10 @@ def _propagate(circuit: Circuit, terms: Sequence[tuple[PauliString, float]],
         # a parameter driving r rotations reaches exponent r, which picks the column type
         uses = np.bincount([g.param.index for g in circuit.rotations if not g.param.is_fixed],
                            minlength=circuit.m)
+        # without free parameters every monomial is constant: pool the cuts as numeric mode
         frontier = _NumericFrontier(circuit.n, terms, circuit.m,
-                                    np.min_scalar_type(int(uses.max())),
-                                    by_sines=policy.kappa is not None)
+                                    np.min_scalar_type(int(uses.max(initial=0))),
+                                    by_sines=policy.kappa is not None and circuit.m > 0)
     else:
         frontier = _NumericFrontier(circuit.n, terms)
     for gate in reversed(circuit.gates):
@@ -560,20 +564,6 @@ def backpropagate(
                 f"numeric mode needs {circuit.m} parameters, got {alpha_arr.shape}"
             )
     stats = PropagationStats()
-
-    # With no free parameters every monomial is empty, so the symbolic result
-    # is the numeric one wrapped in constant monomials; use the fast kernel.
-    if mode == SYMBOLIC and circuit.m == 0:
-        po = backpropagate(circuit, obs, policy, NUMERIC, None)
-        terms = {
-            p: PropagatedTerm(p, monomials=((PathMonomial(), t.coefficient),),
-                              min_sine_count=t.min_sine_count)
-            for p, t in po.terms.items()
-        }
-        po.mode = SYMBOLIC
-        po.terms = terms
-        return po
-
     frontier = _propagate(circuit, obs.terms, policy, stats,
                           None if mode == SYMBOLIC else alpha_arr)
     # rows of one Pauli (one row in numeric mode) end up adjacent, in text order
@@ -698,6 +688,8 @@ def load_artifact(path) -> PropagatedObservable:
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rb") as fh:
         doc = json.loads(fh.read().decode())
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != ARTIFACT_FORMAT:
         raise ValidationError(f"not a surrogate artifact: {doc.get('format')!r}")
     if doc.get("version") != ARTIFACT_VERSION:
@@ -706,9 +698,13 @@ def load_artifact(path) -> PropagatedObservable:
         n, mode, m = doc["n"], doc["mode"], doc["m"]
         if mode not in (NUMERIC, SYMBOLIC):
             raise ValidationError(f"unknown artifact mode {mode!r}")
+        # one tuple per distinct (param, cos, sin) factor, shared by its monomials
+        distinct: dict[tuple, tuple[int, int, int]] = {}
         terms: dict[PauliString, PropagatedTerm] = {}
         for raw in doc["terms"]:
             p = PauliString.from_text(raw["pauli"], n)
+            if p in terms:
+                raise ValidationError(f"term {raw['pauli']} is listed twice")
             if ("coeff" in raw) != (mode == NUMERIC):
                 raise ValidationError(f"term {raw['pauli']} does not match mode {mode!r}")
             sines = _json_int(raw["sines"])
@@ -716,14 +712,20 @@ def load_artifact(path) -> PropagatedObservable:
                 terms[p] = PropagatedTerm(p, coefficient=_json_number(raw["coeff"]),
                                           min_sine_count=sines)
                 continue
-            monos = tuple(
-                (PathMonomial(tuple(tuple(f) for f in entry["params"])),
-                 _json_number(entry["w"]))
-                for entry in raw["monomials"]
-            )
-            if any(param >= m for mono, _ in monos for param, _, _ in mono.factors):
-                raise ValidationError(f"term {raw['pauli']} has a param index outside [0, {m})")
-            terms[p] = PropagatedTerm(p, monomials=monos, min_sine_count=sines)
+            monos = []
+            for entry in raw["monomials"]:
+                keys = tuple(map(tuple, entry["params"]))
+                monos.append((PathMonomial(tuple(map(distinct.setdefault, keys, keys))),
+                              _json_number(entry["w"])))
+            terms[p] = PropagatedTerm(p, monomials=tuple(monos), min_sine_count=sines)
+        # PathMonomial checks signs and order; the param bound is checked once per distinct
+        # factor, and the JSON types over all entries (1.0 or true would share the tuple of 1)
+        if any(param >= m for param, _, _ in distinct):
+            raise ValidationError(f"a monomial factor has a param index outside [0, {m})")
+        entries = chain.from_iterable(chain.from_iterable(
+            entry["params"] for raw in doc["terms"] for entry in raw.get("monomials", ())))
+        if not set(map(type, entries)) <= {int}:
+            raise ValidationError("monomial factors must hold JSON integers")
         return PropagatedObservable(
             n=n,
             mode=mode,

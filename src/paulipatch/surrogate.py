@@ -6,12 +6,13 @@ of trigonometric monomials in the free parameters. ``SurrogateEvaluator`` and
 once into flat index arrays, so repeated evaluations over a patch cost a
 handful of vectorized passes.
 
-Patch moments ``E[cos^p(a) sin^q(a)]`` over a ~ Unif[-r, r] are computed
-exactly by expanding into complex exponentials, where ``E[e^{ika}] =
-sin(kr)/(kr)``; odd sine powers vanish identically. Because the parameters are
-independent, E[c_P^2] factors per parameter into products of these moments,
-summed exactly over all monomial pairs. It feeds the average-case effective
-1-norm, which in turn drives shot allocation.
+Patch moments ``E[cos^p(a) sin^q(a)]`` over a ~ Unif[-r, r] have one closed
+form: t = sin^2(a) turns them into a complete beta function times a regularized
+incomplete one, evaluated for a whole grid of (p, q) at once to near machine
+precision at any order; odd sine powers vanish identically. Because the
+parameters are independent, E[c_P^2] factors per parameter into products of
+these moments, summed exactly over all monomial pairs. It feeds the
+average-case effective 1-norm, which in turn drives shot allocation.
 
 Bound calculators check their stated hypotheses and refuse to extrapolate
 outside them.
@@ -22,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +32,6 @@ from .pauli import PauliString
 from .propagation import SYMBOLIC, MonomialTable, PropagatedObservable
 from .states import InitialState, overlap
 
-_MPMATH_THRESHOLD = 24  # switch to high precision when p+q grows past this
-_FLOAT_MOMENT_FLOOR = 1e-3  # or when the float moment is this small, see _trig_moment_cached
 _MOMENT_WORK_BYTES = 32 << 20  # work arrays of one row block in pauli_mean_squares
 
 
@@ -126,62 +124,35 @@ def evaluate(po: PropagatedObservable, alphas: Sequence[float],
 # --- exact trigonometric patch moments ----------------------------------------------
 
 
-def _uniform_char(k: int, r: float) -> float:
-    """E[e^{i k a}] for a ~ Unif[-r, r]."""
-    if k == 0:
-        return 1.0
-    return math.sin(k * r) / (k * r)
+def _moments(p: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
+    """E[cos^p(a) sin^q(a)] for a ~ Unif[-r, r], 0 < r <= pi, elementwise over p, q.
 
+    The integrand is even for even q, and t = sin^2(a) turns the integral over
+    [0, min(r, pi/2)] into B(a, b) I_{sin^2 r}(a, b) / 2 with a = (q+1)/2 and
+    b = (p+1)/2. Past pi/2 the mirror a -> pi - a adds B (1 - I) / 2 times (-1)^p.
+    """
+    # imported here: at module level scipy.special doubles the package's import time
+    from scipy import special
 
-@lru_cache(maxsize=65536)
-def _trig_moment_cached(p: int, q: int, r: float) -> float:
-    if p + q >= _MPMATH_THRESHOLD:
-        return _trig_moment_mp(p, q, r)
-    # cos^p sin^q = 2^{-(p+q)} i^{-q} (e^{ia}+e^{-ia})^p (e^{ia}-e^{-ia})^q
-    total = 0.0
-    for j in range(p + 1):
-        cj = math.comb(p, j)
-        for l in range(q + 1):
-            k = (2 * j - p) + (2 * l - q)
-            term = cj * math.comb(q, l) * _uniform_char(k, r)
-            total += -term if (q - l) & 1 else term
-    scale = (-1.0) ** (q // 2) / 2.0 ** (p + q)  # i^{-q} for even q
-    # the scaled terms' magnitudes sum to 1, so rounding errs by about (p+1)(q+1) eps:
-    # a moment under the floor (a sine power at small r) may be mostly rounding
-    value = scale * total
-    if abs(value) < _FLOAT_MOMENT_FLOOR:
-        return _trig_moment_mp(p, q, r)
-    return value
-
-
-def _trig_moment_mp(p: int, q: int, r: float) -> float:
-    """High-precision path: the alternating sum cancels catastrophically in floats."""
-    import mpmath as mp
-
-    # the moment is about r^q against terms of order 1: q log10(1/r) digits cancel
-    with mp.workdps(40 + 2 * (p + q) + math.ceil(q * max(0.0, -math.log10(r)))):
-        rr = mp.mpf(r)
-        total = mp.mpf(0)
-        for j in range(p + 1):
-            cj = mp.binomial(p, j)
-            for l in range(q + 1):
-                k = (2 * j - p) + (2 * l - q)
-                char = mp.mpf(1) if k == 0 else mp.sin(k * rr) / (k * rr)
-                term = cj * mp.binomial(q, l) * char
-                total += -term if (q - l) & 1 else term
-        value = (-1) ** (q // 2) * total / mp.mpf(2) ** (p + q)
-        return float(value)
+    if not 0.0 < r <= math.pi:
+        raise ConfigError(f"half-width must be in (0, pi], got {r}")
+    x = math.sin(r) ** 2
+    if x < np.finfo(float).tiny:  # r below about 1.5e-154
+        raise ConfigError(f"half-width {r} is too small: sin(r)^2 underflows")
+    a, b = (q + 1) / 2.0, (p + 1) / 2.0
+    part = special.betainc(a, b, x)
+    if r > math.pi / 2:
+        part = np.where(p % 2 == 0, 2.0 - part, part)
+    out = special.beta(a, b) * part / (2.0 * r)
+    # odd sine powers vanish; E[1] is exactly 1, where the closed form rounds
+    return np.where(q % 2 == 1, 0.0, np.where((p == 0) & (q == 0), 1.0, out))
 
 
 def trig_moment(p: int, q: int, r: float) -> float:
-    """E[cos^p(a) sin^q(a)] for a ~ Unif[-r, r], exact; 0 for odd ``q``."""
+    """E[cos^p(a) sin^q(a)] for a ~ Unif[-r, r] in closed form; 0 for odd ``q``."""
     if p < 0 or q < 0:
         raise ConfigError(f"exponents must be >= 0, got p={p} q={q}")
-    if not 0.0 < r <= math.pi:
-        raise ConfigError(f"half-width must be in (0, pi], got {r}")
-    if q % 2 == 1:
-        return 0.0
-    return _trig_moment_cached(p, q, float(r))
+    return float(_moments(np.asarray(p), np.asarray(q), float(r)))
 
 
 # --- effective 1-norms ----------------------------------------------------------------
@@ -202,17 +173,11 @@ def pauli_mean_squares(po: PropagatedObservable,
     table = MonomialTable(po)
     p_max = 2 * int(table.fac_cos.max(initial=0))
     q_max = 2 * int(table.fac_sin.max(initial=0))
-    # factor code c * (q_max + 1) + s: the sum of two codes indexes M[c_a + c_b, s_a + s_b].
-    # Only sums of two codes of one parameter (0 where a monomial lacks it) are looked
-    # up, so only those moments are computed; high orders cost a multiprecision sum.
+    # factor code c * (q_max + 1) + s: the sum of two codes indexes M[c_a + c_b, s_a + s_b]
     fac_code = table.fac_cos * (q_max + 1) + table.fac_sin
-    needed: set[int] = set()
-    for param in np.unique(table.fac_param):
-        codes = np.append(np.unique(fac_code[table.fac_param == param]), 0)
-        needed.update(np.add.outer(codes, codes).ravel().tolist())
-    moments = np.zeros((p_max + 1) * (q_max + 1))
-    for code in needed:
-        moments[code] = trig_moment(*divmod(code, q_max + 1), dist.r) if code else 1.0
+    p_grid, q_grid = np.divmod(np.arange((p_max + 1) * (q_max + 1)), q_max + 1)
+    # without free parameters only E[1] = 1 is looked up, at any half-width
+    moments = _moments(p_grid, q_grid, dist.r) if p_max or q_max else np.ones(1)
     fac_bounds = np.append(table.fac_starts, table.fac_param.shape[0])
     fac_mono = np.repeat(np.arange(table.n_monomials), np.diff(fac_bounds))
     out: dict[PauliString, float] = {}

@@ -1,5 +1,6 @@
 """Measurement protocols: allocation, direct estimation, shadows, budgets."""
 
+import json
 import math
 
 import numpy as np
@@ -364,6 +365,84 @@ def test_record_logs_reject_truncated_or_padded_files(tmp_path):
             path.write_bytes(bad)
             with pytest.raises(ValidationError):
                 load(path)
+
+
+def _edit_header(path, edit):
+    """Rewrite a record log's header line with ``edit(header)``; keep the records.
+
+    ``edit`` changes the header in place or returns a replacement: an object to
+    write as JSON, or raw bytes.
+    """
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    header = edit(header) or header
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode()
+    path.write_bytes(header + b"\n" + payload)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: b"{not json",
+    lambda h: [h],
+    lambda h: h.pop("paulis") and None,
+    lambda h: h.pop("stream") and None,
+    lambda h: h.update(count="4"),
+    lambda h: h.update(count=4.0),
+    lambda h: h.update(stream="17"),
+    lambda h: h.update(shots=True),
+    lambda h: h.update(paulis=[1, 2]),
+    lambda h: h.update(paulis="ZX"),
+    lambda h: h.update(beta=["0.7", "0.3"]),
+    lambda h: h.update(beta=[0.7]),
+    lambda h: h.update(beta=[0.6, 0.3]),
+    lambda h: h.update(strategy="banana"),
+], ids=["not-json", "not-object", "missing-paulis", "missing-stream", "string-count",
+        "float-count", "string-stream", "bool-shots", "int-paulis", "string-paulis",
+        "string-beta", "short-beta", "beta-not-normalized", "unknown-strategy"])
+def test_shot_log_rejects_malformed_header(tmp_path, edit):
+    plan = make_allocation("abs-coeff", 4, coeffs={Z1: 0.7, X1: 0.3})
+    path = tmp_path / "shots.bin"
+    save_shot_records(simulate_direct(AllZero(1), plan, seed=17), plan, path)
+    load_shot_records(path)
+    _edit_header(path, edit)
+    with pytest.raises(ValidationError):
+        load_shot_records(path)
+
+
+def test_shot_log_rejects_index_outside_plan(tmp_path):
+    plan = make_allocation("abs-coeff", 50, coeffs={Z1: 0.7, X1: 0.3})
+    path = tmp_path / "shots.bin"
+    save_shot_records(simulate_direct(AllZero(1), plan, seed=17), plan, path)
+    # one Pauli fewer in the plan: the shots of the second one now point past its end
+    _edit_header(path, lambda h: h.update(paulis=["Z"], beta=[1.0]))
+    with pytest.raises(ValidationError):
+        load_shot_records(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: [h],
+    lambda h: h.pop("n") and None,
+    lambda h: h.update(n="3"),
+    lambda h: h.update(n=-3),
+    lambda h: h.update(count=40.0),
+    lambda h: h.update(stream=1.5),
+], ids=["not-object", "missing-n", "string-n", "negative-n", "float-count", "float-stream"])
+def test_shadow_log_rejects_malformed_header(tmp_path, edit):
+    path = tmp_path / "shadows.bin"
+    save_shadow_records(simulate_shadows(AllZero(3), 40, seed=18), path)
+    load_shadow_records(path)
+    _edit_header(path, edit)
+    with pytest.raises(ValidationError):
+        load_shadow_records(path)
+
+
+def test_shadow_log_rejects_unknown_basis_code(tmp_path):
+    path = tmp_path / "shadows.bin"
+    save_shadow_records(simulate_shadows(AllZero(3), 40, seed=18), path)
+    line, _, payload = path.read_bytes().partition(b"\n")
+    path.write_bytes(line + b"\n" + bytes([3]) + payload[1:])  # first basis of shot 0
+    with pytest.raises(ValidationError):
+        load_shadow_records(path)
 
 
 def test_records_reproducible_for_seed():

@@ -980,6 +980,11 @@ def _set_param(doc, factor, value):
     doc["terms"][-1]["monomials"][0]["params"][factor][0] = value
 
 
+def _set_exponent(doc, value):
+    # the cos exponent of param 1 in Z's factors [[0, 1, 0], [1, 1, 0]], which Y shares
+    doc["terms"][-1]["monomials"][0]["params"][1][1] = value
+
+
 def _make_numeric_term(doc):
     term = doc["terms"][0]
     del term["monomials"]
@@ -1028,11 +1033,21 @@ def test_numeric_doc_helper_loads(tmp_path):
     lambda doc: _make_numeric_doc(doc, coeff="0.5"),
     lambda doc: _make_numeric_doc(doc, coeff=False),
     lambda doc: _make_numeric_doc(doc, sines="0"),
+    lambda doc: doc["terms"].append(doc["terms"][0]),
+    lambda doc: _make_numeric_doc(doc) or doc["terms"].append(doc["terms"][0]),
+    lambda doc: _set_exponent(doc, 1.5),
+    lambda doc: _set_exponent(doc, 1.0),
+    lambda doc: _set_exponent(doc, True),
+    lambda doc: doc["terms"][-1]["monomials"][0].update(params=[[0, 0, 1], [0, 1, 0]]),
+    lambda doc: doc["terms"][-1]["monomials"][0].update(params=[[1, 1, 0], [0, 1, 0]]),
+    lambda doc: doc["terms"][0].update(pauli=5),
 ], ids=["negative-param", "param-at-m", "unknown-mode", "symbolic-term-in-numeric",
         "numeric-term-in-symbolic", "missing-sines", "missing-stats", "extra-policy-key",
         "extra-stats-key", "terms-not-a-list", "string-weight", "numeric-string-weight",
         "bool-weight", "string-sines", "bool-sines", "float-sines", "numeric-string-coeff",
-        "numeric-bool-coeff", "numeric-string-sines"])
+        "numeric-bool-coeff", "numeric-string-sines", "duplicate-pauli",
+        "numeric-duplicate-pauli", "fractional-exponent", "float-exponent", "bool-exponent",
+        "repeated-param", "unsorted-params", "int-pauli"])
 def test_load_artifact_rejects_malformed_files(tmp_path, corrupt):
     c = Circuit(1, 2, (Rotation("X", (0,), ParamRef.free(0)),
                        Rotation("Y", (0,), ParamRef.free(1))))
@@ -1046,6 +1061,33 @@ def test_load_artifact_rejects_malformed_files(tmp_path, corrupt):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
         load_artifact(path)
+
+
+@pytest.mark.parametrize("document", ["[1]", "null", '"artifact"'])
+def test_load_artifact_rejects_non_object_document(tmp_path, document):
+    path = tmp_path / "artifact.json"
+    path.write_text(document)
+    with pytest.raises(ValidationError):
+        load_artifact(path)
+
+
+def test_load_artifact_shares_factor_tuples(tmp_path, rng):
+    c = random_mixed_circuit(rng, n=4, n_rot=10, shared=True)
+    po = backpropagate(c, random_observable(rng, 4, terms=2), mode=SYMBOLIC)
+    path = tmp_path / "artifact.json"
+    save_artifact(po, path)
+    factors = [f for t in load_artifact(path).terms.values()
+               for mono, _ in t.monomials for f in mono.factors]
+    assert len(factors) > len(set(factors)) > 1
+    assert len({id(f) for f in factors}) == len(set(factors))
+
+
+def test_path_monomial_needs_increasing_params():
+    assert PathMonomial(((0, 1, 0), (2, 0, 1))).sine_order == 1
+    for factors in (((0, 0, 1), (0, 1, 0)), ((1, 1, 0), (0, 1, 0)), ((-1, 1, 0),),
+                    ((0, 0, 0),), ((0, -1, 1),)):
+        with pytest.raises(ValidationError):
+            PathMonomial(factors)
 
 
 # --- property-based checks ----------------------------------------------------------------------

@@ -31,12 +31,12 @@ from paulipatch import (
     evaluate,
     exact_expectation,
     exact_expectation_batch,
+    grid,
     pauli_mean_squares,
     trig_moment,
     worst_case_coeff_bounds,
 )
 from paulipatch.propagation import NUMERIC, SYMBOLIC
-from paulipatch.surrogate import _trig_moment_mp
 
 from conftest import random_mixed_circuit, random_observable
 
@@ -82,14 +82,43 @@ def test_high_order_moment_uses_stable_path():
     assert value > 0
 
 
+def _mp_moment(p, q, r):
+    """Reference E[cos^p sin^q] as the binomial sum over E[e^{ika}] = sin(kr)/(kr), in mpmath.
+
+    The alternating sum is of order 1 term by term; near a zero of sin (small r, or r
+    near pi with odd p) the moment is about sin(r)^(q+1), so the working precision
+    grows by that many digits.
+    """
+    import mpmath as mp
+
+    digits = -math.log10(abs(math.sin(r)))
+    with mp.workdps(40 + 2 * (p + q) + math.ceil((q + 1) * max(0.0, digits))):
+        rr = mp.mpf(r)
+        total = mp.mpf(0)
+        for j in range(p + 1):
+            cj = mp.binomial(p, j)
+            for l in range(q + 1):
+                k = (2 * j - p) + (2 * l - q)
+                char = mp.mpf(1) if k == 0 else mp.sin(k * rr) / (k * rr)
+                term = cj * mp.binomial(q, l) * char
+                total += -term if (q - l) & 1 else term
+        return float((-1) ** (q // 2) * total / mp.mpf(2) ** (p + q))
+
+
 def test_moments_match_high_precision_grid():
-    # small r and a high sine power make the alternating float sum cancel:
-    # (2, 18, 0.05) is 1.99e-25 and (0, 20, 0.01) is 4.8e-42
-    for p in (0, 1, 2, 5, 12):
+    # tiny moments: (2, 18, 0.05) is 1.99e-25, (0, 20, 0.01) is 4.8e-42, and odd p at
+    # r = pi leaves only the sliver pi - r, (1, 2, pi) is 1.95e-49
+    for p in (0, 1, 2, 5, 12, 20):
         for q in (0, 2, 4, 8, 12, 18, 20):
-            for r in (0.01, 0.05, 0.3, 1.0, math.pi):
-                want = _trig_moment_mp(p, q, r)
-                assert trig_moment(p, q, r) == pytest.approx(want, rel=1e-10), (p, q, r)
+            for r in (1e-6, 0.01, 0.05, 0.3, 1.0, math.pi / 2, 2.5, math.pi):
+                want = _mp_moment(p, q, r)
+                got = trig_moment(p, q, r)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (p, q, r)
+
+
+def test_unit_moment_is_exactly_one():
+    for r in (1e-4, 1.0, math.pi):
+        assert trig_moment(0, 0, r) == 1.0
 
 
 def test_tiny_patch_moments_match_quadrature():
@@ -109,6 +138,10 @@ def test_moment_domain_errors():
         trig_moment(0, 2, 4.0)
     with pytest.raises(ConfigError):
         trig_moment(-1, 2, 0.3)
+    # sin(r)^2 would underflow, and E[cos^2] come out as 0 instead of 1
+    assert trig_moment(2, 0, 1e-150) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ConfigError):
+        trig_moment(2, 0, 1e-170)
 
 
 # --- evaluation -------------------------------------------------------------------------
@@ -341,6 +374,24 @@ def test_mean_squares_match_pairwise_reference(case, r):
     assert list(squares) == list(want)
     for pauli, value in want.items():
         assert squares[pauli] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.4, 2.5, math.pi])
+def test_shared_parameter_mean_squares_match_quadrature(r):
+    # one angle drives all 84 rotations of a 3x3 grid HVA, so the moments reach
+    # cos^p sin^q with p + q up to 168; E[c_P^2] is a one-dimensional integral
+    c = build_tfi_trotter(grid(3, 3), layers=4, dt=0.1, binding="shared")
+    obs = ObservableSpec.single(PauliString.from_sparse("Z4", 9))
+    po = backpropagate(c, obs, TruncationPolicy(kappa=6), mode=SYMBOLIC)
+    assert (c.m, len(c.rotations)) == (1, 84)
+    squares = pauli_mean_squares(po, PatchDistribution.centered(1, r))
+    ev = SurrogateEvaluator(po)
+    nodes, weights = np.polynomial.legendre.leggauss(100)
+    coeffs = np.array([ev.coefficients([r * x]) for x in nodes])
+    quad = weights @ coeffs**2 / 2
+    assert list(squares) == ev.paulis
+    for idx, pauli in enumerate(ev.paulis):
+        assert squares[pauli] == pytest.approx(quad[idx], rel=1e-12, abs=0.0), pauli
 
 
 def test_nonzero_center_rejected():
