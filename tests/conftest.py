@@ -122,3 +122,49 @@ def ref_apply_circuit(batch: np.ndarray, circuit: Circuit, alphas: np.ndarray) -
             sin = np.sin(theta / 2.0)[:, np.newaxis]
             batch = cos * batch - 1j * sin * rotated
     return batch
+
+
+# --- the per-row surrogate kernel, kept as the bitwise reference -------------------------
+# ``MonomialTable.coefficients`` before it ran on row blocks of a distinct-factor table: one
+# power per factor occurrence, one row at a time. Batched rows must reproduce it exactly.
+
+
+def ref_coefficients(po, alpha_rows: np.ndarray) -> np.ndarray:
+    """c_P(alpha) per row of ``alpha_rows`` and term, shape (rows, terms)."""
+    term_starts: list[int] = [0]
+    mono_term: list[int] = []
+    mono_weight: list[float] = []
+    fac_param: list[int] = []
+    fac_cos: list[int] = []
+    fac_sin: list[int] = []
+    fac_starts: list[int] = []
+    for t_idx, term in enumerate(po.terms.values()):
+        for mono, weight in term.monomials:
+            mono_term.append(t_idx)
+            mono_weight.append(weight)
+            fac_starts.append(len(fac_param))
+            for param, cos_e, sin_e in mono.factors or ((0, 0, 0),):
+                fac_param.append(param)
+                fac_cos.append(cos_e)
+                fac_sin.append(sin_e)
+        term_starts.append(len(mono_term))
+    mono_term = np.array(mono_term, dtype=np.intp)
+    mono_weight = np.array(mono_weight)
+    fac_param = np.array(fac_param, dtype=np.intp)
+    fac_cos = np.array(fac_cos)
+    fac_sin = np.array(fac_sin)
+    fac_starts = np.array(fac_starts, dtype=np.intp)
+    n_terms = len(term_starts) - 1
+    rows = []
+    for alphas in np.asarray(alpha_rows, dtype=float):
+        if mono_term.shape[0] == 0:
+            rows.append(np.zeros(n_terms))
+            continue
+        cos_v = np.cos(alphas) if po.m else np.ones(1)
+        sin_v = np.sin(alphas) if po.m else np.zeros(1)
+        factors = cos_v[fac_param] ** fac_cos * sin_v[fac_param] ** fac_sin
+        mono_vals = np.multiply.reduceat(factors, fac_starts)
+        coeffs = np.zeros(n_terms)
+        np.add.at(coeffs, mono_term, mono_weight * mono_vals)
+        rows.append(coeffs)
+    return np.array(rows).reshape(len(rows), n_terms)

@@ -36,9 +36,15 @@ from paulipatch import (
     trig_moment,
     worst_case_coeff_bounds,
 )
-from paulipatch.propagation import NUMERIC, SYMBOLIC
+from paulipatch.propagation import (
+    NUMERIC,
+    SYMBOLIC,
+    PropagatedObservable,
+    PropagatedTerm,
+    PropagationStats,
+)
 
-from conftest import random_mixed_circuit, random_observable
+from conftest import random_mixed_circuit, random_observable, ref_coefficients
 
 
 def single_rz_surrogate():
@@ -250,6 +256,46 @@ def test_evaluator_batch_values(rng):
     alphas = rng.uniform(-0.3, 0.3, size=(9, c.m))
     exact = exact_expectation_batch(c, alphas, obs, AllZero(3))
     assert np.allclose(ev.values(alphas), exact, atol=1e-10)
+
+
+def _no_monomial_surrogate():
+    x = PauliString.from_text("X")
+    return PropagatedObservable(
+        n=1, mode=SYMBOLIC, terms={x: PropagatedTerm(x, monomials=(), min_sine_count=0)},
+        stats=PropagationStats(), policy=TruncationPolicy(), m=2, n_rotations=2,
+        n_paulis_initial=1)
+
+
+def _shared_power_surrogate(rng):
+    po = backpropagate(random_mixed_circuit(rng, n=4, n_rot=10, shared=True),
+                       random_observable(rng, 4, terms=2), mode=SYMBOLIC)
+    assert max(c + s for t in po.terms.values() for mono, _ in t.monomials
+               for _, c, s in mono.factors) >= 2
+    return po
+
+
+_KERNEL_CASES = {
+    # a constant monomial and a shared parameter driving two rotations
+    "pinned": lambda rng: _pinned_surrogate(),
+    "shared-power": _shared_power_surrogate,
+    "free-kappa3": lambda rng: backpropagate(random_mixed_circuit(rng, n=4, n_rot=12),
+                                             random_observable(rng, 4, terms=2),
+                                             TruncationPolicy(kappa=3), mode=SYMBOLIC),
+    "no-params": lambda rng: backpropagate(
+        Circuit(2, 0, ()), ObservableSpec(((PauliString.from_text("XI"), 0.7),
+                                           (PauliString.from_text("ZZ"), -0.2))),
+        mode=SYMBOLIC),
+    "no-monomials": lambda rng: _no_monomial_surrogate(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_coefficients_match_per_row_reference(rng, case):
+    po = _KERNEL_CASES[case](rng)
+    ev = SurrogateEvaluator(po)
+    alphas = rng.uniform(-1.0, 1.0, size=(40, po.m))
+    ref = ref_coefficients(po, alphas)
+    assert all(np.array_equal(ev.coefficients(a), r) for a, r in zip(alphas, ref))
 
 
 # --- effective norms -----------------------------------------------------------------------
