@@ -254,7 +254,7 @@ def cmd_shot_compare(args) -> int:
     exact = exact_expectation_batch(circuit, alphas, obs, state)
     approx = ev.values(alphas)
     rmse_trunc = float(np.sqrt(np.mean((approx - exact) ** 2)))
-    coeff_rows = [ev.coefficients(a) for a in alphas]
+    coeff_rows = ev.coefficient_rows(alphas)
 
     rows = []
     for strategy in strategies:

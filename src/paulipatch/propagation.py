@@ -56,6 +56,8 @@ from .pauli import (
 NUMERIC = "numeric"
 SYMBOLIC = "symbolic"
 
+_EVAL_WORK_BYTES = 2 << 20  # the per-factor array of one MonomialTable row block
+
 # monomial: sorted tuple of (param_index, cos_exponent, sin_exponent)
 MonoKey = tuple[tuple[int, int, int], ...]
 
@@ -126,9 +128,17 @@ class MonomialTable:
     """A symbolic surrogate's monomials as flat arrays, in term order.
 
     Term ``t`` owns monomials ``term_starts[t]:term_starts[t + 1]``; monomial
-    ``k`` has weight ``mono_weight[k]`` and its (param, cos, sin) factors start
-    at ``fac_starts[k]``. A constant monomial holds one dummy factor (param 0,
-    exponents 0) that evaluates to 1, so every monomial owns a factor.
+    ``k`` has weight ``mono_weight[k]`` and its factors start at ``fac_starts[k]``.
+    Each factor is stored once, as ``fac_dist``: an index into the table's
+    distinct (param, cos, sin) factors ``dist_param``, ``dist_cos``, ``dist_sin``
+    (140 distinct factors for 338 726 factors on a 16-qubit grid anchor). A
+    constant monomial holds one dummy factor (param 0, exponents 0) that
+    evaluates to 1, so every monomial owns a factor.
+
+    Evaluation runs on blocks of ``block_rows`` parameter rows, sized so that
+    a block's per-factor array stays within ``_EVAL_WORK_BYTES``: per row, the
+    distinct factors are raised to their powers once, gathered per factor and
+    multiplied per monomial.
     """
 
     def __init__(self, po: PropagatedObservable) -> None:
@@ -138,48 +148,77 @@ class MonomialTable:
         term_starts: list[int] = [0]
         mono_term: list[int] = []
         mono_weight: list[float] = []
-        fac_param: list[int] = []
-        fac_cos: list[int] = []
-        fac_sin: list[int] = []
         fac_starts: list[int] = []
+        fac_dist: list[int] = []
+        distinct: dict[tuple[int, int, int], int] = {}
         for t_idx, term in enumerate(po.terms.values()):
             for mono, weight in term.monomials:
                 mono_term.append(t_idx)
                 mono_weight.append(weight)
-                fac_starts.append(len(fac_param))
+                fac_starts.append(len(fac_dist))
                 # a constant monomial gets one dummy factor that evaluates to 1
-                for param, cos_e, sin_e in mono.factors or ((0, 0, 0),):
-                    fac_param.append(param)
-                    fac_cos.append(cos_e)
-                    fac_sin.append(sin_e)
+                for factor in mono.factors or ((0, 0, 0),):
+                    fac_dist.append(distinct.setdefault(factor, len(distinct)))
             term_starts.append(len(mono_term))
         self.term_starts = np.array(term_starts, dtype=np.intp)
         self.mono_term = np.array(mono_term, dtype=np.intp)
         self.mono_weight = np.array(mono_weight)
-        self.fac_param = np.array(fac_param, dtype=np.intp)
-        self.fac_cos = np.array(fac_cos)
-        self.fac_sin = np.array(fac_sin)
         self.fac_starts = np.array(fac_starts, dtype=np.intp)
+        self.fac_dist = np.array(fac_dist, dtype=np.intp)
+        dist = np.array(list(distinct), dtype=np.intp).reshape(-1, 3).T.copy()
+        self.dist_param, self.dist_cos, self.dist_sin = dist
+        self.block_rows = max(1, _EVAL_WORK_BYTES // (8 * max(1, len(fac_dist))))
 
     @property
     def n_monomials(self) -> int:
         return self.mono_term.shape[0]
 
-    def coefficients(self, alphas: Sequence[float]) -> np.ndarray:
-        """c_P(alpha) per term, in term order."""
+    def _check_rows(self, alpha_rows) -> np.ndarray:
+        alpha_rows = np.asarray(alpha_rows, dtype=float)
+        if alpha_rows.ndim != 2 or alpha_rows.shape[1] != self.m:
+            raise DimensionError(
+                f"expected rows of {self.m} parameters, got shape {alpha_rows.shape}")
+        return alpha_rows
+
+    def _check_row(self, alphas) -> np.ndarray:
+        """One parameter point as a one-row block."""
         alphas = np.asarray(alphas, dtype=float)
         if alphas.shape != (self.m,):
             raise DimensionError(f"expected {self.m} parameters, got {alphas.shape}")
+        return alphas[np.newaxis]
+
+    def _monomial_blocks(self, alpha_rows: np.ndarray):
+        """Yield (row slice, monomial values of those rows) block by block."""
+        for start in range(0, alpha_rows.shape[0], self.block_rows):
+            rows = slice(start, start + self.block_rows)
+            block = alpha_rows[rows]
+            if self.m:
+                cos_v, sin_v = np.cos(block), np.sin(block)
+            else:  # only the dummy factor, read at param 0
+                cos_v, sin_v = np.ones((block.shape[0], 1)), np.zeros((block.shape[0], 1))
+            # exponents tiled to the block's shape: on a large broadcast numpy runs
+            # another power loop, which rounds some results differently
+            reps = (block.shape[0], 1)
+            dist = (cos_v[:, self.dist_param] ** np.tile(self.dist_cos, reps)
+                    * sin_v[:, self.dist_param] ** np.tile(self.dist_sin, reps))
+            yield rows, np.multiply.reduceat(dist[:, self.fac_dist], self.fac_starts, axis=1)
+
+    def coefficient_rows(self, alpha_rows: np.ndarray) -> np.ndarray:
+        """c_P(alpha) per row of ``alpha_rows`` and term, shape (rows, terms)."""
+        alpha_rows = self._check_rows(alpha_rows)
         n_terms = self.term_starts.shape[0] - 1
-        if self.n_monomials == 0:
-            return np.zeros(n_terms)
-        cos_v = np.cos(alphas) if self.m else np.ones(1)
-        sin_v = np.sin(alphas) if self.m else np.zeros(1)
-        factors = cos_v[self.fac_param] ** self.fac_cos * sin_v[self.fac_param] ** self.fac_sin
-        mono_vals = np.multiply.reduceat(factors, self.fac_starts)
-        coeffs = np.zeros(n_terms)
-        np.add.at(coeffs, self.mono_term, self.mono_weight * mono_vals)
-        return coeffs
+        out = np.zeros((alpha_rows.shape[0], n_terms))
+        for rows, mono_vals in self._monomial_blocks(alpha_rows):
+            # add.at sums each term's monomials in order, so every row comes out
+            # bitwise as if it were evaluated alone
+            flat = np.arange(mono_vals.shape[0])[:, np.newaxis] * n_terms + self.mono_term
+            np.add.at(out[rows].reshape(-1), flat.reshape(-1),
+                      (self.mono_weight * mono_vals).reshape(-1))
+        return out
+
+    def coefficients(self, alphas: Sequence[float]) -> np.ndarray:
+        """c_P(alpha) per term, in term order."""
+        return self.coefficient_rows(self._check_row(alphas))[0]
 
 
 @dataclass
@@ -682,6 +721,15 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_policy(fields: dict) -> TruncationPolicy:
+    """A policy read from JSON: integer (or null) cuts and a numeric coefficient floor."""
+    return TruncationPolicy(**{
+        key: _json_number(value) if key == "coeff_floor"
+        else None if value is None else _json_int(value)
+        for key, value in fields.items()
+    })
+
+
 def load_artifact(path) -> PropagatedObservable:
     """Read a ``save_artifact`` file; a malformed one raises ``ValidationError``."""
     path = str(path)
@@ -695,7 +743,7 @@ def load_artifact(path) -> PropagatedObservable:
     if doc.get("version") != ARTIFACT_VERSION:
         raise ValidationError(f"unsupported artifact version {doc.get('version')!r}")
     try:
-        n, mode, m = doc["n"], doc["mode"], doc["m"]
+        n, mode, m = _json_int(doc["n"]), doc["mode"], _json_int(doc["m"])
         if mode not in (NUMERIC, SYMBOLIC):
             raise ValidationError(f"unknown artifact mode {mode!r}")
         # one tuple per distinct (param, cos, sin) factor, shared by its monomials
@@ -730,13 +778,14 @@ def load_artifact(path) -> PropagatedObservable:
             n=n,
             mode=mode,
             terms=terms,
-            stats=PropagationStats(**doc["stats"]),
-            policy=TruncationPolicy(**doc["policy"]),
+            stats=PropagationStats(**{key: _json_int(value)
+                                      for key, value in doc["stats"].items()}),
+            policy=_json_policy(doc["policy"]),
             m=m,
-            n_rotations=doc["n_rotations"],
-            n_paulis_initial=doc["n_paulis_initial"],
+            n_rotations=_json_int(doc["n_rotations"]),
+            n_paulis_initial=_json_int(doc["n_paulis_initial"]),
         )
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:  # a missing or mistyped field
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # missing or mistyped
         raise ValidationError(f"malformed artifact: {exc!r}") from None

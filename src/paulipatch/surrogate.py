@@ -3,8 +3,12 @@
 The symbolic surrogate represents each surviving Pauli's coefficient as a sum
 of trigonometric monomials in the free parameters. ``SurrogateEvaluator`` and
 ``pauli_mean_squares`` both read it through one ``MonomialTable``, compiled
-once into flat index arrays, so repeated evaluations over a patch cost a
-handful of vectorized passes.
+once into flat index arrays that store each factor as an index into the
+table's few distinct (param, cos, sin) factors. A sweep over a patch runs on
+blocks of parameter rows: per row, the distinct factors are raised to their
+powers once, gathered per factor and multiplied per monomial, and the
+monomial values meet the overlap-weighted monomial weights in one
+matrix-vector product per block.
 
 Patch moments ``E[cos^p(a) sin^q(a)]`` over a ~ Unif[-r, r] have one closed
 form: t = sin^2(a) turns them into a complete beta function times a regularized
@@ -91,8 +95,9 @@ class SurrogateEvaluator(MonomialTable):
     """A symbolic surrogate's ``MonomialTable`` plus its initial-state overlaps.
 
     Overlaps d_P are computed once per Pauli at construction, aligned with
-    ``paulis`` and with ``coefficients``; each ``value`` call costs one pass
-    over the flattened factor table.
+    ``paulis`` and with ``coefficients``. ``values`` folds them into
+    per-monomial weights and takes one matrix-vector product per row block,
+    so no (rows, terms) coefficient matrix is held; ``value`` is its one-row case.
     """
 
     def __init__(self, po: PropagatedObservable, state: InitialState | None = None) -> None:
@@ -105,11 +110,16 @@ class SurrogateEvaluator(MonomialTable):
         )
 
     def value(self, alphas: Sequence[float]) -> float:
-        return float(self.d @ self.coefficients(alphas))
+        return float(self.values(self._check_row(alphas))[0])
 
     def values(self, alpha_rows: np.ndarray) -> np.ndarray:
-        alpha_rows = np.asarray(alpha_rows, dtype=float)
-        return np.array([self.value(row) for row in alpha_rows])
+        """Surrogate value sum_P d_P c_P(alpha) per row of ``alpha_rows``."""
+        alpha_rows = self._check_rows(alpha_rows)
+        weights = self.mono_weight * self.d[self.mono_term]
+        out = np.empty(alpha_rows.shape[0])
+        for rows, mono_vals in self._monomial_blocks(alpha_rows):
+            out[rows] = mono_vals @ weights
+        return out
 
 
 def evaluate(po: PropagatedObservable, alphas: Sequence[float],
@@ -171,20 +181,21 @@ def pauli_mean_squares(po: PropagatedObservable,
     if not dist.is_zero_centered:
         raise ConfigError("patch moments are defined for zero-centered patches")
     table = MonomialTable(po)
-    p_max = 2 * int(table.fac_cos.max(initial=0))
-    q_max = 2 * int(table.fac_sin.max(initial=0))
+    p_max = 2 * int(table.dist_cos.max(initial=0))
+    q_max = 2 * int(table.dist_sin.max(initial=0))
     # factor code c * (q_max + 1) + s: the sum of two codes indexes M[c_a + c_b, s_a + s_b]
-    fac_code = table.fac_cos * (q_max + 1) + table.fac_sin
+    fac_code = (table.dist_cos * (q_max + 1) + table.dist_sin)[table.fac_dist]
+    fac_param = table.dist_param[table.fac_dist]
     p_grid, q_grid = np.divmod(np.arange((p_max + 1) * (q_max + 1)), q_max + 1)
     # without free parameters only E[1] = 1 is looked up, at any half-width
     moments = _moments(p_grid, q_grid, dist.r) if p_max or q_max else np.ones(1)
-    fac_bounds = np.append(table.fac_starts, table.fac_param.shape[0])
+    fac_bounds = np.append(table.fac_starts, table.fac_dist.shape[0])
     fac_mono = np.repeat(np.arange(table.n_monomials), np.diff(fac_bounds))
     out: dict[PauliString, float] = {}
     for t_idx, pauli in enumerate(po.terms):
         lo, hi = table.term_starts[t_idx], table.term_starts[t_idx + 1]
         facs = slice(fac_bounds[lo], fac_bounds[hi])
-        support, cols = np.unique(table.fac_param[facs], return_inverse=True)
+        support, cols = np.unique(fac_param[facs], return_inverse=True)
         codes = np.zeros((hi - lo, support.shape[0]), dtype=np.intp)
         codes[fac_mono[facs] - lo, cols] = fac_code[facs]
         weights = table.mono_weight[lo:hi]

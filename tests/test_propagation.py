@@ -1041,13 +1041,27 @@ def test_numeric_doc_helper_loads(tmp_path):
     lambda doc: doc["terms"][-1]["monomials"][0].update(params=[[0, 0, 1], [0, 1, 0]]),
     lambda doc: doc["terms"][-1]["monomials"][0].update(params=[[1, 1, 0], [0, 1, 0]]),
     lambda doc: doc["terms"][0].update(pauli=5),
+    lambda doc: doc.update(m=2.5),
+    lambda doc: doc.update(n="1"),
+    lambda doc: doc.update(n_rotations="x"),
+    lambda doc: doc.update(n_paulis_initial=1.0),
+    lambda doc: doc["stats"].update(paths_expanded="3"),
+    lambda doc: doc["stats"].update(terms_final=None),
+    lambda doc: doc.update(stats=[1, 2]),
+    lambda doc: doc["policy"].update(kappa=True),
+    lambda doc: doc["policy"].update(path_cap=2.0),
+    lambda doc: doc["policy"].update(coeff_floor="0"),
+    lambda doc: doc["policy"].update(coeff_floor=None),
 ], ids=["negative-param", "param-at-m", "unknown-mode", "symbolic-term-in-numeric",
         "numeric-term-in-symbolic", "missing-sines", "missing-stats", "extra-policy-key",
         "extra-stats-key", "terms-not-a-list", "string-weight", "numeric-string-weight",
         "bool-weight", "string-sines", "bool-sines", "float-sines", "numeric-string-coeff",
         "numeric-bool-coeff", "numeric-string-sines", "duplicate-pauli",
         "numeric-duplicate-pauli", "fractional-exponent", "float-exponent", "bool-exponent",
-        "repeated-param", "unsorted-params", "int-pauli"])
+        "repeated-param", "unsorted-params", "int-pauli", "float-m", "string-n",
+        "string-n-rotations", "float-n-paulis-initial", "string-stats-counter",
+        "null-stats-counter", "stats-not-an-object", "bool-kappa", "float-path-cap",
+        "string-coeff-floor", "null-coeff-floor"])
 def test_load_artifact_rejects_malformed_files(tmp_path, corrupt):
     c = Circuit(1, 2, (Rotation("X", (0,), ParamRef.free(0)),
                        Rotation("Y", (0,), ParamRef.free(1))))

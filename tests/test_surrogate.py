@@ -12,6 +12,8 @@ from paulipatch import (
     Circuit,
     CliffordGate,
     ConfigError,
+    Dense,
+    DimensionError,
     HypothesisViolationError,
     ObservableSpec,
     ParamRef,
@@ -290,12 +292,33 @@ _KERNEL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
-def test_coefficients_match_per_row_reference(rng, case):
+def test_batched_kernel_matches_per_row_reference(rng, case):
     po = _KERNEL_CASES[case](rng)
-    ev = SurrogateEvaluator(po)
-    alphas = rng.uniform(-1.0, 1.0, size=(40, po.m))
+    amplitudes = rng.normal(size=2**po.n) + 1j * rng.normal(size=2**po.n)
+    ev = SurrogateEvaluator(po, Dense(amplitudes / np.linalg.norm(amplitudes)))
+    # two full row blocks and part of a third, except where a block is huge
+    rows = 2 * ev.block_rows + 3
+    assert rows <= 20_000 or case in ("no-monomials", "no-params")
+    alphas = rng.uniform(-1.0, 1.0, size=(min(rows, 20_000), po.m))
     ref = ref_coefficients(po, alphas)
-    assert all(np.array_equal(ev.coefficients(a), r) for a, r in zip(alphas, ref))
+    assert np.array_equal(ev.coefficient_rows(alphas), ref)
+    assert all(np.array_equal(ev.coefficients(a), r) for a, r in zip(alphas[:40], ref))
+    scale = float(np.abs(ev.mono_weight * ev.d[ev.mono_term]).sum())
+    assert np.all(np.abs(ev.values(alphas) - ref @ ev.d) <= 1e-14 * scale)
+    assert ev.value(alphas[-1]) == ev.values(alphas[-1:])[0]
+    empty = np.zeros((0, po.m))
+    assert ev.values(empty).shape == (0,)
+    assert ev.coefficient_rows(empty).shape == (0, len(po.terms))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 4), (0, 2), (1, 3, 1), ()])
+def test_values_needs_rows_of_m_parameters(shape):
+    ev = SurrogateEvaluator(_pinned_surrogate())
+    assert ev.m == 3
+    with pytest.raises(DimensionError):
+        ev.values(np.zeros(shape))
+    with pytest.raises(DimensionError):
+        ev.coefficient_rows(np.zeros(shape))
 
 
 # --- effective norms -----------------------------------------------------------------------
