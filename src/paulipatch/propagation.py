@@ -136,7 +136,7 @@ class MonomialTable:
     evaluates to 1, so every monomial owns a factor.
 
     Evaluation runs on blocks of ``block_rows`` parameter rows, sized so that
-    a block's per-factor array stays within ``_EVAL_WORK_BYTES``: per row, the
+    a block's per-factor array stays within a fixed 2 MiB: per row, the
     distinct factors are raised to their powers once, gathered per factor and
     multiplied per monomial.
     """

@@ -349,7 +349,7 @@ def test_avg_norm_matches_monte_carlo(rng):
     squares = pauli_mean_squares(po, PatchDistribution.centered(c.m, r))
     ev = SurrogateEvaluator(po)
     draws = rng.uniform(-r, r, size=(60000, c.m))
-    samples = np.array([ev.coefficients(a) for a in draws])
+    samples = ev.coefficient_rows(draws)
     for idx, pauli in enumerate(ev.paulis):
         values = samples[:, idx] ** 2
         stderr = values.std() / math.sqrt(len(values))
@@ -364,7 +364,7 @@ def test_worst_norm_upper_bounds_grid_search(rng):
     bounds = worst_case_coeff_bounds(po, r)
     ev = SurrogateEvaluator(po)
     draws = rng.uniform(-r, r, size=(3000, c.m))
-    maxima = np.abs(np.array([ev.coefficients(a) for a in draws])).max(axis=0)
+    maxima = np.abs(ev.coefficient_rows(draws)).max(axis=0)
     for idx, pauli in enumerate(ev.paulis):
         assert maxima[idx] <= bounds[pauli] + 1e-12
     assert effective_norm_worst(po, r) >= effective_norm_avg(
@@ -456,7 +456,7 @@ def test_shared_parameter_mean_squares_match_quadrature(r):
     squares = pauli_mean_squares(po, PatchDistribution.centered(1, r))
     ev = SurrogateEvaluator(po)
     nodes, weights = np.polynomial.legendre.leggauss(100)
-    coeffs = np.array([ev.coefficients([r * x]) for x in nodes])
+    coeffs = ev.coefficient_rows(r * nodes[:, np.newaxis])
     quad = weights @ coeffs**2 / 2
     assert list(squares) == ev.paulis
     for idx, pauli in enumerate(ev.paulis):
