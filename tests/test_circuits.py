@@ -205,6 +205,50 @@ def test_parse_rejects_bad_qubit_with_path():
     assert "gates[0].qubits[0]" in str(err.value)
 
 
+def _rotation_doc(**gate):
+    return {"n": 2, "m": 1,
+            "gates": [{"type": "rot", "pauli": "X", "qubits": [0], "param": 0},
+                      {"type": "rot", "pauli": "Z", "qubits": [1], **gate}]}
+
+
+@pytest.mark.parametrize("doc,path", [
+    ({**_rotation_doc(value=0.5), "n": True}, "n"),
+    ({**_rotation_doc(value=0.5), "n": 2.0}, "n"),
+    ({**_rotation_doc(value=0.5), "m": True}, "m"),
+    (_rotation_doc(value=0.5, qubits=[True]), "gates[1].qubits[0]"),
+    (_rotation_doc(value=0.5, qubits=[1.0]), "gates[1].qubits[0]"),
+    ({**_rotation_doc(param=True), "m": 2}, "gates[1].param"),
+    (_rotation_doc(param="0"), "gates[1].param"),
+    (_rotation_doc(value=True), "gates[1].value"),
+    (_rotation_doc(value="0.5"), "gates[1].value"),
+    ({"n": 2, "m": 0, "gates": [{"type": "clifford", "kind": "h", "qubits": [False]}]},
+     "gates[0].qubits[0]"),
+], ids=["bool-n", "float-n", "bool-m", "bool-qubit", "float-qubit", "bool-param",
+        "string-param", "bool-value", "string-value", "bool-clifford-qubit"])
+def test_parse_circuit_rejects_mistyped_numbers(doc, path):
+    with pytest.raises(ValidationError) as err:
+        parse_circuit(json.dumps(doc))
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "terms": 5},
+    {"n": 2, "terms": [{"pauli": "Z", "qubits": 5}]},
+    {"n": 2, "terms": [{"pauli": "Z", "qubits": [True]}]},
+    {"n": 2, "terms": [{"pauli": "Z", "qubits": [7]}]},
+    {"n": 2, "terms": [{"pauli": "ZZ", "coeff": True}]},
+    {"n": 2, "terms": [{"pauli": "ZZ", "coeff": "0.5"}]},
+    {"n": True, "terms": [{"pauli": "Z"}]},
+    {"n": 2.0, "terms": [{"pauli": "ZZ"}]},
+    {"terms": [{"pauli": "ZZ"}]},
+    [{"pauli": "ZZ"}],
+], ids=["int-terms", "int-qubits", "bool-qubit", "qubit-out-of-range", "bool-coeff",
+        "string-coeff", "bool-n", "float-n", "missing-n", "not-an-object"])
+def test_parse_observable_rejects_mistyped_fields(doc):
+    with pytest.raises(ValidationError):
+        parse_observable(json.dumps(doc))
+
+
 def test_builder_output_round_trips(rng):
     for seed in range(5):
         local = np.random.default_rng(seed)

@@ -136,6 +136,23 @@ def test_exit_code_validation_error(workdir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("which,document", [
+    ("observable", {"n": 4, "terms": [{"pauli": "Z", "qubits": 5}]}),
+    ("circuit", {"n": 4, "m": 0,
+                 "gates": [{"type": "rot", "pauli": "X", "qubits": [0], "value": True}]}),
+], ids=["int-observable-qubits", "bool-rotation-value"])
+def test_build_exits_2_on_mistyped_input(workdir, capsys, which, document):
+    files = {"circuit": workdir / "circ.json", "observable": workdir / "obs.json"}
+    files[which] = workdir / "bad.json"
+    files[which].write_text(json.dumps(document))
+    code = main(["build", "--circuit", str(files["circuit"]),
+                 "--observable", str(files["observable"]),
+                 "--out", str(workdir / "x.json")])
+    assert code == 2
+    assert "invalid input" in capsys.readouterr().err
+    assert not (workdir / "x.json").exists()
+
+
 def test_exit_code_policy_overflow(workdir, capsys):
     code = main(["build", "--circuit", str(workdir / "circ.json"),
                  "--observable", str(workdir / "obs.json"),

@@ -17,7 +17,13 @@ from paulipatch import (
     conjugate_clifford,
     multiply,
 )
-from paulipatch.pauli import CLIFFORD_1Q, CLIFFORD_2Q, gate_matrix
+from paulipatch.pauli import (
+    CLIFFORD_1Q,
+    CLIFFORD_2Q,
+    _local_pauli_matrix,
+    gate_matrix,
+    gate_table,
+)
 
 from conftest import dense_pauli
 
@@ -174,6 +180,34 @@ def test_two_qubit_tables_match_dense(kind):
         sp = conjugate_clifford(p, CliffordGate(kind, (0, 1)))
         expected = gate_mat.conj().T @ dense_pauli(p) @ gate_mat
         assert np.allclose(expected, sp.sign * dense_pauli(sp.pauli))
+
+
+def _searched_table(kind):
+    """Conjugation table found by trying every signed local Pauli per code."""
+    gate = gate_matrix(kind)
+    nq = 1 if gate.shape[0] == 2 else 2
+    size = 4**nq
+    out_code = np.zeros(size, dtype=np.uint64)
+    out_sign = np.zeros(size, dtype=np.int8)
+    for code in range(size):
+        conj = gate.conj().T @ _local_pauli_matrix(code, nq) @ gate
+        for cand, sign in itertools.product(range(size), (1, -1)):
+            if np.allclose(conj, sign * _local_pauli_matrix(cand, nq), atol=1e-12):
+                out_code[code] = cand
+                out_sign[code] = sign
+                break
+        else:
+            raise AssertionError(f"{kind} did not map code {code} to a signed Pauli")
+    return out_code, out_sign
+
+
+@pytest.mark.parametrize("kind", CLIFFORD_1Q + CLIFFORD_2Q)
+def test_conjugation_tables_match_searched_reference(kind):
+    codes, signs = gate_table(kind)
+    ref_codes, ref_signs = _searched_table(kind)
+    assert (codes.dtype, signs.dtype) == (ref_codes.dtype, ref_signs.dtype)
+    assert codes.tolist() == ref_codes.tolist()
+    assert signs.tolist() == ref_signs.tolist()
 
 
 def test_conjugation_leaves_off_support_letters(rng):

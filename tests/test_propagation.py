@@ -1,5 +1,6 @@
 """Back-propagation engines against the dense oracle and each other."""
 
+import gzip
 import json
 import math
 
@@ -1083,6 +1084,39 @@ def test_load_artifact_rejects_non_object_document(tmp_path, document):
     path.write_text(document)
     with pytest.raises(ValidationError):
         load_artifact(path)
+
+
+def _gzipped_artifact(tmp_path):
+    c = Circuit(1, 1, (Rotation("X", (0,), ParamRef.free(0)),))
+    po = backpropagate(c, ObservableSpec.single(PauliString.from_text("Z")), mode=SYMBOLIC)
+    path = tmp_path / "good.json.gz"
+    save_artifact(po, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("suffix,content", [
+    ("json", lambda good: b"{not json"),
+    ("json", lambda good: b""),
+    ("json", lambda good: b"\xff\xfe{}"),
+    ("json", lambda good: '{"format": "caf\u00e9"}'.encode("latin-1")),
+    ("json.gz", lambda good: good[:len(good) // 2]),
+    ("json.gz", lambda good: good[:-4]),
+    ("json.gz", lambda good: b"not gzip at all"),
+    ("json.gz", lambda good: good[:10] + bytes(b ^ 0xFF for b in good[10:])),
+    ("json.gz", lambda good: gzip.compress(b"{not json")),
+], ids=["not-json", "empty", "not-utf8", "latin-1", "truncated-gz", "gz-missing-trailer",
+        "not-gzip", "corrupt-gz", "gz-of-not-json"])
+def test_load_artifact_rejects_unreadable_files(tmp_path, suffix, content):
+    path = tmp_path / f"artifact.{suffix}"
+    path.write_bytes(content(_gzipped_artifact(tmp_path)))
+    with pytest.raises(ValidationError):
+        load_artifact(path)
+
+
+def test_load_artifact_passes_a_missing_file_through(tmp_path):
+    for name in ("missing.json", "missing.json.gz"):
+        with pytest.raises(FileNotFoundError):
+            load_artifact(tmp_path / name)
 
 
 def test_load_artifact_shares_factor_tuples(tmp_path, rng):

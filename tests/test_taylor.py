@@ -395,6 +395,21 @@ def test_surrogate_from_json_rejects_a_non_object_document():
         TaylorSurrogate.from_json(json.dumps([_taylor_doc()]))
 
 
+@pytest.mark.parametrize("document", [
+    "{not json",
+    "",
+    "[1, 2",
+    json.dumps({"format": "landscape-patch-surrogate", "version": 1}),
+    json.dumps({"version": 1}),
+    json.dumps({**_taylor_doc(), "format": "banana"}),
+    json.dumps({**_taylor_doc(), "format": None}),
+], ids=["not-json", "empty", "truncated", "artifact-format", "no-format", "wrong-format",
+        "null-format"])
+def test_surrogate_from_json_rejects_unreadable_text(document):
+    with pytest.raises(ValidationError):
+        TaylorSurrogate.from_json(document)
+
+
 def test_loss_oracle_validates_length():
     oracle = LossOracle(func=lambda a: 0.0, m=3)
     with pytest.raises(Exception):
