@@ -77,7 +77,6 @@ from .states import (
 )
 from .surrogate import (
     BoundReport,
-    PatchDistribution,
     SurrogateEvaluator,
     bound_correlated_avg,
     bound_mse_truncation,

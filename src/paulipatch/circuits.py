@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import documents
+from .documents import integer, number
 from .errors import DimensionError, ValidationError
 from .pauli import CliffordGate, ObservableSpec, PauliString
 
@@ -252,15 +254,14 @@ def ramp_value(kind: str, t: float, t_f: float) -> float:
 
 @dataclass(frozen=True)
 class RampSpec:
+    """An annealing ramp, evaluated at the end time of each Trotter layer."""
+
     kind: str
     t_f: float
-    sample: str = "end"  # g evaluated at layer end times (or "mid")
 
     def __post_init__(self) -> None:
         if self.kind not in RAMP_KINDS:
             raise ValidationError(f"unknown ramp kind {self.kind!r}")
-        if self.sample not in ("end", "mid"):
-            raise ValidationError(f"ramp sample must be 'end' or 'mid', got {self.sample!r}")
 
 
 def _as_coeff_array(value: float | Sequence[float], count: int, name: str) -> np.ndarray:
@@ -310,8 +311,7 @@ def build_tfi_trotter(
             g = 0.0
             x_scale, zz_scale = 1.0, 1.0
         else:
-            t = (layer - 0.5) * dt if ramp.sample == "mid" else layer * dt
-            g = ramp_value(ramp.kind, min(t, ramp.t_f), ramp.t_f)
+            g = ramp_value(ramp.kind, min(layer * dt, ramp.t_f), ramp.t_f)
             x_scale, zz_scale = 1.0 - g, g
 
         for site in range(top.n):
@@ -373,66 +373,45 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 def parse_circuit(document: str) -> Circuit:
     """Parse and structurally validate the circuit JSON schema."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "document must be an object", "$")
-    for key in ("n", "m", "gates"):
-        _require(key in doc, f"missing key {key!r}", "$")
-    n, m = doc["n"], doc["m"]
-    _require(isinstance(n, int) and n >= 0, "n must be a nonnegative integer", "n")
-    _require(isinstance(m, int) and m >= 0, "m must be a nonnegative integer", "m")
-    _require(isinstance(doc["gates"], list), "gates must be a list", "gates")
-
-    gates: list[Gate] = []
-    for i, raw in enumerate(doc["gates"]):
-        path = f"gates[{i}]"
-        _require(isinstance(raw, dict), "gate must be an object", path)
-        kind = raw.get("type")
-        _require(kind in ("clifford", "rot"), f"unknown gate type {kind!r}", path)
-        qubits = raw.get("qubits")
-        _require(
-            isinstance(qubits, list) and all(isinstance(q, int) for q in qubits),
-            "qubits must be a list of integers",
-            f"{path}.qubits",
-        )
-        for k, q in enumerate(qubits):
-            _require(0 <= q < n, f"qubit {q} out of range for n={n}", f"{path}.qubits[{k}]")
-        try:
-            if kind == "clifford":
-                gkind = raw.get("kind")
-                _require(gkind in _CLIFFORD_JSON_KINDS, f"unknown kind {gkind!r}", path)
-                gates.append(CliffordGate(gkind, tuple(qubits)))
-            else:
-                letters = raw.get("pauli")
-                _require(isinstance(letters, str), "pauli must be a string", f"{path}.pauli")
-                has_param = "param" in raw
-                has_value = "value" in raw
-                _require(has_param != has_value, "need exactly one of param/value", path)
-                if has_param:
-                    idx = raw["param"]
-                    _require(isinstance(idx, int), "param must be an integer", f"{path}.param")
-                    _require(0 <= idx < m, f"param index {idx} >= m={m}", f"{path}.param")
-                    ref = ParamRef.shared(idx) if raw.get("shared") else ParamRef.free(idx)
+    doc = documents.parse(document, "circuit")
+    with documents.fields("circuit"):
+        n, m = integer(doc["n"], "n"), integer(doc["m"], "m")
+        _require(n >= 0, "n must be nonnegative", "n")
+        _require(m >= 0, "m must be nonnegative", "m")
+        _require(isinstance(doc["gates"], list), "gates must be a list", "gates")
+        gates: list[Gate] = []
+        for i, raw in enumerate(doc["gates"]):
+            path = f"gates[{i}]"
+            _require(isinstance(raw, dict), "gate must be an object", path)
+            kind = raw.get("type")
+            _require(kind in ("clifford", "rot"), f"unknown gate type {kind!r}", path)
+            qubits = tuple(integer(q, f"{path}.qubits[{k}]")
+                           for k, q in enumerate(raw["qubits"]))
+            for k, q in enumerate(qubits):
+                _require(0 <= q < n, f"qubit {q} out of range for n={n}", f"{path}.qubits[{k}]")
+            try:
+                if kind == "clifford":
+                    gkind = raw.get("kind")
+                    _require(gkind in _CLIFFORD_JSON_KINDS, f"unknown kind {gkind!r}", path)
+                    gates.append(CliffordGate(gkind, qubits))
                 else:
-                    _require(
-                        isinstance(raw["value"], (int, float)),
-                        "value must be a number",
-                        f"{path}.value",
-                    )
-                    ref = ParamRef.fixed(float(raw["value"]))
-                gates.append(Rotation(letters, tuple(qubits), ref))
-        except ValidationError as exc:
-            if not exc.path:
-                raise ValidationError(str(exc), path=path) from None
-            raise
-    try:
+                    letters = raw.get("pauli")
+                    _require(isinstance(letters, str), "pauli must be a string", f"{path}.pauli")
+                    has_param = "param" in raw
+                    has_value = "value" in raw
+                    _require(has_param != has_value, "need exactly one of param/value", path)
+                    if has_param:
+                        idx = integer(raw["param"], f"{path}.param")
+                        _require(0 <= idx < m, f"param index {idx} >= m={m}", f"{path}.param")
+                        ref = ParamRef.shared(idx) if raw.get("shared") else ParamRef.free(idx)
+                    else:
+                        ref = ParamRef.fixed(number(raw["value"], f"{path}.value"))
+                    gates.append(Rotation(letters, qubits, ref))
+            except ValidationError as exc:
+                if not exc.path:
+                    raise ValidationError(str(exc), path=path) from None
+                raise
         return Circuit(n, m, tuple(gates))
-    except ValidationError:
-        raise
-    except Exception as exc:  # defensive: surface as validation failure
-        raise ValidationError(str(exc)) from None
 
 
 def observable_to_json(obs: ObservableSpec) -> str:
@@ -451,30 +430,27 @@ def observable_to_json(obs: ObservableSpec) -> str:
 
 def parse_observable(document: str, n: int | None = None) -> ObservableSpec:
     """Parse observable JSON; Pauli text may be dense or sparse ("Z0 Z1")."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from None
-    _require(isinstance(doc, dict) and "terms" in doc, "document needs a terms list", "$")
-    if n is None:
-        _require("n" in doc and isinstance(doc["n"], int), "missing qubit count n", "n")
-        n = doc["n"]
-    terms: list[tuple[PauliString, float]] = []
-    for i, raw in enumerate(doc["terms"]):
-        path = f"terms[{i}]"
-        _require(isinstance(raw, dict), "term must be an object", path)
-        text = raw.get("pauli")
-        _require(isinstance(text, str), "pauli must be a string", f"{path}.pauli")
-        coeff = raw.get("coeff", 1.0)
-        _require(isinstance(coeff, (int, float)), "coeff must be a number", f"{path}.coeff")
-        try:
-            if " " in text.strip() or re.match(r"^[IXYZixyz]\d", text.strip()):
-                pauli = PauliString.from_sparse(text, n)
-            elif "qubits" in raw:
-                pauli = PauliString.from_letters(text, raw["qubits"], n)
-            else:
-                pauli = PauliString.from_text(text, n)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), path=path) from None
-        terms.append((pauli, float(coeff)))
-    return ObservableSpec(tuple(terms))
+    doc = documents.parse(document, "observable")
+    with documents.fields("observable"):
+        if n is None:
+            n = integer(doc["n"], "n")
+        terms: list[tuple[PauliString, float]] = []
+        for i, raw in enumerate(doc["terms"]):
+            path = f"terms[{i}]"
+            _require(isinstance(raw, dict), "term must be an object", path)
+            text = raw.get("pauli")
+            _require(isinstance(text, str), "pauli must be a string", f"{path}.pauli")
+            coeff = number(raw.get("coeff", 1.0), f"{path}.coeff")
+            qubits = [integer(q, f"{path}.qubits[{k}]")
+                      for k, q in enumerate(raw.get("qubits", ()))]
+            try:
+                if " " in text.strip() or re.match(r"^[IXYZixyz]\d", text.strip()):
+                    pauli = PauliString.from_sparse(text, n)
+                elif "qubits" in raw:
+                    pauli = PauliString.from_letters(text, qubits, n)
+                else:
+                    pauli = PauliString.from_text(text, n)
+            except (ValidationError, DimensionError) as exc:
+                raise ValidationError(str(exc), path=path) from None
+            terms.append((pauli, coeff))
+        return ObservableSpec(tuple(terms))

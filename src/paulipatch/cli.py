@@ -23,9 +23,7 @@ import numpy as np
 
 from . import __version__
 from .circuits import (
-    Circuit,
     RampSpec,
-    Rotation,
     Topology,
     build_tfi_trotter,
     chain,
@@ -38,7 +36,6 @@ from .errors import (
     ConfigError,
     HypothesisViolationError,
     OracleCapError,
-    PauliPatchError,
     PolicyOverflowError,
     ValidationError,
 )
@@ -67,11 +64,7 @@ from .states import (
     exact_expectation_batch,
     overlap,
 )
-from .surrogate import (
-    SurrogateEvaluator,
-    bound_mse_truncation,
-    evaluate,
-)
+from .surrogate import SurrogateEvaluator, bound_mse_truncation
 from .taylor import (
     build_taylor,
     derivative_growth_gamma,

@@ -15,29 +15,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, OracleCapError, ValidationError
+from . import documents
+from .documents import integer, number
+from .errors import (
+    ConfigError,
+    DimensionError,
+    HypothesisViolationError,
+    OracleCapError,
+    ValidationError,
+)
 from .pauli import PauliString
-from .propagation import PropagatedObservable, _json_int, _json_number
-from .states import (
-    AllPlus,
-    AllZero,
-    Dense,
-    InitialState,
-    TrotterEvolvedZero,
-    block_rows,
-    overlap,
-    state_vector,
-)
-from .surrogate import (
-    BoundReport,
-    PatchDistribution,
-    pauli_mean_squares,
-    worst_case_coeff_bounds,
-)
+from .propagation import PropagatedObservable
+from .states import AllPlus, AllZero, InitialState, block_rows, overlap, state_vector
+from .surrogate import BoundReport, pauli_mean_squares, worst_case_coeff_bounds
 
 STRATEGIES = ("uniform", "abs-coeff", "eff1norm-avg", "eff1norm-worst")
 
@@ -111,7 +105,7 @@ def make_allocation(
         if surrogate is None or r is None:
             raise ConfigError(f"{strategy} needs a symbolic surrogate and half-width r")
         if strategy == "eff1norm-avg":
-            squares = pauli_mean_squares(surrogate, PatchDistribution.centered(surrogate.m, r))
+            squares = pauli_mean_squares(surrogate, r)
             weights = {p: math.sqrt(v) for p, v in squares.items()}
         else:
             weights = worst_case_coeff_bounds(surrogate, r)
@@ -151,22 +145,9 @@ class ShotRecords:
         return int(self.pauli_index[i]), int(self.outcomes[i]), i
 
 
-TruthSource = InitialState | Mapping[PauliString, float] | Callable[[PauliString], float]
-
-
-def _truth_value(truth: TruthSource, p: PauliString) -> float:
-    if isinstance(truth, (AllZero, AllPlus, Dense, TrotterEvolvedZero)):
-        return overlap(truth, p)
-    if isinstance(truth, Mapping):
-        if p not in truth:
-            raise ConfigError(f"truth table has no expectation for {p}")
-        return float(truth[p])
-    return float(truth(p))
-
-
-def simulate_direct(truth: TruthSource, plan: AllocationPlan, seed: int) -> ShotRecords:
-    """Draw plan.shots single-Pauli measurements from the true expectations."""
-    expectations = np.array([_truth_value(truth, p) for p in plan.paulis])
+def simulate_direct(state: InitialState, plan: AllocationPlan, seed: int) -> ShotRecords:
+    """Draw plan.shots single-Pauli measurements of ``state``."""
+    expectations = np.array([overlap(state, p) for p in plan.paulis])
     if np.any(np.abs(expectations) > 1 + 1e-9):
         raise ConfigError("true expectations must lie in [-1, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -346,8 +327,6 @@ def sample_complexity(kind: str, **inputs) -> BoundReport:
 
 def _check(cond: bool, message: str) -> None:
     if not cond:
-        from .errors import HypothesisViolationError
-
         raise HypothesisViolationError(message)
 
 
@@ -362,14 +341,7 @@ def _read_log(path, fmt: str) -> tuple[dict, bytes]:
     with open(path, "rb") as fh:
         line = fh.readline()
         payload = fh.read()
-    try:
-        header = json.loads(line.decode())
-    except ValueError:  # not UTF-8, or not JSON
-        raise ValidationError(f"{fmt} log header is not JSON") from None
-    if (not isinstance(header, dict) or header.get("format") != fmt
-            or header.get("version") != _LOG_VERSION):
-        raise ValidationError(f"not a version {_LOG_VERSION} {fmt} log")
-    return header, payload
+    return documents.parse(line, f"{fmt} log", fmt, _LOG_VERSION), payload
 
 
 def _records(payload: bytes, count: int, dtype: np.dtype, fmt: str) -> np.ndarray:
@@ -404,20 +376,18 @@ def save_shot_records(records: ShotRecords, plan: AllocationPlan, path) -> None:
 def load_shot_records(path) -> tuple[ShotRecords, AllocationPlan]:
     """Read a ``save_shot_records`` log; a malformed one raises ``ValidationError``."""
     header, payload = _read_log(path, "shot-records")
-    try:
-        table = _records(payload, _json_int(header["count"]), _SHOT_RECORD, "shot-records")
+    with documents.fields("shot-records header"):  # ConfigError is a ValueError
+        table = _records(payload, integer(header["count"], "count"), _SHOT_RECORD,
+                         "shot-records")
         if not isinstance(header["paulis"], list):
             raise ValidationError("shot-records paulis must be a JSON list")
         paulis = [PauliString.from_text(t) for t in header["paulis"]]
-        beta = [_json_number(b) for b in header["beta"]]
+        beta = [number(b) for b in header["beta"]]
         plan = AllocationPlan(tuple(zip(paulis, beta, strict=True)), header["strategy"],
-                              _json_int(header["shots"]))
+                              integer(header["shots"], "shots"))
         records = ShotRecords(table["index"].astype(np.uint32),
-                              table["outcome"].astype(np.int8), _json_int(header["stream"]))
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
-        raise ValidationError(f"malformed shot-records header: {exc!r}") from None
+                              table["outcome"].astype(np.int8),
+                              integer(header["stream"], "stream"))
     if records.pauli_index.max(initial=0) >= len(paulis):
         raise ValidationError(f"a shot measures a Pauli outside the {len(paulis)}-entry plan")
     return records, plan
@@ -441,15 +411,11 @@ def save_shadow_records(records: ShadowRecords, path) -> None:
 def load_shadow_records(path) -> ShadowRecords:
     """Read a ``save_shadow_records`` log; a malformed one raises ``ValidationError``."""
     header, payload = _read_log(path, "shadow-records")
-    try:
-        n = _json_int(header["n"])
+    with documents.fields("shadow-records header"):
+        n = integer(header["n"], "n")
         row = np.dtype((np.uint8, (n + -(-n // 8),)))  # bases, then packed bits
-        rows = _records(payload, _json_int(header["count"]), row, "shadow-records")
-        stream = _json_int(header["stream"])
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed shadow-records header: {exc!r}") from None
+        rows = _records(payload, integer(header["count"], "count"), row, "shadow-records")
+        stream = integer(header["stream"], "stream")
     if rows[:, :n].max(initial=0) >= len(_BASIS_LETTERS):
         raise ValidationError("a shadow record holds a basis code outside X, Y, Z")
     bits = np.unpackbits(rows[:, n:], axis=1)[:, :n]

@@ -214,28 +214,21 @@ def _build_table(kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Conjugation table for ``kind``: code -> (new code, sign).
 
     Codes pack the local letters of the gate's qubits, two bits per qubit
-    (x_bit + 2*z_bit), gate qubit 0 in the low bits.
+    (x_bit + 2*z_bit), gate qubit 0 in the low bits. The local Paulis Q are an
+    orthogonal basis, so C^dagger P C = sum_Q Tr(Q C^dagger P C) / d Q; for a
+    Clifford C exactly one coefficient is nonzero, and it is the sign.
     """
     gate = _GATE_MATRICES[kind]
     nq = 1 if gate.shape[0] == 2 else 2
     size = 4**nq
-    out_code = np.zeros(size, dtype=np.uint64)
-    out_sign = np.zeros(size, dtype=np.int8)
-    for code in range(size):
-        conj = gate.conj().T @ _local_pauli_matrix(code, nq) @ gate
-        for cand in range(size):
-            mat = _local_pauli_matrix(cand, nq)
-            for sign in (1, -1):
-                if np.allclose(conj, sign * mat, atol=1e-12):
-                    out_code[code] = cand
-                    out_sign[code] = sign
-                    break
-            else:
-                continue
-            break
-        else:  # pragma: no cover - would indicate a non-Clifford matrix
-            raise AssertionError(f"{kind} did not map code {code} to a signed Pauli")
-    return out_code, out_sign
+    paulis = np.stack([_local_pauli_matrix(code, nq) for code in range(size)])
+    conj = gate.conj().T @ paulis @ gate
+    expansion = np.einsum("qij,pji->pq", paulis, conj) / 2**nq  # [code, cand]
+    out_code = np.abs(expansion).argmax(axis=1)
+    out_sign = expansion[np.arange(size), out_code].real.round()
+    if not np.allclose(expansion, np.eye(size)[out_code] * out_sign[:, None], atol=1e-12):
+        raise AssertionError(f"{kind} does not map every code to a signed Pauli")
+    return out_code.astype(np.uint64), out_sign.astype(np.int8)
 
 
 _TABLES: dict[str, tuple[np.ndarray, np.ndarray]] = {

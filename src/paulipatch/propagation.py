@@ -33,13 +33,16 @@ from __future__ import annotations
 import gzip
 import json
 import math
+import zlib
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from typing import Sequence
 
 import numpy as np
 
+from . import documents
 from .circuits import Circuit
+from .documents import integer, number
 from .errors import (
     ConfigError,
     DimensionError,
@@ -707,25 +710,11 @@ def _term_doc(term: PropagatedTerm) -> dict:
     return doc
 
 
-def _json_number(value) -> float:
-    """A coefficient or weight read from JSON; strings and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"expected a JSON number, got {value!r}")
-    return float(value)
-
-
-def _json_int(value) -> int:
-    """A count or index read from JSON; floats, strings and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"expected a JSON integer, got {value!r}")
-    return value
-
-
 def _json_policy(fields: dict) -> TruncationPolicy:
     """A policy read from JSON: integer (or null) cuts and a numeric coefficient floor."""
     return TruncationPolicy(**{
-        key: _json_number(value) if key == "coeff_floor"
-        else None if value is None else _json_int(value)
+        key: number(value, f"policy.{key}") if key == "coeff_floor"
+        else None if value is None else integer(value, f"policy.{key}")
         for key, value in fields.items()
     })
 
@@ -734,16 +723,14 @@ def load_artifact(path) -> PropagatedObservable:
     """Read a ``save_artifact`` file; a malformed one raises ``ValidationError``."""
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        doc = json.loads(fh.read().decode())
-    if not isinstance(doc, dict):
-        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != ARTIFACT_FORMAT:
-        raise ValidationError(f"not a surrogate artifact: {doc.get('format')!r}")
-    if doc.get("version") != ARTIFACT_VERSION:
-        raise ValidationError(f"unsupported artifact version {doc.get('version')!r}")
     try:
-        n, mode, m = _json_int(doc["n"]), doc["mode"], _json_int(doc["m"])
+        with opener(path, "rb") as fh:
+            payload = fh.read()
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:  # truncated or corrupt gzip
+        raise ValidationError(f"unreadable gzip artifact: {exc!r}") from None
+    doc = documents.parse(payload, "surrogate artifact", ARTIFACT_FORMAT, ARTIFACT_VERSION)
+    with documents.fields("surrogate artifact"):
+        n, mode, m = integer(doc["n"], "n"), doc["mode"], integer(doc["m"], "m")
         if mode not in (NUMERIC, SYMBOLIC):
             raise ValidationError(f"unknown artifact mode {mode!r}")
         # one tuple per distinct (param, cos, sin) factor, shared by its monomials
@@ -755,16 +742,16 @@ def load_artifact(path) -> PropagatedObservable:
                 raise ValidationError(f"term {raw['pauli']} is listed twice")
             if ("coeff" in raw) != (mode == NUMERIC):
                 raise ValidationError(f"term {raw['pauli']} does not match mode {mode!r}")
-            sines = _json_int(raw["sines"])
+            sines = integer(raw["sines"])
             if mode == NUMERIC:
-                terms[p] = PropagatedTerm(p, coefficient=_json_number(raw["coeff"]),
+                terms[p] = PropagatedTerm(p, coefficient=number(raw["coeff"]),
                                           min_sine_count=sines)
                 continue
             monos = []
             for entry in raw["monomials"]:
                 keys = tuple(map(tuple, entry["params"]))
                 monos.append((PathMonomial(tuple(map(distinct.setdefault, keys, keys))),
-                              _json_number(entry["w"])))
+                              number(entry["w"])))
             terms[p] = PropagatedTerm(p, monomials=tuple(monos), min_sine_count=sines)
         # PathMonomial checks signs and order; the param bound is checked once per distinct
         # factor, and the JSON types over all entries (1.0 or true would share the tuple of 1)
@@ -778,14 +765,10 @@ def load_artifact(path) -> PropagatedObservable:
             n=n,
             mode=mode,
             terms=terms,
-            stats=PropagationStats(**{key: _json_int(value)
+            stats=PropagationStats(**{key: integer(value, f"stats.{key}")
                                       for key, value in doc["stats"].items()}),
             policy=_json_policy(doc["policy"]),
             m=m,
-            n_rotations=_json_int(doc["n_rotations"]),
-            n_paulis_initial=_json_int(doc["n_paulis_initial"]),
+            n_rotations=integer(doc["n_rotations"], "n_rotations"),
+            n_paulis_initial=integer(doc["n_paulis_initial"], "n_paulis_initial"),
         )
-    except ValidationError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # missing or mistyped
-        raise ValidationError(f"malformed artifact: {exc!r}") from None

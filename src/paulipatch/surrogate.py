@@ -10,10 +10,13 @@ powers once, gathered per factor and multiplied per monomial, and the
 monomial values meet the overlap-weighted monomial weights in one
 matrix-vector product per block.
 
-Patch moments ``E[cos^p(a) sin^q(a)]`` over a ~ Unif[-r, r] have one closed
-form: t = sin^2(a) turns them into a complete beta function times a regularized
-incomplete one, evaluated for a whole grid of (p, q) at once to near machine
-precision at any order; odd sine powers vanish identically. Because the
+A patch is given by its half-width ``r`` alone: the hypercube [-r, r]^m
+around the origin, so ``pauli_mean_squares`` and ``effective_norm_avg`` take
+``r`` as the worst-case bounds do. Patch moments ``E[cos^p(a) sin^q(a)]`` over
+a ~ Unif[-r, r] have one closed form: t = sin^2(a) turns them into a complete
+beta function times a regularized incomplete one, evaluated for a whole grid
+of (p, q) at once to near machine precision at any order; odd sine powers
+vanish identically. Because the
 parameters are independent, E[c_P^2] factors per parameter into products of
 these moments, summed exactly over all monomial pairs. It feeds the
 average-case effective 1-norm, which in turn drives shot allocation.
@@ -37,30 +40,6 @@ from .propagation import SYMBOLIC, MonomialTable, PropagatedObservable
 from .states import InitialState, overlap
 
 _MOMENT_WORK_BYTES = 32 << 20  # work arrays of one row block in pauli_mean_squares
-
-
-@dataclass(frozen=True)
-class PatchDistribution:
-    """Uniform distribution over the hypercube of half-width ``r`` at ``center``."""
-
-    center: tuple[float, ...]
-    r: float
-    kind: str = "uniform-hypercube"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.r < 0:
-            raise ConfigError(f"half-width must be >= 0, got {self.r}")
-        if self.kind != "uniform-hypercube":
-            raise ConfigError(f"unsupported patch kind {self.kind!r}")
-
-    @classmethod
-    def centered(cls, m: int, r: float) -> "PatchDistribution":
-        return cls(center=(0.0,) * m, r=r)
-
-    @property
-    def is_zero_centered(self) -> bool:
-        return all(c == 0.0 for c in self.center)
 
 
 @dataclass(frozen=True)
@@ -168,18 +147,18 @@ def trig_moment(p: int, q: int, r: float) -> float:
 # --- effective 1-norms ----------------------------------------------------------------
 
 
-def pauli_mean_squares(po: PropagatedObservable,
-                       dist: PatchDistribution) -> dict[PauliString, float]:
-    """E[c_P(alpha)^2] per surviving Pauli over a zero-centered patch, exactly.
+def pauli_mean_squares(po: PropagatedObservable, r: float) -> dict[PauliString, float]:
+    """E[c_P(alpha)^2] per surviving Pauli over the patch [-r, r]^m, exactly.
 
     With c_P = sum_a w_a prod_j cos^c_aj(a_j) sin^s_aj(a_j) and independent
-    uniform parameters, E[c_P^2] = sum_ab w_a w_b prod_j M[c_aj + c_bj, s_aj + s_bj]
-    with M[p, q] = ``trig_moment(p, q, r)``. Each Pauli's exponents are laid out
+    parameters uniform on [-r, r],
+    E[c_P^2] = sum_ab w_a w_b prod_j M[c_aj + c_bj, s_aj + s_bj] with
+    M[p, q] = ``trig_moment(p, q, r)``. Each Pauli's exponents are laid out
     densely over the parameters it depends on, and its monomial pairs are
     formed in row blocks whose work arrays stay within about 32 MB.
     """
-    if not dist.is_zero_centered:
-        raise ConfigError("patch moments are defined for zero-centered patches")
+    if r < 0:
+        raise ConfigError(f"half-width must be >= 0, got {r}")
     table = MonomialTable(po)
     p_max = 2 * int(table.dist_cos.max(initial=0))
     q_max = 2 * int(table.dist_sin.max(initial=0))
@@ -188,7 +167,7 @@ def pauli_mean_squares(po: PropagatedObservable,
     fac_param = table.dist_param[table.fac_dist]
     p_grid, q_grid = np.divmod(np.arange((p_max + 1) * (q_max + 1)), q_max + 1)
     # without free parameters only E[1] = 1 is looked up, at any half-width
-    moments = _moments(p_grid, q_grid, dist.r) if p_max or q_max else np.ones(1)
+    moments = _moments(p_grid, q_grid, r) if p_max or q_max else np.ones(1)
     fac_bounds = np.append(table.fac_starts, table.fac_dist.shape[0])
     fac_mono = np.repeat(np.arange(table.n_monomials), np.diff(fac_bounds))
     out: dict[PauliString, float] = {}
@@ -209,9 +188,9 @@ def pauli_mean_squares(po: PropagatedObservable,
     return out
 
 
-def effective_norm_avg(po: PropagatedObservable, dist: PatchDistribution) -> float:
-    """Average-case effective 1-norm sum_P sqrt(E[c_P^2]) over the patch."""
-    return float(sum(math.sqrt(v) for v in pauli_mean_squares(po, dist).values()))
+def effective_norm_avg(po: PropagatedObservable, r: float) -> float:
+    """Average-case effective 1-norm sum_P sqrt(E[c_P^2]) over the patch of half-width ``r``."""
+    return float(sum(math.sqrt(v) for v in pauli_mean_squares(po, r).values()))
 
 
 def worst_case_coeff_bounds(po: PropagatedObservable, r: float) -> dict[PauliString, float]:

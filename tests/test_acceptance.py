@@ -18,7 +18,6 @@ from paulipatch import (
     AllPlus,
     AllZero,
     ObservableSpec,
-    PatchDistribution,
     PauliString,
     RampSpec,
     SurrogateEvaluator,

@@ -14,7 +14,6 @@ from paulipatch import (
     Dense,
     HypothesisViolationError,
     ObservableSpec,
-    PatchDistribution,
     PauliString,
     Rotation,
     ParamRef,
@@ -153,7 +152,7 @@ def test_reweighting_mse_respects_effective_norm_bound(rng):
     from paulipatch import SurrogateEvaluator, effective_norm_avg
 
     ev = SurrogateEvaluator(po, AllPlus(1))
-    norm_avg = effective_norm_avg(po, PatchDistribution.centered(1, r))
+    norm_avg = effective_norm_avg(po, r)
     sq_errors = []
     for rep in range(300):
         records = simulate_direct(AllPlus(1), plan, seed=1000 + rep)
@@ -396,9 +395,11 @@ def _edit_header(path, edit):
     lambda h: h.update(beta=[0.7]),
     lambda h: h.update(beta=[0.6, 0.3]),
     lambda h: h.update(strategy="banana"),
+    lambda h: h.update(version=True),
 ], ids=["not-json", "not-object", "missing-paulis", "missing-stream", "string-count",
         "float-count", "string-stream", "bool-shots", "int-paulis", "string-paulis",
-        "string-beta", "short-beta", "beta-not-normalized", "unknown-strategy"])
+        "string-beta", "short-beta", "beta-not-normalized", "unknown-strategy",
+        "bool-version"])
 def test_shot_log_rejects_malformed_header(tmp_path, edit):
     plan = make_allocation("abs-coeff", 4, coeffs={Z1: 0.7, X1: 0.3})
     path = tmp_path / "shots.bin"

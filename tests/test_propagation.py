@@ -169,17 +169,16 @@ def test_patch_mean_norm_monotone_in_kappa():
     patch-averaged one, which path orthogonality makes exact for
     free-parameter circuits.
     """
-    from paulipatch import PatchDistribution, pauli_mean_squares
+    from paulipatch import pauli_mean_squares
 
     rng = np.random.default_rng(31)
     c = random_mixed_circuit(rng, n=4, n_rot=9)
     obs = random_observable(rng, 4, terms=2)
-    dist = PatchDistribution.centered(c.m, 0.3)
     target = sum(coeff**2 for _, coeff in obs.terms)
     means = []
     for kappa in (0, 1, 2, 3, None):
         po = backpropagate(c, obs, TruncationPolicy(kappa=kappa), mode=SYMBOLIC)
-        squares = pauli_mean_squares(po, dist)
+        squares = pauli_mean_squares(po, 0.3)
         means.append(sum(squares.values()))
     for a, b in zip(means, means[1:]):
         assert a <= b + 1e-12
@@ -1053,6 +1052,7 @@ def test_numeric_doc_helper_loads(tmp_path):
     lambda doc: doc["policy"].update(path_cap=2.0),
     lambda doc: doc["policy"].update(coeff_floor="0"),
     lambda doc: doc["policy"].update(coeff_floor=None),
+    lambda doc: doc.update(version=True),
 ], ids=["negative-param", "param-at-m", "unknown-mode", "symbolic-term-in-numeric",
         "numeric-term-in-symbolic", "missing-sines", "missing-stats", "extra-policy-key",
         "extra-stats-key", "terms-not-a-list", "string-weight", "numeric-string-weight",
@@ -1062,7 +1062,7 @@ def test_numeric_doc_helper_loads(tmp_path):
         "repeated-param", "unsorted-params", "int-pauli", "float-m", "string-n",
         "string-n-rotations", "float-n-paulis-initial", "string-stats-counter",
         "null-stats-counter", "stats-not-an-object", "bool-kappa", "float-path-cap",
-        "string-coeff-floor", "null-coeff-floor"])
+        "string-coeff-floor", "null-coeff-floor", "bool-version"])
 def test_load_artifact_rejects_malformed_files(tmp_path, corrupt):
     c = Circuit(1, 2, (Rotation("X", (0,), ParamRef.free(0)),
                        Rotation("Y", (0,), ParamRef.free(1))))

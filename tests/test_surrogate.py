@@ -17,7 +17,6 @@ from paulipatch import (
     HypothesisViolationError,
     ObservableSpec,
     ParamRef,
-    PatchDistribution,
     PauliString,
     Rotation,
     SurrogateEvaluator,
@@ -328,16 +327,16 @@ def test_zero_gate_norms_equal_norm1():
     obs = ObservableSpec(((PauliString.from_text("XI"), 0.7),
                           (PauliString.from_text("ZZ"), -0.2)))
     po = backpropagate(Circuit(2, 0, ()), obs, mode=SYMBOLIC)
-    dist = PatchDistribution.centered(0, 0.1)
-    assert effective_norm_avg(po, dist) == pytest.approx(0.9)
+    assert effective_norm_avg(po, 0.1) == pytest.approx(0.9)
     assert effective_norm_worst(po, 0.1) == pytest.approx(0.9)
+    with pytest.raises(ConfigError):
+        pauli_mean_squares(po, -0.1)
 
 
 def test_single_rotation_norm_closed_forms():
     _, _, po = single_rz_surrogate()
-    dist = PatchDistribution.centered(1, 0.1)
     want = math.sqrt(trig_moment(2, 0, 0.1)) + math.sqrt(trig_moment(0, 2, 0.1))
-    assert effective_norm_avg(po, dist) == pytest.approx(want, abs=1e-14)
+    assert effective_norm_avg(po, 0.1) == pytest.approx(want, abs=1e-14)
     assert effective_norm_worst(po, 0.1) == pytest.approx(1 + math.sin(0.1), abs=1e-14)
 
 
@@ -346,7 +345,7 @@ def test_avg_norm_matches_monte_carlo(rng):
     obs = random_observable(rng, 3)
     po = backpropagate(c, obs, TruncationPolicy(kappa=3), mode=SYMBOLIC)
     r = 0.4
-    squares = pauli_mean_squares(po, PatchDistribution.centered(c.m, r))
+    squares = pauli_mean_squares(po, r)
     ev = SurrogateEvaluator(po)
     draws = rng.uniform(-r, r, size=(60000, c.m))
     samples = ev.coefficient_rows(draws)
@@ -367,8 +366,7 @@ def test_worst_norm_upper_bounds_grid_search(rng):
     maxima = np.abs(ev.coefficient_rows(draws)).max(axis=0)
     for idx, pauli in enumerate(ev.paulis):
         assert maxima[idx] <= bounds[pauli] + 1e-12
-    assert effective_norm_worst(po, r) >= effective_norm_avg(
-        po, PatchDistribution.centered(c.m, r)) - 1e-12
+    assert effective_norm_worst(po, r) >= effective_norm_avg(po, r) - 1e-12
 
 
 def test_avg_norm_respects_printed_bound(rng):
@@ -381,7 +379,7 @@ def test_avg_norm_respects_printed_bound(rng):
     m = len(c.rotations)
     r = 0.2
     assert kappa <= m * r
-    avg = effective_norm_avg(po, PatchDistribution.centered(c.m, r))
+    avg = effective_norm_avg(po, r)
     worst = effective_norm_worst(po, r)
     assert avg <= worst + 1e-12
     assert worst <= obs.norm1 * (math.e * m * r / kappa) ** kappa
@@ -438,7 +436,7 @@ def _moment_reference_surrogate(case):
 def test_mean_squares_match_pairwise_reference(case, r):
     po = _moment_reference_surrogate(case)
     assert max(len(t.monomials) for t in po.terms.values()) > 1
-    squares = pauli_mean_squares(po, PatchDistribution.centered(po.m, r))
+    squares = pauli_mean_squares(po, r)
     want = _pairwise_mean_squares(po, r)
     assert list(squares) == list(want)
     for pauli, value in want.items():
@@ -453,7 +451,7 @@ def test_shared_parameter_mean_squares_match_quadrature(r):
     obs = ObservableSpec.single(PauliString.from_sparse("Z4", 9))
     po = backpropagate(c, obs, TruncationPolicy(kappa=6), mode=SYMBOLIC)
     assert (c.m, len(c.rotations)) == (1, 84)
-    squares = pauli_mean_squares(po, PatchDistribution.centered(1, r))
+    squares = pauli_mean_squares(po, r)
     ev = SurrogateEvaluator(po)
     nodes, weights = np.polynomial.legendre.leggauss(100)
     coeffs = ev.coefficient_rows(r * nodes[:, np.newaxis])
@@ -461,12 +459,6 @@ def test_shared_parameter_mean_squares_match_quadrature(r):
     assert list(squares) == ev.paulis
     for idx, pauli in enumerate(ev.paulis):
         assert squares[pauli] == pytest.approx(quad[idx], rel=1e-12, abs=0.0), pauli
-
-
-def test_nonzero_center_rejected():
-    _, _, po = single_rz_surrogate()
-    with pytest.raises(ConfigError):
-        pauli_mean_squares(po, PatchDistribution(center=(0.3,), r=0.1))
 
 
 # --- bound calculators -----------------------------------------------------------------------
