@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, Rotation
 from .errors import DimensionError, OracleCapError, ValidationError
 from .pauli import (
     CLIFFORD_1Q,
