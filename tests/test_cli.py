@@ -153,6 +153,28 @@ def test_build_exits_2_on_mistyped_input(workdir, capsys, which, document):
     assert not (workdir / "x.json").exists()
 
 
+@pytest.mark.parametrize("center,code", [
+    ("[0.01, 0, 0, 0, -0.01]", 0),
+    ("{not json", 2),
+    ("[true, 0, 0, 0, 0]", 2),
+    ('["0", 0, 0, 0, 0]', 2),
+    ('{"center": [0, 0, 0, 0, 0]}', 2),
+    ("[0, 0]", 2),
+], ids=["valid", "not-json", "bool-entry", "string-entry", "object", "short"])
+def test_taylor_center_file(workdir, capsys, center, code):
+    circuit = build_tfi_trotter(grid(1, 3), layers=1, dt=0.1, binding="free")
+    assert circuit.m == 5
+    (workdir / "circ3.json").write_text(circuit_to_json(circuit))
+    obs = ObservableSpec.single(PauliString.from_sparse("Z1", 3))
+    (workdir / "obs3.json").write_text(observable_to_json(obs))
+    (workdir / "center.json").write_text(center)
+    assert main(["taylor", "--circuit", str(workdir / "circ3.json"),
+                 "--observable", str(workdir / "obs3.json"),
+                 "--center", str(workdir / "center.json"), "--order", "1",
+                 "--scan-points", "4", "--out", str(workdir / "ts.json")]) == code
+    assert ("invalid input" in capsys.readouterr().err) == (code == 2)
+
+
 def test_exit_code_policy_overflow(workdir, capsys):
     code = main(["build", "--circuit", str(workdir / "circ.json"),
                  "--observable", str(workdir / "obs.json"),
