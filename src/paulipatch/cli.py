@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, documents
 from .circuits import (
     RampSpec,
     Topology,
@@ -324,8 +324,10 @@ def cmd_taylor(args) -> int:
     circuit = parse_circuit(_read(args.circuit))
     obs = parse_observable(_read(args.observable), n=circuit.n)
     state = _load_state(args.state, circuit.n)
-    center = (np.asarray(json.loads(_read(args.center)), dtype=float)
+    center = (np.array(documents.numbers(_read(args.center), "center"))
               if args.center else np.zeros(circuit.m))
+    if center.shape != (circuit.m,):
+        raise ValidationError(f"center has {center.shape[0]} entries, expected {circuit.m}")
     oracle = (sampled_oracle(circuit, obs, state, args.shots, args.seed)
               if args.shots else exact_oracle(circuit, obs, state))
 

@@ -1,12 +1,14 @@
 """One reader for the JSON documents the package loads.
 
-Circuits and observables come in as JSON, surrogate artifacts and Taylor
-surrogates go out and come back as JSON, and every measurement record log
-starts with a JSON header line. All of them are read through this module, so
-a malformed document raises ``ValidationError`` whichever loader reads it:
+Circuits, observables and parameter points come in as JSON, surrogate
+artifacts and Taylor surrogates go out and come back as JSON, and every
+measurement record log starts with a JSON header line. All of them are read
+through this module, so a malformed document raises ``ValidationError``
+whichever loader reads it, and the command line exits with code 2:
 
 * ``parse`` decodes UTF-8 JSON text into an object and checks its
-  ``format`` tag and ``version``;
+  ``format`` tag and ``version``; ``numbers`` decodes a list of numbers,
+  such as the centre point of a Taylor patch;
 * ``integer`` and ``number`` read one count or one value, refusing booleans
   (which JSON would otherwise hand over as 1 and 0) and strings;
 * ``fields`` reports what a missing or mistyped field makes the reading code
@@ -21,12 +23,16 @@ from contextlib import contextmanager
 from .errors import ValidationError
 
 
-def parse(text: str | bytes, what: str, fmt: str | None = None, version: int = 1) -> dict:
-    """The JSON object in ``text``; with ``fmt``, its format tag and version are checked."""
+def _decode(text: str | bytes, what: str):
     try:
-        doc = json.loads(text.decode() if isinstance(text, bytes) else text)
+        return json.loads(text.decode() if isinstance(text, bytes) else text)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValidationError(f"{what} is not UTF-8 JSON: {exc}") from None
+
+
+def parse(text: str | bytes, what: str, fmt: str | None = None, version: int = 1) -> dict:
+    """The JSON object in ``text``; with ``fmt``, its format tag and version are checked."""
+    doc = _decode(text, what)
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
     if fmt is not None:
@@ -50,6 +56,14 @@ def number(value, path: str = "") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"expected a number, got {value!r}", path)
     return float(value)
+
+
+def numbers(text: str | bytes, what: str) -> list[float]:
+    """The JSON list of numbers in ``text``, such as a parameter point."""
+    values = _decode(text, what)
+    if not isinstance(values, list):
+        raise ValidationError(f"{what} must be a JSON list, got {type(values).__name__}")
+    return [number(value, f"{what}[{k}]") for k, value in enumerate(values)]
 
 
 @contextmanager

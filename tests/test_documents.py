@@ -5,7 +5,7 @@ import json
 import pytest
 
 from paulipatch import ValidationError
-from paulipatch.documents import fields, integer, number, parse
+from paulipatch.documents import fields, integer, number, numbers, parse
 
 
 def test_parse_returns_the_object_of_str_or_utf8_bytes():
@@ -45,6 +45,21 @@ def test_integer_and_number_pass_values_through():
     assert integer(-3) == -3 and type(integer(7)) is int
     assert number(2) == 2.0 and type(number(2)) is float
     assert number(-0.25) == -0.25
+
+
+def test_numbers_reads_a_list_of_numbers():
+    assert numbers("[1, -0.5, 2e-3]", "center") == [1.0, -0.5, 0.002]
+    assert numbers(b"[]", "center") == []
+
+
+@pytest.mark.parametrize("text,path", [
+    ("{not json", ""), ('{"center": [1]}', ""), ("1.5", ""), ("[1, true]", "center[1]"),
+    ('["0.5"]', "center[0]"), ("[[1]]", "center[0]"),
+], ids=["not-json", "object", "scalar", "bool-entry", "string-entry", "nested"])
+def test_numbers_rejects(text, path):
+    with pytest.raises(ValidationError) as err:
+        numbers(text, "center")
+    assert err.value.path == path
 
 
 @pytest.mark.parametrize("error", [AttributeError, KeyError, TypeError, ValueError])
