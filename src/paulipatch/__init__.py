@@ -48,9 +48,7 @@ from .pauli import (
     CliffordGate,
     ObservableSpec,
     PauliString,
-    SignedPauli,
     commutes,
-    conjugate_clifford,
     multiply,
 )
 from .propagation import (

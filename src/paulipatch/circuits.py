@@ -403,7 +403,10 @@ def parse_circuit(document: str) -> Circuit:
                     if has_param:
                         idx = integer(raw["param"], f"{path}.param")
                         _require(0 <= idx < m, f"param index {idx} >= m={m}", f"{path}.param")
-                        ref = ParamRef.shared(idx) if raw.get("shared") else ParamRef.free(idx)
+                        shared = raw.get("shared", False)
+                        _require(isinstance(shared, bool), "shared must be a boolean",
+                                 f"{path}.shared")
+                        ref = ParamRef.shared(idx) if shared else ParamRef.free(idx)
                     else:
                         ref = ParamRef.fixed(number(raw["value"], f"{path}.value"))
                     gates.append(Rotation(letters, qubits, ref))

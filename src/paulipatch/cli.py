@@ -141,7 +141,10 @@ def _load_state(spec: str, n: int):
     if spec == "all-plus":
         return AllPlus(n)
     if spec.startswith("dense:"):
-        return Dense.from_binary_file(spec[len("dense:"):])
+        state = Dense.from_binary_file(spec[len("dense:"):])
+        if state.n != n:
+            raise ValidationError(f"dense state has n={state.n}, expected {n}")
+        return state
     if spec.startswith("trotter:"):
         prep = parse_circuit(_read(spec[len("trotter:"):]))
         if prep.n != n:

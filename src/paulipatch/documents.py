@@ -10,7 +10,10 @@ whichever loader reads it, and the command line exits with code 2:
   ``format`` tag and ``version``; ``numbers`` decodes a list of numbers,
   such as the centre point of a Taylor patch;
 * ``integer`` and ``number`` read one count or one value, refusing booleans
-  (which JSON would otherwise hand over as 1 and 0) and strings;
+  (which JSON would otherwise hand over as 1 and 0) and strings, and
+  ``number`` refuses the ``NaN`` and ``Infinity`` that ``json`` reads although
+  JSON has neither; ``integer_array`` and ``number_array`` read a list of them
+  into a numpy array at once;
 * ``fields`` reports what a missing or mistyped field makes the reading code
   raise as ``ValidationError``.
 """
@@ -18,7 +21,10 @@ whichever loader reads it, and the command line exits with code 2:
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -30,8 +36,12 @@ def _decode(text: str | bytes, what: str):
         raise ValidationError(f"{what} is not UTF-8 JSON: {exc}") from None
 
 
-def parse(text: str | bytes, what: str, fmt: str | None = None, version: int = 1) -> dict:
-    """The JSON object in ``text``; with ``fmt``, its format tag and version are checked."""
+def parse(text: str | bytes, what: str, fmt: str | None = None,
+          version: int | tuple[int, ...] = 1) -> dict:
+    """The JSON object in ``text``; with ``fmt``, its format tag and version are checked.
+
+    ``version`` is the one version read, or a tuple of the versions read.
+    """
     doc = _decode(text, what)
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -39,7 +49,8 @@ def parse(text: str | bytes, what: str, fmt: str | None = None, version: int = 1
         if doc.get("format") != fmt:
             raise ValidationError(f"not a {what}: format {doc.get('format')!r}")
         found = doc.get("version")
-        if isinstance(found, bool) or found != version:  # true would equal version 1
+        versions = version if isinstance(version, tuple) else (version,)
+        if isinstance(found, bool) or found not in versions:  # true would equal version 1
             raise ValidationError(f"unsupported {what} version {found!r}")
     return doc
 
@@ -52,10 +63,33 @@ def integer(value, path: str = "") -> int:
 
 
 def number(value, path: str = "") -> float:
-    """A coefficient, weight or angle: a JSON number, not a string or boolean."""
+    """A coefficient, weight or angle: a finite JSON number, not a string or boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"expected a number, got {value!r}", path)
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {value!r}", path)
+    return value
+
+
+def integer_array(values, path: str = "") -> np.ndarray:
+    """A JSON list of integers as an int64 array."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise ValidationError("expected a list of integers", path)
+    return np.array(values, dtype=np.int64)
+
+
+def number_array(values, path: str = "") -> np.ndarray:
+    """A JSON list of finite numbers as a float64 array."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValidationError("expected a list of numbers", path)
+    array = np.array(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValidationError("expected finite numbers, got NaN or Infinity", path)
+    return array
 
 
 def numbers(text: str | bytes, what: str) -> list[float]:
@@ -73,5 +107,5 @@ def fields(what: str):
         yield
     except ValidationError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {what}: {exc!r}") from None

@@ -132,18 +132,6 @@ class PauliString:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class SignedPauli:
-    """A Pauli string with an exact +/-1 sign."""
-
-    pauli: PauliString
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValidationError(f"sign must be +1 or -1, got {self.sign!r}")
-
-
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the symplectic inner product parity of ``p`` and ``q`` is even."""
     if p.n != q.n:
@@ -304,15 +292,6 @@ def conjugate_masks(x: int, z: int, gate: CliffordGate) -> tuple[int, int, int]:
         x = (x & ~bit) | (((new_code >> (2 * j)) & 1) << q)
         z = (z & ~bit) | (((new_code >> (2 * j + 1)) & 1) << q)
     return x, z, int(signs[code])
-
-
-def conjugate_clifford(p: PauliString, gate: CliffordGate) -> SignedPauli:
-    """Heisenberg map ``C^dagger P C`` via lookup tables on the gate support."""
-    for q in gate.qubits:
-        if not 0 <= q < p.n:
-            raise DimensionError(f"gate qubit {q} out of range for n={p.n}")
-    x, z, sign = conjugate_masks(p.x, p.z, gate)
-    return SignedPauli(PauliString(p.n, x, z), sign)
 
 
 # --- Observables ----------------------------------------------------------------

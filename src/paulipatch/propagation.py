@@ -12,6 +12,13 @@ vectorized numpy, so wide circuits (127 qubits, 10^4 gates) stay cheap.
   angles multiply in numerically without consuming a monomial slot. This is
   the landscape surrogate.
 
+A symbolic surrogate is stored as one ``MonomialTable``, built straight from
+the final frontier's rows: flat arrays of monomial weights and factors, in
+term order. Evaluation, patch moments, worst-case bounds, sine-order
+restriction and the artifact file all work on that table.
+``PropagatedTerm.monomials`` is a read-only view of ``PathMonomial`` tuples,
+built from the table only when it is read.
+
 Truncation is decided at split time: a sine branch is dropped when its path
 sine order would exceed ``kappa``, its Pauli weight would exceed
 ``max_weight``, or (numeric mode) its coefficient falls below the floor.
@@ -34,8 +41,8 @@ import gzip
 import json
 import math
 import zlib
-from dataclasses import dataclass, replace
-from itertools import chain, groupby
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -91,7 +98,11 @@ class TruncationPolicy:
 
 @dataclass(frozen=True)
 class PathMonomial:
-    """Product of cos/sin powers over parameter slots, sign folded into weight."""
+    """Product of cos/sin powers over parameter slots, sign folded into weight.
+
+    The item type of the read-only ``PropagatedTerm.monomials`` view; the
+    surrogate itself is stored as a ``MonomialTable``.
+    """
 
     factors: MonoKey = ()
 
@@ -110,25 +121,13 @@ class PathMonomial:
         return sum(s for _, _, s in self.factors)
 
 
-@dataclass(frozen=True)
-class PropagatedTerm:
-    """One surviving Pauli: a merged coefficient or a monomial expansion."""
-
-    pauli: PauliString
-    coefficient: float | None = None
-    min_sine_count: int | None = None
-    monomials: tuple[tuple[PathMonomial, float], ...] | None = None
-
-    def __post_init__(self) -> None:
-        numeric = self.coefficient is not None
-        if numeric == (self.monomials is not None):
-            raise ValidationError("term must be numeric xor symbolic")
-        if numeric and not math.isfinite(self.coefficient):
-            raise ValidationError(f"non-finite coefficient for {self.pauli}")
-
-
 class MonomialTable:
     """A symbolic surrogate's monomials as flat arrays, in term order.
+
+    This is the surrogate's one stored form: ``backpropagate`` builds it from
+    the engine's frontier, artifacts save and load its columns, and
+    evaluation, patch moments, worst-case bounds and sine-order restriction
+    read it.
 
     Term ``t`` owns monomials ``term_starts[t]:term_starts[t + 1]``; monomial
     ``k`` has weight ``mono_weight[k]`` and its factors start at ``fac_starts[k]``.
@@ -144,33 +143,91 @@ class MonomialTable:
     multiplied per monomial.
     """
 
-    def __init__(self, po: PropagatedObservable) -> None:
-        if po.mode != SYMBOLIC:
-            raise ConfigError("monomial tables require a symbolic surrogate")
-        self.m = po.m
-        term_starts: list[int] = [0]
-        mono_term: list[int] = []
-        mono_weight: list[float] = []
-        fac_starts: list[int] = []
-        fac_dist: list[int] = []
-        distinct: dict[tuple[int, int, int], int] = {}
-        for t_idx, term in enumerate(po.terms.values()):
-            for mono, weight in term.monomials:
-                mono_term.append(t_idx)
-                mono_weight.append(weight)
-                fac_starts.append(len(fac_dist))
-                # a constant monomial gets one dummy factor that evaluates to 1
-                for factor in mono.factors or ((0, 0, 0),):
-                    fac_dist.append(distinct.setdefault(factor, len(distinct)))
-            term_starts.append(len(mono_term))
-        self.term_starts = np.array(term_starts, dtype=np.intp)
-        self.mono_term = np.array(mono_term, dtype=np.intp)
-        self.mono_weight = np.array(mono_weight)
-        self.fac_starts = np.array(fac_starts, dtype=np.intp)
-        self.fac_dist = np.array(fac_dist, dtype=np.intp)
-        dist = np.array(list(distinct), dtype=np.intp).reshape(-1, 3).T.copy()
-        self.dist_param, self.dist_cos, self.dist_sin = dist
-        self.block_rows = max(1, _EVAL_WORK_BYTES // (8 * max(1, len(fac_dist))))
+    def __init__(self, m: int, term_starts: np.ndarray, mono_weight: np.ndarray,
+                 fac_starts: np.ndarray, fac_dist: np.ndarray, dist_param: np.ndarray,
+                 dist_cos: np.ndarray, dist_sin: np.ndarray) -> None:
+        self.m = m
+        self.term_starts = term_starts
+        self.mono_weight = mono_weight
+        self.fac_starts = fac_starts
+        self.fac_dist = fac_dist
+        self.dist_param, self.dist_cos, self.dist_sin = dist_param, dist_cos, dist_sin
+        self.mono_term = np.repeat(np.arange(term_starts.shape[0] - 1), np.diff(term_starts))
+        self.block_rows = max(1, _EVAL_WORK_BYTES // (8 * max(1, fac_dist.shape[0])))
+        self._monomials: tuple | None = None
+
+    @classmethod
+    def from_factors(cls, m: int, term_sizes: np.ndarray, weights: np.ndarray,
+                     fac_counts: np.ndarray, fac_index: np.ndarray,
+                     factor_table: np.ndarray) -> "MonomialTable":
+        """The table of monomials listed term by term, each by its factors.
+
+        ``term_sizes`` counts each term's monomials and ``fac_counts`` each
+        monomial's factors; factor ``j`` is row ``fac_index[j]`` of the
+        (param, cos, sin) rows ``factor_table``, which may repeat a row. A
+        constant monomial has no factors and gets the dummy factor. Distinct
+        factors are numbered in order of first appearance.
+        """
+        # one id per distinct row, the dummy's in the appended last row
+        table = np.concatenate([np.asarray(factor_table, dtype=np.intp).reshape(-1, 3),
+                                np.zeros((1, 3), dtype=np.intp)])
+        order = np.lexsort(table.T[::-1])
+        new = np.ones(order.shape[0], dtype=bool)
+        new[1:] = np.any(np.diff(table[order], axis=0) != 0, axis=1)
+        row_id = np.empty_like(order)
+        row_id[order] = np.cumsum(new) - 1
+        starts = np.cumsum(fac_counts) - fac_counts
+        ids = np.insert(row_id[fac_index], starts[fac_counts == 0], row_id[-1])
+        # renumber the ids in order of first appearance
+        first = np.full(order.shape[0], ids.shape[0])
+        np.minimum.at(first, ids, np.arange(ids.shape[0]))
+        by_first = np.argsort(first)[:np.count_nonzero(first < ids.shape[0])]
+        rank = np.empty(order.shape[0], dtype=np.intp)
+        rank[by_first] = np.arange(by_first.shape[0])
+        dist_param, dist_cos, dist_sin = table[order[new][by_first]].T
+        counts = np.maximum(fac_counts, 1)
+        return cls(m, np.concatenate(([0], np.cumsum(term_sizes))).astype(np.intp),
+                   np.asarray(weights, dtype=np.float64),
+                   (np.cumsum(counts) - counts).astype(np.intp), rank[ids],
+                   dist_param.copy(), dist_cos.copy(), dist_sin.copy())
+
+    @property
+    def columns(self) -> tuple:
+        """The constructor arguments that give this table again."""
+        return (self.m, self.term_starts, self.mono_weight, self.fac_starts, self.fac_dist,
+                self.dist_param, self.dist_cos, self.dist_sin)
+
+    @property
+    def sine_order(self) -> np.ndarray:
+        """Each monomial's total sine exponent."""
+        return np.add.reduceat(self.dist_sin[self.fac_dist], self.fac_starts)
+
+    def select(self, keep: np.ndarray) -> "MonomialTable":
+        """The monomials where ``keep`` holds, in order; a term left without one is dropped."""
+        fac_counts = np.diff(self.fac_starts, append=self.fac_dist.shape[0])
+        sizes = np.bincount(self.mono_term[keep], minlength=self.term_starts.shape[0] - 1)
+        counts = fac_counts[keep]
+        return MonomialTable(self.m, np.concatenate(([0], np.cumsum(sizes[sizes > 0]))),
+                             self.mono_weight[keep], np.cumsum(counts) - counts,
+                             self.fac_dist[np.repeat(keep, fac_counts)],
+                             self.dist_param, self.dist_cos, self.dist_sin)
+
+    def monomials(self) -> tuple[tuple[tuple[PathMonomial, float], ...], ...]:
+        """Per term, its ``(PathMonomial, weight)`` pairs: a view built on the first call."""
+        if self._monomials is None:
+            distinct = list(zip(self.dist_param.tolist(), self.dist_cos.tolist(),
+                                self.dist_sin.tolist()))
+            flat = [distinct[k] for k in self.fac_dist.tolist()]
+            ends = np.append(self.fac_starts[1:], self.fac_dist.shape[0])
+            # the dummy factor of a constant monomial is left out of the view
+            first = self.fac_dist[self.fac_starts]
+            constant = (self.dist_cos[first] == 0) & (self.dist_sin[first] == 0)
+            ends[constant] = self.fac_starts[constant]
+            pairs = [(PathMonomial(tuple(flat[a:b])), w) for a, b, w in
+                     zip(self.fac_starts.tolist(), ends.tolist(), self.mono_weight.tolist())]
+            bounds = self.term_starts.tolist()
+            self._monomials = tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._monomials
 
     @property
     def n_monomials(self) -> int:
@@ -224,6 +281,40 @@ class MonomialTable:
         return self.coefficient_rows(self._check_row(alphas))[0]
 
 
+@dataclass(frozen=True, eq=False)
+class PropagatedTerm:
+    """One surviving Pauli: a merged coefficient, or term ``index`` of a symbolic table."""
+
+    pauli: PauliString
+    coefficient: float | None = None
+    min_sine_count: int | None = None
+    table: MonomialTable | None = field(default=None, repr=False)
+    index: int = 0
+
+    def __post_init__(self) -> None:
+        numeric = self.coefficient is not None
+        if numeric == (self.table is not None):
+            raise ValidationError("term must be numeric xor symbolic")
+        if numeric and not math.isfinite(self.coefficient):
+            raise ValidationError(f"non-finite coefficient for {self.pauli}")
+
+    @property
+    def monomials(self) -> tuple[tuple[PathMonomial, float], ...] | None:
+        """A symbolic term's ``(PathMonomial, weight)`` pairs, read off its table."""
+        return None if self.table is None else self.table.monomials()[self.index]
+
+    def _key(self) -> tuple:
+        return self.pauli, self.coefficient, self.min_sine_count, self.monomials
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PropagatedTerm):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((self.pauli, self.coefficient, self.min_sine_count))
+
+
 @dataclass
 class PropagationStats:
     """Counters accumulated during a back-propagation run."""
@@ -250,7 +341,11 @@ class PropagationStats:
 
 @dataclass
 class PropagatedObservable:
-    """The back-propagated (truncated) observable plus run metadata."""
+    """The back-propagated (truncated) observable plus run metadata.
+
+    A symbolic one holds its ``MonomialTable`` in ``table``, with one table
+    term per entry of ``terms``, in order; a numeric one holds none.
+    """
 
     n: int
     mode: str
@@ -260,16 +355,23 @@ class PropagatedObservable:
     m: int
     n_rotations: int
     n_paulis_initial: int
+    table: MonomialTable | None = None
 
     @property
     def n_paulis(self) -> int:
         return len(self.terms)
 
+    def monomial_table(self) -> MonomialTable:
+        """The symbolic surrogate's table."""
+        if self.table is None:
+            raise ConfigError("monomial tables require a symbolic surrogate")
+        return self.table
+
     def coefficients_at(self, alphas: Sequence[float] | None = None) -> dict[PauliString, float]:
         """Numeric coefficient of every surviving Pauli at parameters ``alphas``."""
         if self.mode == NUMERIC:
             return {p: t.coefficient for p, t in self.terms.items()}
-        coeffs = MonomialTable(self).coefficients([] if alphas is None else alphas)
+        coeffs = self.monomial_table().coefficients([] if alphas is None else alphas)
         return dict(zip(self.terms, coeffs.tolist()))
 
     def norm2_sq(self, alphas: Sequence[float] | None = None) -> float:
@@ -536,35 +638,57 @@ def _propagate(circuit: Circuit, terms: Sequence[tuple[PauliString, float]],
     return frontier
 
 
-def _symbolic_terms(n: int, m: int, xs: np.ndarray, zs: np.ndarray, coeffs: np.ndarray,
-                    sines: np.ndarray, pows: np.ndarray) -> dict[PauliString, PropagatedTerm]:
-    """Terms from rows grouped by Pauli, pooling a monomial's sine classes with ``fsum``."""
+def _frontier_table(m: int, xs: np.ndarray, zs: np.ndarray, coeffs: np.ndarray,
+                    sines: np.ndarray, pows: np.ndarray) -> tuple[MonomialTable, np.ndarray,
+                                                                  np.ndarray]:
+    """The table of rows grouped by Pauli, with each table term's first row and min sine count.
+
+    A term lists its monomials with their factor tuples in lexicographic
+    order, and pools one monomial's rows (its sine classes) with ``math.fsum``;
+    zero weights, and Paulis left without a monomial, are dropped.
+    """
+    rows = coeffs.shape[0]
+    new_pauli = np.ones(rows, dtype=bool)
+    new_pauli[1:] = np.any(xs[1:] != xs[:-1], axis=1) | np.any(zs[1:] != zs[:-1], axis=1)
+    pauli_starts = np.flatnonzero(new_pauli)
+    group = np.cumsum(new_pauli) - 1
     cos_e, sin_e = pows[:, :m], pows[:, m:]
     row_of, params = np.nonzero(cos_e | sin_e)  # row-major: a row's factors by param
-    # the few distinct (param, cos, sin) factors are one tuple each, shared by the monomials
-    distinct: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    flat = [distinct.setdefault(f, f) for f in zip(params.tolist(),
-                                                   cos_e[row_of, params].tolist(),
-                                                   sin_e[row_of, params].tolist())]
-    ends = np.cumsum(np.bincount(row_of, minlength=len(coeffs))).tolist()
-    monos = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
-    weights, sines = coeffs.tolist(), sines.tolist()
-    new_pauli = np.ones(len(coeffs), dtype=bool)
-    new_pauli[1:] = np.any(xs[1:] != xs[:-1], axis=1) | np.any(zs[1:] != zs[:-1], axis=1)
-    starts = np.flatnonzero(new_pauli).tolist()
-    terms = {}
-    for start, stop in zip(starts, starts[1:] + [len(coeffs)]):
-        rows = sorted(range(start, stop), key=monos.__getitem__)
-        entries = []
-        for mono, group in groupby(rows, key=monos.__getitem__):
-            weight = math.fsum(weights[i] for i in group)
-            if weight != 0.0:
-                entries.append((PathMonomial(mono), weight))
-        if entries:
-            p = _pauli(n, xs[start], zs[start])
-            terms[p] = PropagatedTerm(p, monomials=tuple(entries),
-                                      min_sine_count=min(sines[start:stop]))
-    return terms
+    counts = np.bincount(row_of, minlength=rows)
+    # one code per factor, ordered as its (param, cos, sin) tuple is; each row's codes
+    # padded with -1, so that a monomial sorts before its extensions as tuples do
+    base = int(pows.max(initial=0)) + 1
+    keys = np.full((rows, int(counts.max(initial=0))), -1,
+                   dtype=np.result_type(np.int8, np.min_scalar_type(m * base * base)))
+    keys[row_of, np.arange(row_of.shape[0]) - (np.cumsum(counts) - counts)[row_of]] = (
+        (params * base + cos_e[row_of, params]) * base + sin_e[row_of, params])
+    order = np.lexsort((*keys.T[::-1], group))
+    sorted_keys, sorted_group, coeffs = keys[order], group[order], coeffs[order]
+    new_mono = np.ones(rows, dtype=bool)
+    new_mono[1:] = ((sorted_group[1:] != sorted_group[:-1])
+                    | np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1))
+    starts = np.flatnonzero(new_mono)
+    sizes = np.diff(starts, append=rows)
+    weights = coeffs[starts]
+    for k in np.flatnonzero(sizes > 1).tolist():
+        weights[k] = math.fsum(coeffs[starts[k]:starts[k] + sizes[k]].tolist())
+    keep = weights != 0.0
+    mono_rows = order[starts[keep]]
+    term_groups, term_sizes = np.unique(group[mono_rows], return_counts=True)
+    fac_counts = counts[mono_rows]
+    codes, fac_index = np.unique(keys[mono_rows][keys[mono_rows] >= 0], return_inverse=True)
+    factor_table = np.stack([codes // (base * base), codes // base % base, codes % base], axis=1)
+    table = MonomialTable.from_factors(m, term_sizes, weights[keep], fac_counts, fac_index,
+                                       factor_table)
+    min_sines = np.minimum.reduceat(sines, pauli_starts)[term_groups]
+    return table, pauli_starts[term_groups], min_sines
+
+
+def _table_terms(paulis: Sequence[PauliString], sines: np.ndarray,
+                 table: MonomialTable) -> dict[PauliString, PropagatedTerm]:
+    """One symbolic term per table term, in order."""
+    return {p: PropagatedTerm(p, min_sine_count=s, table=table, index=i)
+            for i, (p, s) in enumerate(zip(paulis, sines.tolist()))}
 
 
 def _pauli(n: int, x: np.ndarray, z: np.ndarray) -> PauliString:
@@ -612,6 +736,7 @@ def backpropagate(
     nonzero = np.flatnonzero(frontier.coeff)
     order = nonzero[_text_order(circuit.n, frontier.xw[nonzero], frontier.zw[nonzero])]
     xs, zs = frontier.xw[order].astype("<u8"), frontier.zw[order].astype("<u8")
+    table = None
     if mode == NUMERIC:
         terms = {}
         for x, z, coeff, sines in zip(xs, zs, frontier.coeff[order].tolist(),
@@ -619,11 +744,11 @@ def backpropagate(
             p = _pauli(circuit.n, x, z)
             terms[p] = PropagatedTerm(p, coefficient=coeff, min_sine_count=sines)
     else:
-        terms = _symbolic_terms(circuit.n, circuit.m, xs, zs, frontier.coeff[order],
-                                frontier.sines[order], frontier.pows[order])
+        table, firsts, sines = _frontier_table(circuit.m, xs, zs, frontier.coeff[order],
+                                               frontier.sines[order], frontier.pows[order])
+        terms = _table_terms([_pauli(circuit.n, xs[i], zs[i]) for i in firsts], sines, table)
     stats.terms_final = len(terms)
-    stats.monomials_final = (len(terms) if mode == NUMERIC
-                             else sum(len(t.monomials) for t in terms.values()))
+    stats.monomials_final = len(terms) if table is None else table.n_monomials
 
     return PropagatedObservable(
         n=circuit.n,
@@ -634,6 +759,7 @@ def backpropagate(
         m=circuit.m,
         n_rotations=len(circuit.rotations),
         n_paulis_initial=obs.n_paulis,
+        table=table,
     )
 
 
@@ -647,23 +773,32 @@ def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObser
     """
     if po.mode != SYMBOLIC:
         raise ConfigError("sine-order restriction needs a symbolic surrogate")
-    terms = {}
-    for p, term in po.terms.items():
-        monos = tuple((m, w) for m, w in term.monomials if m.sine_order <= kappa)
-        if monos:
-            terms[p] = PropagatedTerm(p, monomials=monos,
-                                      min_sine_count=min(m.sine_order for m, _ in monos))
+    table = po.monomial_table()
+    orders = table.sine_order
+    keep = orders <= kappa
+    alive = np.bincount(table.mono_term[keep], minlength=len(po.terms)) > 0
+    sub = table.select(keep)
+    sines = np.minimum.reduceat(orders[keep], sub.term_starts[:-1])
+    paulis = [p for p, kept in zip(po.terms, alive.tolist()) if kept]
     return PropagatedObservable(
-        n=po.n, mode=SYMBOLIC, terms=terms, stats=po.stats,
+        n=po.n, mode=SYMBOLIC, terms=_table_terms(paulis, sines, sub), stats=po.stats,
         policy=replace(po.policy, kappa=kappa),
-        m=po.m, n_rotations=po.n_rotations, n_paulis_initial=po.n_paulis_initial,
+        m=po.m, n_rotations=po.n_rotations, n_paulis_initial=po.n_paulis_initial, table=sub,
     )
 
 
 # --- surrogate artifact file ---------------------------------------------------------
+# Version 2 stores the surrogate as columns: the Pauli texts and minimum sine counts
+# of the terms, then either their coefficients (numeric mode) or the monomial table
+# (symbolic mode): monomials per term, weights, factors per monomial, a table of
+# distinct [param, cos, sin] factors and, per factor, its row of that table. A
+# constant monomial has no factors. Version 1 lists one document per term; it is
+# read by turning its terms into the same columns.
 
 ARTIFACT_FORMAT = "landscape-patch-surrogate"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+_SYMBOLIC_COLUMNS = ("term_monomials", "weights", "monomial_factors", "factor_table",
+                     "factor_index")
 
 
 def save_artifact(po: PropagatedObservable, path) -> None:
@@ -683,31 +818,38 @@ def save_artifact(po: PropagatedObservable, path) -> None:
             "path_cap": po.policy.path_cap,
         },
         "stats": po.stats.as_dict(),
-        "terms": [_term_doc(t) for t in po.terms.values()],
+        "paulis": [p.to_text() for p in po.terms],
+        "sines": [t.min_sine_count for t in po.terms.values()],
     }
+    if po.mode == NUMERIC:
+        doc["coeffs"] = [t.coefficient for t in po.terms.values()]
+    else:
+        doc.update(_table_doc(po.monomial_table()))
     # compact separators keep json on its C encoder; an indent runs the Python one
     payload = json.dumps(doc, separators=(",", ":")).encode()
     path = str(path)
     if path.endswith(".gz"):
-        with gzip.open(path, "wb") as fh:
+        with gzip.open(path, "wb", compresslevel=6) as fh:
             fh.write(payload)
     else:
         with open(path, "wb") as fh:
             fh.write(payload)
 
 
-def _term_doc(term: PropagatedTerm) -> dict:
-    doc: dict = {"pauli": term.pauli.to_text()}
-    if term.coefficient is not None:
-        doc["coeff"] = term.coefficient
-        doc["sines"] = term.min_sine_count
-    else:
-        doc["sines"] = term.min_sine_count
-        doc["monomials"] = [
-            {"params": [list(f) for f in mono.factors], "w": w}
-            for mono, w in term.monomials
-        ]
-    return doc
+def _table_doc(table: MonomialTable) -> dict:
+    """The table's columns, leaving out the dummy factors of constant monomials."""
+    real = (table.dist_cos != 0) | (table.dist_sin != 0)
+    kept = real[table.fac_dist]
+    fac_counts = np.diff(table.fac_starts, append=table.fac_dist.shape[0])
+    fac_counts[~kept[table.fac_starts]] = 0
+    distinct = np.stack([table.dist_param, table.dist_cos, table.dist_sin], axis=1)
+    return {
+        "term_monomials": np.diff(table.term_starts).tolist(),
+        "weights": table.mono_weight.tolist(),
+        "monomial_factors": fac_counts.tolist(),
+        "factor_table": distinct[real].tolist(),
+        "factor_index": (np.cumsum(real) - 1)[table.fac_dist[kept]].tolist(),
+    }
 
 
 def _json_policy(fields: dict) -> TruncationPolicy:
@@ -719,8 +861,64 @@ def _json_policy(fields: dict) -> TruncationPolicy:
     })
 
 
+def _v1_columns(terms: list, mode: str) -> dict:
+    """A version-1 artifact's term documents as version-2 columns, values unchecked."""
+    columns: dict = {"paulis": [], "sines": []}
+    if mode == NUMERIC:
+        columns["coeffs"] = []
+    else:
+        columns.update({key: [] for key in _SYMBOLIC_COLUMNS})
+    for raw in terms:
+        if ("coeff" in raw) != (mode == NUMERIC):
+            raise ValidationError(f"term {raw['pauli']} does not match mode {mode!r}")
+        columns["paulis"].append(raw["pauli"])
+        columns["sines"].append(raw["sines"])
+        if mode == NUMERIC:
+            columns["coeffs"].append(raw["coeff"])
+            continue
+        columns["term_monomials"].append(len(raw["monomials"]))
+        for entry in raw["monomials"]:
+            columns["weights"].append(entry["w"])
+            columns["monomial_factors"].append(len(entry["params"]))
+            columns["factor_table"].extend(entry["params"])
+    if mode != NUMERIC:
+        columns["factor_index"] = list(range(len(columns["factor_table"])))
+    return columns
+
+
+def _columns_table(m: int, n_terms: int, columns: dict) -> MonomialTable:
+    """The monomial table of an artifact's symbolic columns, checked before it is built."""
+    term_sizes = documents.integer_array(columns["term_monomials"], "term_monomials")
+    weights = documents.number_array(columns["weights"], "weights")
+    fac_counts = documents.integer_array(columns["monomial_factors"], "monomial_factors")
+    rows = columns["factor_table"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) and len(row) == 3
+                                             for row in rows):
+        raise ValidationError("factor_table must list [param, cos, sin] rows")
+    distinct = documents.integer_array(list(chain.from_iterable(rows)),
+                                       "factor_table").reshape(-1, 3)
+    index = documents.integer_array(columns["factor_index"], "factor_index")
+    if min(term_sizes.min(initial=0), fac_counts.min(initial=0)) < 0:
+        raise ValidationError("monomial and factor counts must be >= 0")
+    if (term_sizes.shape[0] != n_terms or weights.shape != fac_counts.shape
+            or term_sizes.sum() != weights.shape[0] or fac_counts.sum() != index.shape[0]):
+        raise ValidationError("the artifact's columns disagree in length")
+    if index.min(initial=0) < 0 or index.max(initial=-1) >= distinct.shape[0]:
+        raise ValidationError(f"a factor index is outside [0, {distinct.shape[0]})")
+    params, cos_e, sin_e = distinct.T
+    if (params.min(initial=0) < 0 or params.max(initial=-1) >= m
+            or min(cos_e.min(initial=0), sin_e.min(initial=0)) < 0
+            or np.any((cos_e == 0) & (sin_e == 0))):
+        raise ValidationError(f"a factor needs a param in [0, {m}) and exponents >= 0, "
+                              "not both 0")
+    mono = np.repeat(np.arange(fac_counts.shape[0]), fac_counts)
+    if np.any((np.diff(params[index]) <= 0) & (mono[1:] == mono[:-1])):
+        raise ValidationError("a monomial's factors need distinct params in increasing order")
+    return MonomialTable.from_factors(m, term_sizes, weights, fac_counts, index, distinct)
+
+
 def load_artifact(path) -> PropagatedObservable:
-    """Read a ``save_artifact`` file; a malformed one raises ``ValidationError``."""
+    """Read a ``save_artifact`` file, version 1 or 2; a malformed one raises ``ValidationError``."""
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
     try:
@@ -728,39 +926,32 @@ def load_artifact(path) -> PropagatedObservable:
             payload = fh.read()
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:  # truncated or corrupt gzip
         raise ValidationError(f"unreadable gzip artifact: {exc!r}") from None
-    doc = documents.parse(payload, "surrogate artifact", ARTIFACT_FORMAT, ARTIFACT_VERSION)
+    doc = documents.parse(payload, "surrogate artifact", ARTIFACT_FORMAT, (1, ARTIFACT_VERSION))
     with documents.fields("surrogate artifact"):
         n, mode, m = integer(doc["n"], "n"), doc["mode"], integer(doc["m"], "m")
         if mode not in (NUMERIC, SYMBOLIC):
             raise ValidationError(f"unknown artifact mode {mode!r}")
-        # one tuple per distinct (param, cos, sin) factor, shared by its monomials
-        distinct: dict[tuple, tuple[int, int, int]] = {}
-        terms: dict[PauliString, PropagatedTerm] = {}
-        for raw in doc["terms"]:
-            p = PauliString.from_text(raw["pauli"], n)
-            if p in terms:
-                raise ValidationError(f"term {raw['pauli']} is listed twice")
-            if ("coeff" in raw) != (mode == NUMERIC):
-                raise ValidationError(f"term {raw['pauli']} does not match mode {mode!r}")
-            sines = integer(raw["sines"])
-            if mode == NUMERIC:
-                terms[p] = PropagatedTerm(p, coefficient=number(raw["coeff"]),
-                                          min_sine_count=sines)
-                continue
-            monos = []
-            for entry in raw["monomials"]:
-                keys = tuple(map(tuple, entry["params"]))
-                monos.append((PathMonomial(tuple(map(distinct.setdefault, keys, keys))),
-                              number(entry["w"])))
-            terms[p] = PropagatedTerm(p, monomials=tuple(monos), min_sine_count=sines)
-        # PathMonomial checks signs and order; the param bound is checked once per distinct
-        # factor, and the JSON types over all entries (1.0 or true would share the tuple of 1)
-        if any(param >= m for param, _, _ in distinct):
-            raise ValidationError(f"a monomial factor has a param index outside [0, {m})")
-        entries = chain.from_iterable(chain.from_iterable(
-            entry["params"] for raw in doc["terms"] for entry in raw.get("monomials", ())))
-        if not set(map(type, entries)) <= {int}:
-            raise ValidationError("monomial factors must hold JSON integers")
+        columns = doc if doc["version"] == ARTIFACT_VERSION else _v1_columns(doc["terms"], mode)
+        if ("coeffs" in columns) != (mode == NUMERIC):
+            raise ValidationError(f"the artifact's columns do not match mode {mode!r}")
+        if not isinstance(columns["paulis"], list):
+            raise ValidationError("paulis must be a JSON list")
+        paulis = [PauliString.from_text(text, n) for text in columns["paulis"]]
+        if len(set(paulis)) != len(paulis):
+            raise ValidationError("a term's Pauli is listed twice")
+        sines = documents.integer_array(columns["sines"], "sines")
+        if sines.shape[0] != len(paulis):
+            raise ValidationError("the artifact's columns disagree in length")
+        table = None
+        if mode == NUMERIC:
+            coeffs = documents.number_array(columns["coeffs"], "coeffs")
+            if coeffs.shape != sines.shape:
+                raise ValidationError("the artifact's columns disagree in length")
+            terms = {p: PropagatedTerm(p, coefficient=c, min_sine_count=s)
+                     for p, c, s in zip(paulis, coeffs.tolist(), sines.tolist())}
+        else:
+            table = _columns_table(m, len(paulis), columns)
+            terms = _table_terms(paulis, sines, table)
         return PropagatedObservable(
             n=n,
             mode=mode,
@@ -771,4 +962,5 @@ def load_artifact(path) -> PropagatedObservable:
             m=m,
             n_rotations=integer(doc["n_rotations"], "n_rotations"),
             n_paulis_initial=integer(doc["n_paulis_initial"], "n_paulis_initial"),
+            table=table,
         )

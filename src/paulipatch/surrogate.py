@@ -1,14 +1,16 @@
 """Landscape-surrogate evaluation, patch moments, and truncation-error bounds.
 
 The symbolic surrogate represents each surviving Pauli's coefficient as a sum
-of trigonometric monomials in the free parameters. ``SurrogateEvaluator`` and
-``pauli_mean_squares`` both read it through one ``MonomialTable``, compiled
-once into flat index arrays that store each factor as an index into the
-table's few distinct (param, cos, sin) factors. A sweep over a patch runs on
-blocks of parameter rows: per row, the distinct factors are raised to their
-powers once, gathered per factor and multiplied per monomial, and the
-monomial values meet the overlap-weighted monomial weights in one
-matrix-vector product per block.
+of trigonometric monomials in the free parameters, stored as the
+``MonomialTable`` that ``backpropagate`` builds (and an artifact file saves
+and loads): flat index arrays that store each factor as an index into the
+table's few distinct (param, cos, sin) factors. ``SurrogateEvaluator``,
+``pauli_mean_squares`` and ``worst_case_coeff_bounds`` read that table as it
+is; ``PropagatedTerm.monomials`` is a tuple view of it that none of them
+builds. A sweep over a patch runs on blocks of parameter rows: per row, the
+distinct factors are raised to their powers once, gathered per factor and
+multiplied per monomial, and the monomial values meet the overlap-weighted
+monomial weights in one matrix-vector product per block.
 
 A patch is given by its half-width ``r`` alone: the hypercube [-r, r]^m
 around the origin, so ``pauli_mean_squares`` and ``effective_norm_avg`` take
@@ -80,7 +82,7 @@ class SurrogateEvaluator(MonomialTable):
     """
 
     def __init__(self, po: PropagatedObservable, state: InitialState | None = None) -> None:
-        super().__init__(po)
+        super().__init__(*po.monomial_table().columns)
         self.paulis: list[PauliString] = list(po.terms.keys())
         self.d = (
             np.array([overlap(state, p) for p in self.paulis])
@@ -159,7 +161,7 @@ def pauli_mean_squares(po: PropagatedObservable, r: float) -> dict[PauliString, 
     """
     if r < 0:
         raise ConfigError(f"half-width must be >= 0, got {r}")
-    table = MonomialTable(po)
+    table = po.monomial_table()
     p_max = 2 * int(table.dist_cos.max(initial=0))
     q_max = 2 * int(table.dist_sin.max(initial=0))
     # factor code c * (q_max + 1) + s: the sum of two codes indexes M[c_a + c_b, s_a + s_b]
@@ -204,12 +206,14 @@ def worst_case_coeff_bounds(po: PropagatedObservable, r: float) -> dict[PauliStr
     if r < 0:
         raise ConfigError(f"half-width must be >= 0, got {r}")
     sin_cap = math.sin(min(r, math.pi / 2.0))
-    out: dict[PauliString, float] = {}
-    for pauli, term in po.terms.items():
-        out[pauli] = float(
-            sum(abs(w) * sin_cap ** mono.sine_order for mono, w in term.monomials)
-        )
-    return out
+    table = po.monomial_table()
+    orders = table.sine_order
+    # Python's float powers, and add.at sums a term's monomials in order: each bound
+    # is bitwise what a loop over the term's monomials gives
+    powers = np.array([sin_cap ** k for k in range(int(orders.max(initial=0)) + 1)])
+    bounds = np.zeros(len(po.terms))
+    np.add.at(bounds, table.mono_term, np.abs(table.mono_weight) * powers[orders])
+    return dict(zip(po.terms, bounds.tolist()))
 
 
 def effective_norm_worst(po: PropagatedObservable, r: float) -> float:

@@ -221,10 +221,15 @@ def _rotation_doc(**gate):
     (_rotation_doc(param="0"), "gates[1].param"),
     (_rotation_doc(value=True), "gates[1].value"),
     (_rotation_doc(value="0.5"), "gates[1].value"),
+    (_rotation_doc(value=math.nan), "gates[1].value"),
+    (_rotation_doc(value=-math.inf), "gates[1].value"),
+    (_rotation_doc(param=0, shared="no"), "gates[1].shared"),
+    (_rotation_doc(param=0, shared=1), "gates[1].shared"),
     ({"n": 2, "m": 0, "gates": [{"type": "clifford", "kind": "h", "qubits": [False]}]},
      "gates[0].qubits[0]"),
 ], ids=["bool-n", "float-n", "bool-m", "bool-qubit", "float-qubit", "bool-param",
-        "string-param", "bool-value", "string-value", "bool-clifford-qubit"])
+        "string-param", "bool-value", "string-value", "nan-value", "infinite-value",
+        "string-shared", "int-shared", "bool-clifford-qubit"])
 def test_parse_circuit_rejects_mistyped_numbers(doc, path):
     with pytest.raises(ValidationError) as err:
         parse_circuit(json.dumps(doc))
@@ -238,12 +243,15 @@ def test_parse_circuit_rejects_mistyped_numbers(doc, path):
     {"n": 2, "terms": [{"pauli": "Z", "qubits": [7]}]},
     {"n": 2, "terms": [{"pauli": "ZZ", "coeff": True}]},
     {"n": 2, "terms": [{"pauli": "ZZ", "coeff": "0.5"}]},
+    {"n": 2, "terms": [{"pauli": "ZZ", "coeff": math.inf}]},
+    {"n": 2, "terms": [{"pauli": "ZZ", "coeff": math.nan}]},
     {"n": True, "terms": [{"pauli": "Z"}]},
     {"n": 2.0, "terms": [{"pauli": "ZZ"}]},
     {"terms": [{"pauli": "ZZ"}]},
     [{"pauli": "ZZ"}],
 ], ids=["int-terms", "int-qubits", "bool-qubit", "qubit-out-of-range", "bool-coeff",
-        "string-coeff", "bool-n", "float-n", "missing-n", "not-an-object"])
+        "string-coeff", "infinite-coeff", "nan-coeff", "bool-n", "float-n", "missing-n",
+        "not-an-object"])
 def test_parse_observable_rejects_mistyped_fields(doc):
     with pytest.raises(ValidationError):
         parse_observable(json.dumps(doc))

@@ -1,11 +1,13 @@
 """CLI commands end to end: outputs, manifests, golden headers, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from paulipatch import (
+    Dense,
     ObservableSpec,
     PauliString,
     build_tfi_trotter,
@@ -140,7 +142,11 @@ def test_exit_code_validation_error(workdir, capsys):
     ("observable", {"n": 4, "terms": [{"pauli": "Z", "qubits": 5}]}),
     ("circuit", {"n": 4, "m": 0,
                  "gates": [{"type": "rot", "pauli": "X", "qubits": [0], "value": True}]}),
-], ids=["int-observable-qubits", "bool-rotation-value"])
+    ("circuit", {"n": 4, "m": 0,
+                 "gates": [{"type": "rot", "pauli": "X", "qubits": [0], "value": math.nan}]}),
+    ("observable", {"n": 4, "terms": [{"pauli": "Z", "qubits": [1], "coeff": math.inf}]}),
+], ids=["int-observable-qubits", "bool-rotation-value", "nan-rotation-value",
+        "infinite-observable-coeff"])
 def test_build_exits_2_on_mistyped_input(workdir, capsys, which, document):
     files = {"circuit": workdir / "circ.json", "observable": workdir / "obs.json"}
     files[which] = workdir / "bad.json"
@@ -160,7 +166,10 @@ def test_build_exits_2_on_mistyped_input(workdir, capsys, which, document):
     ('["0", 0, 0, 0, 0]', 2),
     ('{"center": [0, 0, 0, 0, 0]}', 2),
     ("[0, 0]", 2),
-], ids=["valid", "not-json", "bool-entry", "string-entry", "object", "short"])
+    ("[NaN, 0, 0, 0, 0]", 2),
+    ("[0, 0, -Infinity, 0, 0]", 2),
+], ids=["valid", "not-json", "bool-entry", "string-entry", "object", "short", "nan-entry",
+        "infinite-entry"])
 def test_taylor_center_file(workdir, capsys, center, code):
     circuit = build_tfi_trotter(grid(1, 3), layers=1, dt=0.1, binding="free")
     assert circuit.m == 5
@@ -173,6 +182,18 @@ def test_taylor_center_file(workdir, capsys, center, code):
                  "--center", str(workdir / "center.json"), "--order", "1",
                  "--scan-points", "4", "--out", str(workdir / "ts.json")]) == code
     assert ("invalid input" in capsys.readouterr().err) == (code == 2)
+
+
+def test_rmse_sweep_exits_2_on_a_dense_state_of_the_wrong_size(workdir, capsys):
+    Dense(np.ones(8) / math.sqrt(8)).to_binary_file(workdir / "state.bin")
+    code = main(["rmse-sweep", "--circuit", str(workdir / "circ.json"),
+                 "--observable", str(workdir / "obs.json"),
+                 "--state", f"dense:{workdir / 'state.bin'}", "--r", "0.1",
+                 "--kappa-max", "1", "--samples", "2", "--out", str(workdir / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "n=3, expected 4" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_policy_overflow(workdir, capsys):

@@ -19,6 +19,7 @@ from paulipatch import (
     PauliString,
     PolicyOverflowError,
     Rotation,
+    SurrogateEvaluator,
     TruncationPolicy,
     ValidationError,
     backpropagate,
@@ -26,9 +27,13 @@ from paulipatch import (
     load_artifact,
     overlap,
     path_stats,
+    pauli_mean_squares,
+    restrict_sine_order,
     save_artifact,
+    worst_case_coeff_bounds,
 )
 from paulipatch.propagation import (
+    ARTIFACT_FORMAT,
     NUMERIC,
     SYMBOLIC,
     PropagationStats,
@@ -895,16 +900,19 @@ def test_symbolic_path_cap_stats_match_dict_engine_reference(cap):
     _assert_matches_dict_engine(c, obs, policy)
 
 
-def test_shared_parameter_driving_300_rotations():
+def _shared300_case():
     # one parameter raises a cos exponent to 300, past what one byte holds
     gates = []
     for i in range(300):
         gates.append(Rotation("XY", (0, 1), ParamRef.shared(0)))
         if i % 50 == 0:
             gates.append(CliffordGate("s", (1,)))
-    c = Circuit(2, 1, tuple(gates))
-    obs = ObservableSpec(((PauliString.from_text("ZI"), 0.6),
-                          (PauliString.from_text("XY"), -0.3)))
+    return Circuit(2, 1, tuple(gates)), ObservableSpec(((PauliString.from_text("ZI"), 0.6),
+                                                        (PauliString.from_text("XY"), -0.3)))
+
+
+def test_shared_parameter_driving_300_rotations():
+    c, obs = _shared300_case()
     _assert_matches_dict_engine(c, obs, TruncationPolicy(kappa=0))
     po = backpropagate(c, obs, TruncationPolicy(kappa=0), mode=SYMBOLIC)
     assert max(cos_e for t in po.terms.values() for m, _ in t.monomials
@@ -922,6 +930,85 @@ def test_symbolic_zero_weight_rows_follow_numeric_rule():
     assert [(p.to_text(), t.min_sine_count) for p, t in po.terms.items()] == [
         ("X", 1), ("Y", 2), ("Z", 0)]
     assert po.stats.paths_expanded == 3  # Z at X and Y, X at Z
+
+
+# --- the symbolic table -----------------------------------------------------------------------
+# ``backpropagate`` builds the table from the frontier's rows. It must equal, column by column,
+# the table that the earlier tuple walk built from the dict engine's (monomial, weight) lists.
+
+
+def _tuple_table(ordered):
+    """Table columns by the tuple walk over (Pauli text, monomials, min sine count) rows."""
+    term_starts, mono_term, mono_weight, fac_starts, fac_dist = [0], [], [], [], []
+    distinct = {}
+    for t_idx, (_, monos, _) in enumerate(ordered):
+        for factors, weight in monos:
+            mono_term.append(t_idx)
+            mono_weight.append(weight)
+            fac_starts.append(len(fac_dist))
+            for factor in factors or ((0, 0, 0),):
+                fac_dist.append(distinct.setdefault(factor, len(distinct)))
+        term_starts.append(len(mono_term))
+    dist_param, dist_cos, dist_sin = np.array(list(distinct), dtype=np.intp).reshape(-1, 3).T
+    return dict(term_starts=term_starts, mono_term=mono_term, mono_weight=mono_weight,
+                fac_starts=fac_starts, fac_dist=fac_dist, dist_param=dist_param,
+                dist_cos=dist_cos, dist_sin=dist_sin)
+
+
+def _table_cases():
+    golden_obs = ObservableSpec(((PauliString.from_text("ZZI"), 0.7),
+                                 (PauliString.from_text("IXY"), -0.4)))
+    # fixed angles only: m = 0 and every monomial constant
+    fixed = Circuit(3, 0, (Rotation("XY", (0, 1), ParamRef.fixed(0.3)), CliffordGate("h", (2,)),
+                           Rotation("Z", (1,), ParamRef.fixed(-0.7)),
+                           Rotation("YZ", (1, 2), ParamRef.fixed(1.1))))
+    mixed, mixed_obs = _mixed_angle_case(503)
+    return [
+        (_golden_circuit(), golden_obs, TruncationPolicy()),
+        (_golden_circuit(), golden_obs, TruncationPolicy(kappa=2)),
+        (*_shared300_case(), TruncationPolicy(kappa=0)),
+        (fixed, ObservableSpec(((PauliString.from_text("ZZI"), 0.5),
+                                (PauliString.from_text("IXX"), 0.25))), TruncationPolicy()),
+        (mixed, mixed_obs, TruncationPolicy(kappa=3)),
+    ]
+
+
+def test_frontier_table_matches_tuple_walk():
+    seen = {"m=0": False, "constant monomial": False, "exponent > 255": False}
+    for circuit, obs, policy in _table_cases():
+        ordered, _ = _dict_engine_reference(circuit, obs, policy)
+        table = backpropagate(circuit, obs, policy, mode=SYMBOLIC).table
+        for column, want in _tuple_table(ordered).items():
+            assert np.array_equal(getattr(table, column), want), column
+        seen["m=0"] |= circuit.m == 0
+        seen["constant monomial"] |= any(f == () for _, monos, _ in ordered for f, _ in monos)
+        seen["exponent > 255"] |= int(table.dist_cos.max(initial=0)) > 255
+    assert all(seen.values()), seen
+
+
+def test_table_consumers_build_no_path_monomial(tmp_path, rng, monkeypatch):
+    c, obs = _mixed_angle_case(504)
+    policy = TruncationPolicy(kappa=3)
+    v1_doc = _v1_doc(backpropagate(c, obs, policy, mode=SYMBOLIC))  # reads the view
+    built = []
+    check = PathMonomial.__post_init__
+    monkeypatch.setattr(PathMonomial, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    po = backpropagate(c, obs, policy, mode=SYMBOLIC)
+    alphas = rng.uniform(-0.3, 0.3, size=(5, c.m))
+    save_artifact(po, tmp_path / "v2.json.gz")
+    (tmp_path / "v1.json").write_text(json.dumps(v1_doc))
+    for name in ("v2.json.gz", "v1.json"):
+        loaded = load_artifact(tmp_path / name)
+        SurrogateEvaluator(loaded, AllZero(c.n)).values(alphas)
+        restricted = restrict_sine_order(loaded, 2)
+        worst_case_coeff_bounds(restricted, 0.1)
+        pauli_mean_squares(restricted, 0.1)
+        loaded.coefficients_at(alphas[0])
+        loaded.norm2_sq(alphas[0])
+    assert built == []
+    assert [mono for t in po.terms.values() for mono, _ in t.monomials] == built
+    assert len(built) == po.table.n_monomials > 0
 
 
 # --- determinism ------------------------------------------------------------------------------
@@ -975,13 +1062,55 @@ def test_numeric_artifact_round_trip(tmp_path, rng):
     assert load_artifact(old).coefficients_at() == po.coefficients_at()
 
 
+def _v1_doc(po):
+    """``po`` as a version-1 artifact document: one document per term."""
+    terms = []
+    for p, t in po.terms.items():
+        doc = {"pauli": p.to_text(), "sines": t.min_sine_count}
+        if t.coefficient is not None:
+            doc["coeff"] = t.coefficient
+        else:
+            doc["monomials"] = [{"params": [list(f) for f in mono.factors], "w": w}
+                                for mono, w in t.monomials]
+        terms.append(doc)
+    return {
+        "format": ARTIFACT_FORMAT, "version": 1, "n": po.n, "mode": po.mode, "m": po.m,
+        "n_rotations": po.n_rotations, "n_paulis_initial": po.n_paulis_initial,
+        "policy": {"kappa": po.policy.kappa, "max_weight": po.policy.max_weight,
+                   "coeff_floor": po.policy.coeff_floor, "path_cap": po.policy.path_cap},
+        "stats": po.stats.as_dict(), "terms": terms,
+    }
+
+
+@pytest.mark.parametrize("mode", [NUMERIC, SYMBOLIC])
+def test_version_1_artifact_loads_as_saved(tmp_path, rng, mode):
+    c = random_mixed_circuit(rng, n=4, n_rot=10, shared=True)
+    obs = random_observable(rng, 4, terms=2)
+    alphas = None if mode == SYMBOLIC else rng.uniform(-1, 1, c.m)
+    po = backpropagate(c, obs, TruncationPolicy(kappa=3), mode=mode, alphas=alphas)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_v1_doc(po)))
+    loaded = load_artifact(path)
+    assert (loaded.mode, loaded.policy, loaded.stats) == (po.mode, po.policy, po.stats)
+    assert (loaded.m, loaded.n_rotations) == (po.m, po.n_rotations)
+    assert list(loaded.terms.items()) == list(po.terms.items())
+    if mode == SYMBOLIC:
+        for column in ("term_starts", "mono_term", "mono_weight", "fac_starts", "fac_dist",
+                       "dist_param", "dist_cos", "dist_sin"):
+            assert np.array_equal(getattr(loaded.table, column), getattr(po.table, column))
+
+
+# The malformed-file cases run on a version-1 document and again on a version-2 one.
+# In the surrogate below, the last term is Z with factors [[0, 1, 0], [1, 1, 0]], and
+# Y shares the second of them.
+
+
 def _set_param(doc, factor, value):
-    # the last term is Z with factors [[0, 1, 0], [1, 1, 0]]; either edit keeps them sorted
+    # either edit keeps Z's factors sorted
     doc["terms"][-1]["monomials"][0]["params"][factor][0] = value
 
 
 def _set_exponent(doc, value):
-    # the cos exponent of param 1 in Z's factors [[0, 1, 0], [1, 1, 0]], which Y shares
     doc["terms"][-1]["monomials"][0]["params"][1][1] = value
 
 
@@ -999,83 +1128,154 @@ def _make_numeric_doc(doc, coeff=0.5, sines=0):
     doc["terms"][0]["sines"] = sines
 
 
+def _z_factor_v2(doc, factor):
+    """The factor_table row of Z's ``factor``-th factor in a version-2 document."""
+    start = len(doc["factor_index"]) - doc["monomial_factors"][-1]
+    return doc["factor_table"][doc["factor_index"][start + factor]]
+
+
+def _make_numeric_doc_v2(doc, coeff=0.5, sines=0):
+    doc["mode"] = NUMERIC
+    for key in ("term_monomials", "weights", "monomial_factors", "factor_table",
+                "factor_index"):
+        del doc[key]
+    doc["coeffs"] = [coeff] * len(doc["paulis"])
+    doc["sines"][0] = sines
+
+
+def _set_weight(doc, value):
+    doc["terms"][0]["monomials"][0].update(w=value)
+
+
+def _set_weight_v2(doc, value):
+    doc["weights"][0] = value
+
+
 def test_numeric_doc_helper_loads(tmp_path):
     c = Circuit(1, 2, (Rotation("X", (0,), ParamRef.free(0)),
                        Rotation("Y", (0,), ParamRef.free(1))))
     po = backpropagate(c, ObservableSpec.single(PauliString.from_text("Z")), mode=SYMBOLIC)
     path = tmp_path / "artifact.json"
+    for doc, make_numeric in ((_v1_doc(po), _make_numeric_doc),
+                              (_artifact_doc(po, tmp_path), _make_numeric_doc_v2)):
+        make_numeric(doc)
+        path.write_text(json.dumps(doc))
+        loaded = load_artifact(path)
+        assert loaded.mode == NUMERIC
+        assert all(t.coefficient == 0.5 for t in loaded.terms.values())
+
+
+def _artifact_doc(po, tmp_path):
+    path = tmp_path / "saved.json"
     save_artifact(po, path)
-    doc = json.loads(path.read_text())
-    _make_numeric_doc(doc)
-    path.write_text(json.dumps(doc))
-    loaded = load_artifact(path)
-    assert loaded.mode == NUMERIC
-    assert all(t.coefficient == 0.5 for t in loaded.terms.values())
+    return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda doc: _set_param(doc, 0, -2),
-    lambda doc: _set_param(doc, 1, 2),
-    lambda doc: doc.update(mode="banana"),
-    lambda doc: doc.update(mode=NUMERIC),
-    _make_numeric_term,
-    lambda doc: doc["terms"][0].pop("sines"),
-    lambda doc: doc.pop("stats"),
-    lambda doc: doc["policy"].update(banana=1),
-    lambda doc: doc["stats"].update(banana=1),
-    lambda doc: doc.update(terms=5),
-    lambda doc: doc["terms"][0]["monomials"][0].update(w="banana"),
-    lambda doc: doc["terms"][0]["monomials"][0].update(w="0.5"),
-    lambda doc: doc["terms"][0]["monomials"][0].update(w=True),
-    lambda doc: doc["terms"][0].update(sines="x"),
-    lambda doc: doc["terms"][0].update(sines=True),
-    lambda doc: doc["terms"][0].update(sines=1.0),
-    lambda doc: _make_numeric_doc(doc, coeff="0.5"),
-    lambda doc: _make_numeric_doc(doc, coeff=False),
-    lambda doc: _make_numeric_doc(doc, sines="0"),
-    lambda doc: doc["terms"].append(doc["terms"][0]),
-    lambda doc: _make_numeric_doc(doc) or doc["terms"].append(doc["terms"][0]),
-    lambda doc: _set_exponent(doc, 1.5),
-    lambda doc: _set_exponent(doc, 1.0),
-    lambda doc: _set_exponent(doc, True),
-    lambda doc: doc["terms"][-1]["monomials"][0].update(params=[[0, 0, 1], [0, 1, 0]]),
-    lambda doc: doc["terms"][-1]["monomials"][0].update(params=[[1, 1, 0], [0, 1, 0]]),
-    lambda doc: doc["terms"][0].update(pauli=5),
-    lambda doc: doc.update(m=2.5),
-    lambda doc: doc.update(n="1"),
-    lambda doc: doc.update(n_rotations="x"),
-    lambda doc: doc.update(n_paulis_initial=1.0),
-    lambda doc: doc["stats"].update(paths_expanded="3"),
-    lambda doc: doc["stats"].update(terms_final=None),
-    lambda doc: doc.update(stats=[1, 2]),
-    lambda doc: doc["policy"].update(kappa=True),
-    lambda doc: doc["policy"].update(path_cap=2.0),
-    lambda doc: doc["policy"].update(coeff_floor="0"),
-    lambda doc: doc["policy"].update(coeff_floor=None),
-    lambda doc: doc.update(version=True),
-], ids=["negative-param", "param-at-m", "unknown-mode", "symbolic-term-in-numeric",
-        "numeric-term-in-symbolic", "missing-sines", "missing-stats", "extra-policy-key",
-        "extra-stats-key", "terms-not-a-list", "string-weight", "numeric-string-weight",
-        "bool-weight", "string-sines", "bool-sines", "float-sines", "numeric-string-coeff",
-        "numeric-bool-coeff", "numeric-string-sines", "duplicate-pauli",
-        "numeric-duplicate-pauli", "fractional-exponent", "float-exponent", "bool-exponent",
-        "repeated-param", "unsorted-params", "int-pauli", "float-m", "string-n",
-        "string-n-rotations", "float-n-paulis-initial", "string-stats-counter",
-        "null-stats-counter", "stats-not-an-object", "bool-kappa", "float-path-cap",
-        "string-coeff-floor", "null-coeff-floor", "bool-version"])
-def test_load_artifact_rejects_malformed_files(tmp_path, corrupt):
+# (id, version-1 corruption, version-2 corruption or None when it is the same edit)
+_MALFORMED = [
+    ("negative-param", lambda doc: _set_param(doc, 0, -2),
+     lambda doc: _z_factor_v2(doc, 0).__setitem__(0, -2)),
+    ("param-at-m", lambda doc: _set_param(doc, 1, 2),
+     lambda doc: _z_factor_v2(doc, 1).__setitem__(0, 2)),
+    ("unknown-mode", lambda doc: doc.update(mode="banana"), None),
+    ("symbolic-term-in-numeric", lambda doc: doc.update(mode=NUMERIC), None),
+    ("numeric-term-in-symbolic", _make_numeric_term,
+     lambda doc: doc.update(coeffs=[0.5] * len(doc["paulis"]))),
+    ("missing-sines", lambda doc: doc["terms"][0].pop("sines"), lambda doc: doc.pop("sines")),
+    ("missing-stats", lambda doc: doc.pop("stats"), None),
+    ("extra-policy-key", lambda doc: doc["policy"].update(banana=1), None),
+    ("extra-stats-key", lambda doc: doc["stats"].update(banana=1), None),
+    ("terms-not-a-list", lambda doc: doc.update(terms=5),
+     lambda doc: doc.update(term_monomials=5)),
+    ("string-weight", lambda doc: _set_weight(doc, "banana"),
+     lambda doc: _set_weight_v2(doc, "banana")),
+    ("numeric-string-weight", lambda doc: _set_weight(doc, "0.5"),
+     lambda doc: _set_weight_v2(doc, "0.5")),
+    ("bool-weight", lambda doc: _set_weight(doc, True), lambda doc: _set_weight_v2(doc, True)),
+    ("string-sines", lambda doc: doc["terms"][0].update(sines="x"),
+     lambda doc: doc["sines"].__setitem__(0, "x")),
+    ("bool-sines", lambda doc: doc["terms"][0].update(sines=True),
+     lambda doc: doc["sines"].__setitem__(0, True)),
+    ("float-sines", lambda doc: doc["terms"][0].update(sines=1.0),
+     lambda doc: doc["sines"].__setitem__(0, 1.0)),
+    ("numeric-string-coeff", lambda doc: _make_numeric_doc(doc, coeff="0.5"),
+     lambda doc: _make_numeric_doc_v2(doc, coeff="0.5")),
+    ("numeric-bool-coeff", lambda doc: _make_numeric_doc(doc, coeff=False),
+     lambda doc: _make_numeric_doc_v2(doc, coeff=False)),
+    ("numeric-string-sines", lambda doc: _make_numeric_doc(doc, sines="0"),
+     lambda doc: _make_numeric_doc_v2(doc, sines="0")),
+    ("duplicate-pauli", lambda doc: doc["terms"].append(doc["terms"][0]),
+     lambda doc: doc["paulis"].__setitem__(1, doc["paulis"][0])),
+    ("numeric-duplicate-pauli",
+     lambda doc: _make_numeric_doc(doc) or doc["terms"].append(doc["terms"][0]),
+     lambda doc: _make_numeric_doc_v2(doc) or doc["paulis"].__setitem__(1, doc["paulis"][0])),
+    ("fractional-exponent", lambda doc: _set_exponent(doc, 1.5),
+     lambda doc: _z_factor_v2(doc, 1).__setitem__(1, 1.5)),
+    ("float-exponent", lambda doc: _set_exponent(doc, 1.0),
+     lambda doc: _z_factor_v2(doc, 1).__setitem__(1, 1.0)),
+    ("bool-exponent", lambda doc: _set_exponent(doc, True),
+     lambda doc: _z_factor_v2(doc, 1).__setitem__(1, True)),
+    # Z's factors [[0, 0, 1], [0, 1, 0]] and [[1, 1, 0], [0, 1, 0]]
+    ("repeated-param",
+     lambda doc: doc["terms"][-1]["monomials"][0].update(params=[[0, 0, 1], [0, 1, 0]]),
+     lambda doc: doc["factor_index"].__setitem__(slice(-2, None), [1, 3])),
+    ("unsorted-params",
+     lambda doc: doc["terms"][-1]["monomials"][0].update(params=[[1, 1, 0], [0, 1, 0]]),
+     lambda doc: doc["factor_index"].__setitem__(slice(-2, None), [2, 3])),
+    ("int-pauli", lambda doc: doc["terms"][0].update(pauli=5),
+     lambda doc: doc["paulis"].__setitem__(0, 5)),
+    ("float-m", lambda doc: doc.update(m=2.5), None),
+    ("string-n", lambda doc: doc.update(n="1"), None),
+    ("string-n-rotations", lambda doc: doc.update(n_rotations="x"), None),
+    ("float-n-paulis-initial", lambda doc: doc.update(n_paulis_initial=1.0), None),
+    ("string-stats-counter", lambda doc: doc["stats"].update(paths_expanded="3"), None),
+    ("null-stats-counter", lambda doc: doc["stats"].update(terms_final=None), None),
+    ("stats-not-an-object", lambda doc: doc.update(stats=[1, 2]), None),
+    ("bool-kappa", lambda doc: doc["policy"].update(kappa=True), None),
+    ("float-path-cap", lambda doc: doc["policy"].update(path_cap=2.0), None),
+    ("string-coeff-floor", lambda doc: doc["policy"].update(coeff_floor="0"), None),
+    ("null-coeff-floor", lambda doc: doc["policy"].update(coeff_floor=None), None),
+    ("bool-version", lambda doc: doc.update(version=True), None),
+    ("nan-weight", lambda doc: _set_weight(doc, math.nan),
+     lambda doc: _set_weight_v2(doc, math.nan)),
+    ("infinite-weight", lambda doc: _set_weight(doc, -math.inf),
+     lambda doc: _set_weight_v2(doc, -math.inf)),
+    ("numeric-nan-coeff", lambda doc: _make_numeric_doc(doc, coeff=math.nan),
+     lambda doc: _make_numeric_doc_v2(doc, coeff=math.nan)),
+]
+
+
+def _malformed_case_surrogate():
     c = Circuit(1, 2, (Rotation("X", (0,), ParamRef.free(0)),
                        Rotation("Y", (0,), ParamRef.free(1))))
-    po = backpropagate(c, ObservableSpec.single(PauliString.from_text("Z")), mode=SYMBOLIC)
-    path = tmp_path / "artifact.json"
-    save_artifact(po, path)
-    doc = json.loads(path.read_text())
-    assert doc["terms"][-1]["monomials"][0]["params"] == [[0, 1, 0], [1, 1, 0]]
+    return backpropagate(c, ObservableSpec.single(PauliString.from_text("Z")), mode=SYMBOLIC)
+
+
+def _assert_corrupt_document_refused(path, doc, corrupt):
+    path.write_text(json.dumps(doc))
     load_artifact(path)
     corrupt(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
         load_artifact(path)
+
+
+@pytest.mark.parametrize("corrupt", [v1 for _, v1, _ in _MALFORMED],
+                         ids=[case for case, _, _ in _MALFORMED])
+def test_load_artifact_rejects_malformed_files(tmp_path, corrupt):
+    doc = _v1_doc(_malformed_case_surrogate())
+    assert doc["terms"][-1]["monomials"][0]["params"] == [[0, 1, 0], [1, 1, 0]]
+    _assert_corrupt_document_refused(tmp_path / "artifact.json", doc, corrupt)
+
+
+@pytest.mark.parametrize("corrupt", [v2 or v1 for _, v1, v2 in _MALFORMED],
+                         ids=[case for case, _, _ in _MALFORMED])
+def test_load_version_2_artifact_rejects_malformed_files(tmp_path, corrupt):
+    doc = _artifact_doc(_malformed_case_surrogate(), tmp_path)
+    assert doc["version"] == 2
+    assert [_z_factor_v2(doc, k) for k in (0, 1)] == [[0, 1, 0], [1, 1, 0]]
+    assert doc["factor_table"][1:3] == [[0, 0, 1], [1, 1, 0]]
+    _assert_corrupt_document_refused(tmp_path / "artifact.json", doc, corrupt)
 
 
 @pytest.mark.parametrize("document", ["[1]", "null", '"artifact"'])

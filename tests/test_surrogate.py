@@ -40,6 +40,7 @@ from paulipatch import (
 from paulipatch.propagation import (
     NUMERIC,
     SYMBOLIC,
+    MonomialTable,
     PropagatedObservable,
     PropagatedTerm,
     PropagationStats,
@@ -261,10 +262,14 @@ def test_evaluator_batch_values(rng):
 
 def _no_monomial_surrogate():
     x = PauliString.from_text("X")
+    none = np.zeros(0, dtype=np.intp)
+    table = MonomialTable.from_factors(2, np.array([0]), np.zeros(0), none, none,
+                                       np.zeros((0, 3)))
     return PropagatedObservable(
-        n=1, mode=SYMBOLIC, terms={x: PropagatedTerm(x, monomials=(), min_sine_count=0)},
+        n=1, mode=SYMBOLIC,
+        terms={x: PropagatedTerm(x, min_sine_count=0, table=table, index=0)},
         stats=PropagationStats(), policy=TruncationPolicy(), m=2, n_rotations=2,
-        n_paulis_initial=1)
+        n_paulis_initial=1, table=table)
 
 
 def _shared_power_surrogate(rng):

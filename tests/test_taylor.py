@@ -383,11 +383,15 @@ def _set_pair(doc, index, value):
     lambda doc: doc.pop("format"),
     lambda doc: doc.update(format="landscape-patch-surrogate"),
     lambda doc: doc.update(version=True),
+    lambda doc: doc["entries"][0].update(value=math.nan),
+    lambda doc: doc["entries"][-1].update(value=math.inf),
+    lambda doc: doc.update(center=[-math.inf, -0.2]),
 ], ids=["version-99", "no-version", "string-value", "bool-value", "param-at-m",
         "negative-param", "float-param", "zero-order", "three-item-pair", "missing-value",
         "entries-not-a-list", "string-center", "string-order", "ledger-not-a-dict",
         "string-ledger-count", "extra-ledger-key", "wrong-format", "null-format", "no-format",
-        "artifact-format", "bool-version"])
+        "artifact-format", "bool-version", "nan-value", "infinite-value",
+        "infinite-center"])
 def test_surrogate_from_json_rejects_malformed_documents(corrupt):
     doc = _taylor_doc()
     assert TaylorSurrogate.from_json(json.dumps(doc)).entries[((0, 1), (1, 1))] == -0.125
