@@ -5,7 +5,8 @@ Every command writes machine-readable CSV/JSON plus a run manifest
 timings. CSV bytes are reproducible for a fixed configuration and seed; the
 manifest id (a hash of the configuration) is stamped into the first CSV line.
 
-Exit codes: 0 success, 2 validation error, 3 policy overflow, 4 oracle cap.
+Exit codes: 0 success, 2 validation error (a malformed option value included), 3 policy
+overflow, 4 oracle cap.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__, documents
 from .circuits import (
+    RAMP_KINDS,
     RampSpec,
     Topology,
     build_tfi_trotter,
@@ -40,6 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .measurement import (
+    STRATEGIES,
     estimate,
     make_allocation,
     shadow_estimate,
@@ -192,7 +195,6 @@ def cmd_rmse_sweep(args) -> int:
     circuit = parse_circuit(_read(args.circuit))
     obs = parse_observable(_read(args.observable), n=circuit.n)
     state = _load_state(args.state, circuit.n)
-    r_values = [float(v) for v in args.r.split(",")]
     free_only = all(g.param.kind == "free" for g in circuit.rotations)
 
     rng = np.random.Generator(np.random.Philox(args.seed))
@@ -205,7 +207,7 @@ def cmd_rmse_sweep(args) -> int:
 
     rows = []
     m_rot = len(circuit.rotations)
-    for r in r_values:
+    for r in args.r:
         alphas = rng.uniform(-r, r, size=(args.samples, circuit.m))
         t0 = time.perf_counter()
         exact = exact_expectation_batch(circuit, alphas, obs, state)
@@ -234,8 +236,6 @@ def cmd_shot_compare(args) -> int:
     circuit = parse_circuit(_read(args.circuit))
     obs = parse_observable(_read(args.observable), n=circuit.n)
     state = _load_state(args.state, circuit.n)
-    strategies = args.strategies.split(",")
-    shot_list = [int(s) for s in args.shots.split(",")]
 
     po = backpropagate(circuit, obs,
                        TruncationPolicy(kappa=args.kappa, max_weight=args.max_weight),
@@ -253,13 +253,13 @@ def cmd_shot_compare(args) -> int:
     coeff_rows = ev.coefficient_rows(alphas)
 
     rows = []
-    for strategy in strategies:
+    for strategy in args.strategies:
         if strategy == "abs-coeff":
             raise ValidationError(
                 "abs-coeff targets single-point estimation; patch comparison "
                 "strategies are uniform, eff1norm-avg, eff1norm-worst, shadows"
             )
-        for shots in shot_list:
+        for shots in args.shots:
             sq_sum = 0.0
             count = 0
             for rep in range(args.repeats):
@@ -301,8 +301,8 @@ def cmd_kz_scan(args) -> int:
     policy = TruncationPolicy(kappa=args.kappa, max_weight=args.max_weight)
     plus = AllPlus(top.n)
     rows = []
-    for ramp_kind in args.ramp.split(","):
-        for t_f in (float(v) for v in args.tf.split(",")):
+    for ramp_kind in args.ramp:
+        for t_f in args.tf:
             layers = args.layers if args.layers else max(1, round(t_f / args.dt))
             dt = t_f / layers if args.layers else args.dt
             circuit = build_tfi_trotter(top, layers=layers, dt=dt,
@@ -374,6 +374,43 @@ def cmd_taylor(args) -> int:
 # --- argument parsing --------------------------------------------------------------------
 
 
+def _option(convert, accept, what: str):
+    """An argparse type: ``convert`` the text, and refuse a value ``accept`` turns down."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+def _comma_list(item):
+    """An argparse type: a comma list of ``item`` values."""
+    return lambda text: [item(part) for part in text.split(",")]
+
+
+_COUNT = _option(int, lambda value: value >= 1, "an integer >= 1")
+_POSITIVE = _option(float, lambda value: 0 < value < math.inf, "a finite number > 0")
+_HALF_WIDTH = _option(float, lambda value: 0 <= value < math.inf, "a finite number >= 0")
+_RAMP = _option(str, RAMP_KINDS.__contains__, "a ramp: " + ", ".join(RAMP_KINDS))
+_SHOT_STRATEGIES = (*STRATEGIES, "shadows")
+_STRATEGY = _option(str, _SHOT_STRATEGIES.__contains__,
+                    "a strategy: " + ", ".join(_SHOT_STRATEGIES))
+
+
+def _topology(spec: str) -> str:
+    """A ``--topology`` spec that ``_load_topology`` reads."""
+    try:
+        _load_topology(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected chain:N, grid:RxC or heavyhex127, got {spec!r}") from None
+    return spec
+
+
 def _echo(args) -> dict:
     skip = {"func"}
     return {k: v for k, v in vars(args).items() if k not in skip}
@@ -407,10 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable", required=True)
     p.add_argument("--state", default="all-zero",
                    help="all-zero | all-plus | dense:FILE | trotter:FILE")
-    p.add_argument("--r", required=True, help="comma list of patch half-widths")
+    p.add_argument("--r", type=_comma_list(_HALF_WIDTH), required=True,
+                   help="comma list of patch half-widths")
     p.add_argument("--kappa-max", type=int, required=True, dest="kappa_max")
     p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_COUNT, default=200)
     p.add_argument("--out", required=True, help="CSV path")
     _add_common(p)
     p.set_defaults(func=cmd_rmse_sweep)
@@ -419,11 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--observable", required=True)
     p.add_argument("--state", default="all-zero")
-    p.add_argument("--strategies", default="uniform,eff1norm-avg",
+    p.add_argument("--strategies", type=_comma_list(_STRATEGY), default="uniform,eff1norm-avg",
                    help="comma list: uniform,abs-coeff,eff1norm-avg,eff1norm-worst,shadows")
-    p.add_argument("--shots", required=True, help="comma list of shot budgets")
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--alpha-draws", type=int, default=20, dest="alpha_draws")
+    p.add_argument("--shots", type=_comma_list(_COUNT), required=True,
+                   help="comma list of shot budgets")
+    p.add_argument("--repeats", type=_COUNT, default=10)
+    p.add_argument("--alpha-draws", type=_COUNT, default=20, dest="alpha_draws")
     p.add_argument("--r", type=float, default=0.1)
     p.add_argument("--kappa", type=int, default=6)
     p.add_argument("--max-weight", type=int, default=None)
@@ -432,12 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_shot_compare)
 
     p = sub.add_parser("kz-scan", help="defect density vs annealing time per ramp")
-    p.add_argument("--topology", required=True, help="chain:N | grid:RxC | heavyhex127")
-    p.add_argument("--dt", type=float, default=0.3)
+    p.add_argument("--topology", type=_topology, required=True,
+                   help="chain:N | grid:RxC | heavyhex127")
+    p.add_argument("--dt", type=_POSITIVE, default=0.3)
     p.add_argument("--layers", type=int, default=None,
                    help="fixed layer count (dt then becomes t_f/layers); default t_f/dt")
-    p.add_argument("--ramp", default="linear", help="comma list: linear,square,tanh")
-    p.add_argument("--tf", required=True, help="comma list of final times")
+    p.add_argument("--ramp", type=_comma_list(_RAMP), default="linear",
+                   help="comma list: linear,square,tanh")
+    p.add_argument("--tf", type=_comma_list(_POSITIVE), required=True,
+                   help="comma list of final times")
     p.add_argument("--obs-edge", type=int, nargs=2, required=True, dest="obs_edge")
     p.add_argument("--kappa", type=int, default=None)
     p.add_argument("--max-weight", type=int, default=5)
@@ -454,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=None,
                    help="per-evaluation shot budget (default: exact oracle)")
     p.add_argument("--r", type=float, default=0.05, help="scan half-width")
-    p.add_argument("--scan-points", type=int, default=128, dest="scan_points")
+    p.add_argument("--scan-points", type=_COUNT, default=128, dest="scan_points")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_taylor)

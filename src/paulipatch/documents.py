@@ -9,10 +9,11 @@ whichever loader reads it, and the command line exits with code 2:
 * ``parse`` decodes UTF-8 JSON text into an object and checks its
   ``format`` tag and ``version``; ``numbers`` decodes a list of numbers,
   such as the centre point of a Taylor patch;
-* ``integer`` and ``number`` read one count or one value, refusing booleans
+* ``integer`` and ``number`` read one index or one value, refusing booleans
   (which JSON would otherwise hand over as 1 and 0) and strings, and
   ``number`` refuses the ``NaN`` and ``Infinity`` that ``json`` reads although
-  JSON has neither; ``integer_array`` and ``number_array`` read a list of them
+  JSON has neither; ``count`` reads an integer that must be >= 0;
+  ``integer_array``, ``count_array`` and ``number_array`` read a list of them
   into a numpy array at once;
 * ``fields`` reports what a missing or mistyped field makes the reading code
   raise as ``ValidationError``.
@@ -56,9 +57,16 @@ def parse(text: str | bytes, what: str, fmt: str | None = None,
 
 
 def integer(value, path: str = "") -> int:
-    """A count or index: a JSON integer, not a float, string or boolean."""
+    """An index or size: a JSON integer, not a float, string or boolean."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"expected an integer, got {value!r}", path)
+    return value
+
+
+def count(value, path: str = "") -> int:
+    """A size or counter: a JSON integer >= 0."""
+    if integer(value, path) < 0:
+        raise ValidationError(f"expected a count >= 0, got {value!r}", path)
     return value
 
 
@@ -80,6 +88,14 @@ def integer_array(values, path: str = "") -> np.ndarray:
     if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise ValidationError("expected a list of integers", path)
     return np.array(values, dtype=np.int64)
+
+
+def count_array(values, path: str = "") -> np.ndarray:
+    """A JSON list of integers >= 0 as an int64 array."""
+    array = integer_array(values, path)
+    if array.min(initial=0) < 0:
+        raise ValidationError("expected counts >= 0", path)
+    return array
 
 
 def number_array(values, path: str = "") -> np.ndarray:

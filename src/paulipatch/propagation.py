@@ -17,7 +17,13 @@ the final frontier's rows: flat arrays of monomial weights and factors, in
 term order. Evaluation, patch moments, worst-case bounds, sine-order
 restriction and the artifact file all work on that table.
 ``PropagatedTerm.monomials`` is a read-only view of ``PathMonomial`` tuples,
-built from the table only when it is read.
+built from the table only when it is read; the table's factors are checked
+where it is built or loaded, and the view does not check them again.
+
+``backpropagate``, ``restrict_sine_order`` and ``load_artifact`` each hand
+their columns (Paulis, minimum sine counts, and the coefficients or the table)
+to one constructor, which makes the terms and reads the final term and
+monomial counts off those columns.
 
 Truncation is decided at split time: a sine branch is dropped when its path
 sine order would exceed ``kappa``, its Pauli weight would exceed
@@ -41,15 +47,15 @@ import gzip
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import documents
 from .circuits import Circuit
-from .documents import integer, number
+from .documents import count, integer, number
 from .errors import (
     ConfigError,
     DimensionError,
@@ -100,25 +106,13 @@ class TruncationPolicy:
 class PathMonomial:
     """Product of cos/sin powers over parameter slots, sign folded into weight.
 
-    The item type of the read-only ``PropagatedTerm.monomials`` view; the
-    surrogate itself is stored as a ``MonomialTable``.
+    An item of the read-only ``PropagatedTerm.monomials`` view, made only by
+    ``MonomialTable.monomials``. Its factors are checked where the table is
+    built or loaded (distinct params in increasing order, exponents >= 0 and
+    not both 0), not again here.
     """
 
     factors: MonoKey = ()
-
-    def __post_init__(self) -> None:
-        last = -1
-        for param, cos_e, sin_e in self.factors:
-            if param <= last:
-                raise ValidationError("monomial factors need distinct param indices >= 0, "
-                                      f"in increasing order: {self.factors}")
-            if cos_e < 0 or sin_e < 0 or (cos_e == 0 and sin_e == 0):
-                raise ValidationError(f"bad factor (param, cos, sin) = {param},{cos_e},{sin_e}")
-            last = param
-
-    @property
-    def sine_order(self) -> int:
-        return sum(s for _, _, s in self.factors)
 
 
 class MonomialTable:
@@ -328,15 +322,7 @@ class PropagationStats:
     monomials_final: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "paths_expanded": self.paths_expanded,
-            "truncated_sine": self.truncated_sine,
-            "truncated_weight": self.truncated_weight,
-            "truncated_coeff": self.truncated_coeff,
-            "truncated_cap": self.truncated_cap,
-            "terms_final": self.terms_final,
-            "monomials_final": self.monomials_final,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -684,11 +670,31 @@ def _frontier_table(m: int, xs: np.ndarray, zs: np.ndarray, coeffs: np.ndarray,
     return table, pauli_starts[term_groups], min_sines
 
 
-def _table_terms(paulis: Sequence[PauliString], sines: np.ndarray,
-                 table: MonomialTable) -> dict[PauliString, PropagatedTerm]:
-    """One symbolic term per table term, in order."""
-    return {p: PropagatedTerm(p, min_sine_count=s, table=table, index=i)
-            for i, (p, s) in enumerate(zip(paulis, sines.tolist()))}
+def _observable(paulis: Iterable[PauliString], sines: np.ndarray,
+                values: np.ndarray | MonomialTable, policy: TruncationPolicy,
+                stats: PropagationStats, *, n: int, m: int, n_rotations: int,
+                n_paulis_initial: int) -> PropagatedObservable:
+    """The observable of one term per Pauli, in order, from its columns.
+
+    ``values`` holds the coefficients of a numeric observable or the table of a
+    symbolic one. Its counters are a copy of ``stats`` with the final counts
+    read off these columns.
+    """
+    if isinstance(values, MonomialTable):
+        table = values
+        terms = {p: PropagatedTerm(p, min_sine_count=s, table=table, index=i)
+                 for i, (p, s) in enumerate(zip(paulis, sines.tolist()))}
+    else:
+        table = None
+        terms = {p: PropagatedTerm(p, coefficient=c, min_sine_count=s)
+                 for p, c, s in zip(paulis, values.tolist(), sines.tolist())}
+    return PropagatedObservable(
+        n=n, mode=NUMERIC if table is None else SYMBOLIC, terms=terms,
+        stats=replace(stats, terms_final=len(terms),
+                      monomials_final=len(terms) if table is None else table.n_monomials),
+        policy=policy, m=m, n_rotations=n_rotations, n_paulis_initial=n_paulis_initial,
+        table=table,
+    )
 
 
 def _pauli(n: int, x: np.ndarray, z: np.ndarray) -> PauliString:
@@ -736,31 +742,16 @@ def backpropagate(
     nonzero = np.flatnonzero(frontier.coeff)
     order = nonzero[_text_order(circuit.n, frontier.xw[nonzero], frontier.zw[nonzero])]
     xs, zs = frontier.xw[order].astype("<u8"), frontier.zw[order].astype("<u8")
-    table = None
     if mode == NUMERIC:
-        terms = {}
-        for x, z, coeff, sines in zip(xs, zs, frontier.coeff[order].tolist(),
-                                      frontier.sines[order].tolist()):
-            p = _pauli(circuit.n, x, z)
-            terms[p] = PropagatedTerm(p, coefficient=coeff, min_sine_count=sines)
+        firsts, sines, values = range(order.shape[0]), frontier.sines[order], frontier.coeff[order]
     else:
-        table, firsts, sines = _frontier_table(circuit.m, xs, zs, frontier.coeff[order],
-                                               frontier.sines[order], frontier.pows[order])
-        terms = _table_terms([_pauli(circuit.n, xs[i], zs[i]) for i in firsts], sines, table)
-    stats.terms_final = len(terms)
-    stats.monomials_final = len(terms) if table is None else table.n_monomials
-
-    return PropagatedObservable(
-        n=circuit.n,
-        mode=mode,
-        terms=terms,
-        stats=stats,
-        policy=policy,
-        m=circuit.m,
-        n_rotations=len(circuit.rotations),
-        n_paulis_initial=obs.n_paulis,
-        table=table,
-    )
+        values, firsts, sines = _frontier_table(circuit.m, xs, zs, frontier.coeff[order],
+                                                frontier.sines[order], frontier.pows[order])
+    # each Pauli joins its term as it is made: listing all 27 691 Paulis of a 127-qubit
+    # build first raised its peak RSS by 2.5 MB
+    return _observable((_pauli(circuit.n, xs[i], zs[i]) for i in firsts), sines, values, policy,
+                       stats, n=circuit.n, m=circuit.m, n_rotations=len(circuit.rotations),
+                       n_paulis_initial=obs.n_paulis)
 
 
 def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObservable:
@@ -769,10 +760,15 @@ def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObser
     For free-parameter circuits a monomial's sine order equals its path sine
     count, so this equals a fresh build at that kappa: a path cut at split
     time is exactly one whose monomial would exceed the order, and cutting it
-    also removes all its descendants, which carry even higher orders.
+    also removes all its descendants, which carry even higher orders. The
+    result keeps the build's counters of expanded and truncated paths, and
+    counts its own surviving terms and monomials. A ``kappa`` above the
+    build's raises ``ConfigError``: the build holds no higher orders.
     """
     if po.mode != SYMBOLIC:
         raise ConfigError("sine-order restriction needs a symbolic surrogate")
+    if po.policy.kappa is not None and kappa > po.policy.kappa:
+        raise ConfigError(f"kappa {kappa} exceeds the build's kappa {po.policy.kappa}")
     table = po.monomial_table()
     orders = table.sine_order
     keep = orders <= kappa
@@ -780,11 +776,8 @@ def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObser
     sub = table.select(keep)
     sines = np.minimum.reduceat(orders[keep], sub.term_starts[:-1])
     paulis = [p for p, kept in zip(po.terms, alive.tolist()) if kept]
-    return PropagatedObservable(
-        n=po.n, mode=SYMBOLIC, terms=_table_terms(paulis, sines, sub), stats=po.stats,
-        policy=replace(po.policy, kappa=kappa),
-        m=po.m, n_rotations=po.n_rotations, n_paulis_initial=po.n_paulis_initial, table=sub,
-    )
+    return _observable(paulis, sines, sub, replace(po.policy, kappa=kappa), po.stats, n=po.n,
+                       m=po.m, n_rotations=po.n_rotations, n_paulis_initial=po.n_paulis_initial)
 
 
 # --- surrogate artifact file ---------------------------------------------------------
@@ -811,12 +804,7 @@ def save_artifact(po: PropagatedObservable, path) -> None:
         "m": po.m,
         "n_rotations": po.n_rotations,
         "n_paulis_initial": po.n_paulis_initial,
-        "policy": {
-            "kappa": po.policy.kappa,
-            "max_weight": po.policy.max_weight,
-            "coeff_floor": po.policy.coeff_floor,
-            "path_cap": po.policy.path_cap,
-        },
+        "policy": asdict(po.policy),
         "stats": po.stats.as_dict(),
         "paulis": [p.to_text() for p in po.terms],
         "sines": [t.min_sine_count for t in po.terms.values()],
@@ -888,9 +876,9 @@ def _v1_columns(terms: list, mode: str) -> dict:
 
 def _columns_table(m: int, n_terms: int, columns: dict) -> MonomialTable:
     """The monomial table of an artifact's symbolic columns, checked before it is built."""
-    term_sizes = documents.integer_array(columns["term_monomials"], "term_monomials")
+    term_sizes = documents.count_array(columns["term_monomials"], "term_monomials")
     weights = documents.number_array(columns["weights"], "weights")
-    fac_counts = documents.integer_array(columns["monomial_factors"], "monomial_factors")
+    fac_counts = documents.count_array(columns["monomial_factors"], "monomial_factors")
     rows = columns["factor_table"]
     if not isinstance(rows, list) or not all(isinstance(row, list) and len(row) == 3
                                              for row in rows):
@@ -898,8 +886,6 @@ def _columns_table(m: int, n_terms: int, columns: dict) -> MonomialTable:
     distinct = documents.integer_array(list(chain.from_iterable(rows)),
                                        "factor_table").reshape(-1, 3)
     index = documents.integer_array(columns["factor_index"], "factor_index")
-    if min(term_sizes.min(initial=0), fac_counts.min(initial=0)) < 0:
-        raise ValidationError("monomial and factor counts must be >= 0")
     if (term_sizes.shape[0] != n_terms or weights.shape != fac_counts.shape
             or term_sizes.sum() != weights.shape[0] or fac_counts.sum() != index.shape[0]):
         raise ValidationError("the artifact's columns disagree in length")
@@ -928,7 +914,7 @@ def load_artifact(path) -> PropagatedObservable:
         raise ValidationError(f"unreadable gzip artifact: {exc!r}") from None
     doc = documents.parse(payload, "surrogate artifact", ARTIFACT_FORMAT, (1, ARTIFACT_VERSION))
     with documents.fields("surrogate artifact"):
-        n, mode, m = integer(doc["n"], "n"), doc["mode"], integer(doc["m"], "m")
+        n, mode, m = count(doc["n"], "n"), doc["mode"], count(doc["m"], "m")
         if mode not in (NUMERIC, SYMBOLIC):
             raise ValidationError(f"unknown artifact mode {mode!r}")
         columns = doc if doc["version"] == ARTIFACT_VERSION else _v1_columns(doc["terms"], mode)
@@ -939,28 +925,17 @@ def load_artifact(path) -> PropagatedObservable:
         paulis = [PauliString.from_text(text, n) for text in columns["paulis"]]
         if len(set(paulis)) != len(paulis):
             raise ValidationError("a term's Pauli is listed twice")
-        sines = documents.integer_array(columns["sines"], "sines")
+        sines = documents.count_array(columns["sines"], "sines")
         if sines.shape[0] != len(paulis):
             raise ValidationError("the artifact's columns disagree in length")
-        table = None
         if mode == NUMERIC:
-            coeffs = documents.number_array(columns["coeffs"], "coeffs")
-            if coeffs.shape != sines.shape:
+            values = documents.number_array(columns["coeffs"], "coeffs")
+            if values.shape != sines.shape:
                 raise ValidationError("the artifact's columns disagree in length")
-            terms = {p: PropagatedTerm(p, coefficient=c, min_sine_count=s)
-                     for p, c, s in zip(paulis, coeffs.tolist(), sines.tolist())}
         else:
-            table = _columns_table(m, len(paulis), columns)
-            terms = _table_terms(paulis, sines, table)
-        return PropagatedObservable(
-            n=n,
-            mode=mode,
-            terms=terms,
-            stats=PropagationStats(**{key: integer(value, f"stats.{key}")
-                                      for key, value in doc["stats"].items()}),
-            policy=_json_policy(doc["policy"]),
-            m=m,
-            n_rotations=integer(doc["n_rotations"], "n_rotations"),
-            n_paulis_initial=integer(doc["n_paulis_initial"], "n_paulis_initial"),
-            table=table,
-        )
+            values = _columns_table(m, len(paulis), columns)
+        stats = PropagationStats(**{key: count(value, f"stats.{key}")
+                                    for key, value in doc["stats"].items()})
+        return _observable(paulis, sines, values, _json_policy(doc["policy"]), stats, n=n, m=m,
+                           n_rotations=count(doc["n_rotations"], "n_rotations"),
+                           n_paulis_initial=count(doc["n_paulis_initial"], "n_paulis_initial"))

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,13 +54,7 @@ class EvalLedger:
     b0: float = 1.0                 # largest |b_j| across derivative recipes
 
     def as_dict(self) -> dict:
-        return {
-            "evaluations": self.evaluations,
-            "nominal_evaluations": self.nominal_evaluations,
-            "unique_derivatives": self.unique_derivatives,
-            "n_d_max": self.n_d_max,
-            "b0": self.b0,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -305,7 +299,6 @@ def build_taylor(oracle: LossOracle, center: Sequence[float], kappa: int) -> Tay
         raise PauliPatchError(
             f"oracle calls {ledger.evaluations} exceed the budget bound {budget:.1f}"
         )
-    ledger.b0 = 1.0  # the zeroth derivative's single unit-weight evaluation
     return TaylorSurrogate(tuple(center), kappa, entries, ledger)
 
 

@@ -196,6 +196,47 @@ def test_rmse_sweep_exits_2_on_a_dense_state_of_the_wrong_size(workdir, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,option,value", [
+    ("kz-scan", "--topology", "grid:4"),
+    ("kz-scan", "--topology", "chain:abc"),
+    ("kz-scan", "--tf", "x"),
+    ("kz-scan", "--dt", "0"),
+    ("kz-scan", "--ramp", "linear,banana"),
+    ("rmse-sweep", "--r", "0.1,x"),
+    ("rmse-sweep", "--samples", "0"),
+    ("shot-compare", "--shots", "1,x"),
+    ("shot-compare", "--repeats", "0"),
+    ("shot-compare", "--alpha-draws", "0"),
+    ("shot-compare", "--strategies", "uniform,banana"),
+    ("taylor", "--scan-points", "0"),
+], ids=["topology-grid-without-columns", "topology-chain-not-a-number", "tf-not-a-number",
+        "zero-dt", "unknown-ramp", "r-list-not-numbers", "zero-samples",
+        "shots-list-not-integers", "zero-repeats", "zero-alpha-draws", "unknown-strategy",
+        "zero-scan-points"])
+def test_malformed_option_values_exit_2(workdir, capsys, command, option, value):
+    options = {
+        "kz-scan": {"--topology": "chain:6", "--tf": "3", "--obs-edge": "2 3"},
+        "rmse-sweep": {"--circuit": "circ.json", "--observable": "obs.json", "--r": "0.1",
+                       "--kappa-max": "1", "--samples": "2"},
+        "shot-compare": {"--circuit": "circ.json", "--observable": "obs.json",
+                         "--shots": "100", "--repeats": "1", "--alpha-draws": "1"},
+        "taylor": {"--circuit": "circ.json", "--observable": "obs.json", "--order": "1",
+                   "--scan-points": "4"},
+    }[command]
+    options[option] = value
+    argv = [command, "--out", str(workdir / "x.out")]
+    for name, text in options.items():
+        argv += [name, *(str(workdir / text) if text.endswith(".json") else text).split(" ")]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    # a comma list names its first bad entry
+    assert f"argument {option}: expected" in err and repr(value.split(",")[-1]) in err
+    assert "Traceback" not in err
+    assert not (workdir / "x.out").exists()
+
+
 def test_exit_code_policy_overflow(workdir, capsys):
     code = main(["build", "--circuit", str(workdir / "circ.json"),
                  "--observable", str(workdir / "obs.json"),

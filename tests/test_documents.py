@@ -8,6 +8,8 @@ import pytest
 
 from paulipatch import ValidationError
 from paulipatch.documents import (
+    count,
+    count_array,
     fields,
     integer,
     integer_array,
@@ -56,6 +58,19 @@ def test_integer_and_number_pass_values_through():
     assert integer(-3) == -3 and type(integer(7)) is int
     assert number(2) == 2.0 and type(number(2)) is float
     assert number(-0.25) == -0.25
+
+
+def test_counts_are_integers_at_least_zero():
+    assert count(0) == 0 and count(7) == 7
+    assert count_array([0, 3]).tolist() == [0, 3] and count_array([]).shape == (0,)
+    for value in (-1, True, 1.0, "1"):
+        with pytest.raises(ValidationError) as err:
+            count(value, "stats.paths_expanded")
+        assert err.value.path == "stats.paths_expanded"
+    for values in ([0, -2], [1, True], 5):
+        with pytest.raises(ValidationError) as err:
+            count_array(values, "sines")
+        assert err.value.path == "sines"
 
 
 def test_numbers_reads_a_list_of_numbers():

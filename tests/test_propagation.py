@@ -23,7 +23,9 @@ from paulipatch import (
     TruncationPolicy,
     ValidationError,
     backpropagate,
+    build_tfi_trotter,
     exact_expectation_batch,
+    grid,
     load_artifact,
     overlap,
     path_stats,
@@ -991,9 +993,9 @@ def test_table_consumers_build_no_path_monomial(tmp_path, rng, monkeypatch):
     policy = TruncationPolicy(kappa=3)
     v1_doc = _v1_doc(backpropagate(c, obs, policy, mode=SYMBOLIC))  # reads the view
     built = []
-    check = PathMonomial.__post_init__
-    monkeypatch.setattr(PathMonomial, "__post_init__",
-                        lambda self: built.append(self) or check(self))
+    init = PathMonomial.__init__
+    monkeypatch.setattr(PathMonomial, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
     po = backpropagate(c, obs, policy, mode=SYMBOLIC)
     alphas = rng.uniform(-0.3, 0.3, size=(5, c.m))
     save_artifact(po, tmp_path / "v2.json.gz")
@@ -1009,6 +1011,56 @@ def test_table_consumers_build_no_path_monomial(tmp_path, rng, monkeypatch):
     assert built == []
     assert [mono for t in po.terms.values() for mono, _ in t.monomials] == built
     assert len(built) == po.table.n_monomials > 0
+
+
+# --- final counts ----------------------------------------------------------------------------
+
+
+def _tfi_patch():
+    """A 16-rotation Trotter circuit on a 2x2 grid, observed on Z1."""
+    circuit = build_tfi_trotter(grid(2, 2), layers=2, dt=0.1, binding="free")
+    return circuit, ObservableSpec.single(PauliString.from_sparse("Z1", 4))
+
+
+def test_final_counts_are_read_off_the_terms(tmp_path, rng):
+    circuit, obs = _tfi_patch()
+    policy = TruncationPolicy(kappa=3)
+    full = backpropagate(circuit, obs, policy, mode=SYMBOLIC)
+    numeric = backpropagate(circuit, obs, policy, mode=NUMERIC,
+                            alphas=rng.uniform(-0.1, 0.1, circuit.m))
+    observables = [full, numeric, *(restrict_sine_order(full, k) for k in range(4))]
+    path = tmp_path / "artifact.json"
+    for po in (full, numeric, restrict_sine_order(full, 1)):
+        save_artifact(po, path)
+        observables.append(load_artifact(path))
+        path.write_text(json.dumps(_v1_doc(po)))
+        observables.append(load_artifact(path))
+    for po in observables:
+        surviving = len(po.terms) if po.mode == NUMERIC else po.table.n_monomials
+        assert po.stats.terms_final == len(po.terms)
+        assert po.stats.monomials_final == surviving
+        assert path_stats(po)["paths_surviving"] == surviving
+
+
+def test_restriction_keeps_the_build_counters_and_counts_its_own_survivors():
+    circuit, obs = _tfi_patch()
+    full = backpropagate(circuit, obs, TruncationPolicy(kappa=3), mode=SYMBOLIC)
+    assert (full.stats.monomials_final, full.stats.terms_final) == (9, 7)
+    stats = path_stats(restrict_sine_order(full, 1))
+    assert (stats["paths_surviving"], stats["terms_final"]) == (3, 2)
+    for key in ("paths_expanded", "truncated_sine", "truncated_weight", "truncated_coeff",
+                "truncated_cap"):
+        assert stats[key] == getattr(full.stats, key)
+
+
+def test_restriction_refuses_a_kappa_above_the_build():
+    circuit, obs = _tfi_patch()
+    full = backpropagate(circuit, obs, TruncationPolicy(kappa=3), mode=SYMBOLIC)
+    assert restrict_sine_order(full, 3).table.n_monomials == full.table.n_monomials
+    with pytest.raises(ConfigError):
+        restrict_sine_order(full, 4)
+    unlimited = backpropagate(circuit, obs, mode=SYMBOLIC)
+    assert restrict_sine_order(unlimited, 5).policy.kappa == 5
 
 
 # --- determinism ------------------------------------------------------------------------------
@@ -1242,6 +1294,18 @@ _MALFORMED = [
      lambda doc: _set_weight_v2(doc, -math.inf)),
     ("numeric-nan-coeff", lambda doc: _make_numeric_doc(doc, coeff=math.nan),
      lambda doc: _make_numeric_doc_v2(doc, coeff=math.nan)),
+    # Z's second factor [1, 1, 0] becomes [1, 0, 0] and [1, -1, 0]
+    ("zero-factor", lambda doc: _set_exponent(doc, 0),
+     lambda doc: _z_factor_v2(doc, 1).__setitem__(1, 0)),
+    ("negative-exponent", lambda doc: _set_exponent(doc, -1),
+     lambda doc: _z_factor_v2(doc, 1).__setitem__(1, -1)),
+    ("negative-sines", lambda doc: doc["terms"][0].update(sines=-1),
+     lambda doc: doc["sines"].__setitem__(0, -1)),
+    ("numeric-negative-m", lambda doc: _make_numeric_doc(doc) or doc.update(m=-1),
+     lambda doc: _make_numeric_doc_v2(doc) or doc.update(m=-1)),
+    ("negative-n-rotations", lambda doc: doc.update(n_rotations=-5), None),
+    ("negative-n-paulis-initial", lambda doc: doc.update(n_paulis_initial=-2), None),
+    ("negative-stats-counter", lambda doc: doc["stats"].update(paths_expanded=-7), None),
 ]
 
 
@@ -1328,14 +1392,6 @@ def test_load_artifact_shares_factor_tuples(tmp_path, rng):
                for mono, _ in t.monomials for f in mono.factors]
     assert len(factors) > len(set(factors)) > 1
     assert len({id(f) for f in factors}) == len(set(factors))
-
-
-def test_path_monomial_needs_increasing_params():
-    assert PathMonomial(((0, 1, 0), (2, 0, 1))).sine_order == 1
-    for factors in (((0, 0, 1), (0, 1, 0)), ((1, 1, 0), (0, 1, 0)), ((-1, 1, 0),),
-                    ((0, 0, 0),), ((0, -1, 1),)):
-        with pytest.raises(ValidationError):
-            PathMonomial(factors)
 
 
 # --- property-based checks ----------------------------------------------------------------------
