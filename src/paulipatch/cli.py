@@ -303,8 +303,9 @@ def cmd_kz_scan(args) -> int:
     rows = []
     for ramp_kind in args.ramp:
         for t_f in args.tf:
-            layers = args.layers if args.layers else max(1, round(t_f / args.dt))
-            dt = t_f / layers if args.layers else args.dt
+            fixed = args.layers is not None
+            layers = args.layers if fixed else max(1, round(t_f / args.dt))
+            dt = t_f / layers if fixed else args.dt
             circuit = build_tfi_trotter(top, layers=layers, dt=dt,
                                         ramp=RampSpec(ramp_kind, t_f), binding="fixed")
             t0 = time.perf_counter()
@@ -332,7 +333,7 @@ def cmd_taylor(args) -> int:
     if center.shape != (circuit.m,):
         raise ValidationError(f"center has {center.shape[0]} entries, expected {circuit.m}")
     oracle = (sampled_oracle(circuit, obs, state, args.shots, args.seed)
-              if args.shots else exact_oracle(circuit, obs, state))
+              if args.shots is not None else exact_oracle(circuit, obs, state))
 
     t0 = time.perf_counter()
     ts = build_taylor(oracle, center, args.order)
@@ -463,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of shot budgets")
     p.add_argument("--repeats", type=_COUNT, default=10)
     p.add_argument("--alpha-draws", type=_COUNT, default=20, dest="alpha_draws")
-    p.add_argument("--r", type=float, default=0.1)
+    p.add_argument("--r", type=_HALF_WIDTH, default=0.1,
+                   help="patch half-width; 0 compares at the center alone")
     p.add_argument("--kappa", type=int, default=6)
     p.add_argument("--max-weight", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -474,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", type=_topology, required=True,
                    help="chain:N | grid:RxC | heavyhex127")
     p.add_argument("--dt", type=_POSITIVE, default=0.3)
-    p.add_argument("--layers", type=int, default=None,
+    p.add_argument("--layers", type=_COUNT, default=None,
                    help="fixed layer count (dt then becomes t_f/layers); default t_f/dt")
     p.add_argument("--ramp", type=_comma_list(_RAMP), default="linear",
                    help="comma list: linear,square,tanh")
@@ -493,9 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="all-zero")
     p.add_argument("--center", default=None, help="JSON file with the center vector")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--shots", type=int, default=None,
+    p.add_argument("--shots", type=_COUNT, default=None,
                    help="per-evaluation shot budget (default: exact oracle)")
-    p.add_argument("--r", type=float, default=0.05, help="scan half-width")
+    p.add_argument("--r", type=_HALF_WIDTH, default=0.05, help="scan half-width")
     p.add_argument("--scan-points", type=_COUNT, default=128, dest="scan_points")
     p.add_argument("--out", required=True)
     _add_common(p)

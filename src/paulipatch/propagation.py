@@ -29,9 +29,10 @@ Truncation is decided at split time: a sine branch is dropped when its path
 sine order would exceed ``kappa``, its Pauli weight would exceed
 ``max_weight``, or (numeric mode) its coefficient falls below the floor.
 Merging sums the weights of rows with equal keys and keeps the minimum sine
-count; a row whose weight is exactly zero is dropped by the merge (and at the
-end) in both modes. The key is the Pauli in numeric mode, and the Pauli and
-monomial in symbolic mode, plus the path sine count when ``kappa`` is finite.
+count. A rotation that keeps a sine child or floors a cosine child drops every
+row of weight exactly zero, and so does the end, in both modes. The key is the
+Pauli in numeric mode, and the Pauli and monomial in symbolic mode, plus the
+path sine count when ``kappa`` is finite.
 Symbolic sine-order cuts are therefore exactly per-path; at the end the
 sine-count classes of one (Pauli, monomial) are pooled with ``math.fsum``. (A
 circuit without free parameters has only constant monomials; its key leaves
@@ -39,6 +40,16 @@ out the sine count, so its cuts are pooled as in numeric mode.)
 A numeric term's cut uses the minimum count of its merged contributors
 (keeping strictly more mass), so the modes agree exactly whenever ``kappa``
 is unlimited, and to within the truncated-tail scale otherwise.
+
+A rotation updates the frontier in place. Each anticommuting row holds its
+cosine child. A sine child p^g anticommutes with the generator g as its
+parent p does, so it can only meet the cosine child of another anticommuting
+row, and as frontier keys are unique, at most one: a merge group has at most
+two rows. A pair join finds that partner through one 64-bit hash of the key
+and a comparison of the full key; a sine child adds its weight there, or is
+appended. No bit depends on this: a group's sum adds two floats, which
+commutes, and the output is ordered by Pauli and monomial, with ties pooled by
+``math.fsum`` and the minimum sine count, whatever the order of the rows.
 """
 
 from __future__ import annotations
@@ -423,6 +434,22 @@ class _NumericFrontier:
     ``m = 0``. With ``by_sines`` the sine count is part of a row's key, so rows
     of one monomial are kept apart per path sine count; otherwise merged rows
     keep the minimum count.
+
+    Pooling numeric rows by Pauli is what keeps this numerically viable on deep
+    circuits: partial sums of paths binned by their sine count grow
+    combinatorially and only cancel across bins, which float64 cannot survive
+    (a sine-resolved variant reached 1e21 coefficient mass on an 80-layer
+    chain). The cost is that later sine-order cuts see the minimum count of a
+    merged term, deliberately erring toward keeping mass.
+
+    Keys are unique and the row order carries no meaning. A rotation writes
+    each cosine child into its parent's row, adds each kept sine child to the
+    one row it can meet, the cosine child of equal key (found by
+    ``_partners``), and appends the nonzero sine children left without one. A
+    rotation that keeps a sine child or floors a cosine child then removes
+    every row of weight exactly 0: floored cosine children, zero sums, zero
+    cosine children, and zero rows left by earlier rotations without sine
+    children. Otherwise no row is removed or moved.
     """
 
     def __init__(self, n: int, terms: Sequence[tuple[PauliString, float]], m: int = 0,
@@ -434,6 +461,9 @@ class _NumericFrontier:
         self.pows = np.zeros((len(terms), 2 * m), dtype=dtype)
         self.m = m
         self.by_sines = by_sines
+        # whether a row may weigh exactly 0: a rotation without sine children leaves
+        # its zero cosine children in place, and the next one with some removes them
+        self.may_hold_zeros = not self.coeff.all()
 
     def __len__(self) -> int:
         return self.coeff.shape[0]
@@ -517,22 +547,25 @@ class _NumericFrontier:
             stats.truncated_coeff += int(below.sum())
             keep &= ~below
 
+        # the cosine children stay in their parents' rows
         if slot is None:
-            # cosine branch; the floor may prune the shrunken rows (a zero floor keeps all)
+            # the floor may prune the shrunken rows (a zero floor keeps all)
             a_coeff *= cos_f
-            a_keep = ~(np.abs(a_coeff) < policy.coeff_floor)
-            stats.truncated_coeff += n_anti - int(a_keep.sum())
-            if not keep.any() and a_keep.all():
-                self.coeff[anti] = a_coeff
+            floored = np.abs(a_coeff) < policy.coeff_floor
+            n_floored = int(floored.sum())
+            stats.truncated_coeff += n_floored
+            # a floored child's row is zeroed here and removed with the zero rows below
+            self.coeff[anti] = np.where(floored, 0.0, a_coeff)
+            if not keep.any() and not n_floored:
+                self.may_hold_zeros |= not a_coeff.all()
                 return
             s_pows = a_pows
-            # the children of two rows can meet at the same key
             distinct = False
         else:
+            self.pows[anti, slot] += 1
             if not keep.any():
-                self.pows[anti, slot] += 1
                 return
-            a_keep = slice(None)
+            floored = np.zeros(n_anti, dtype=bool)
             # A cosine and a sine child share a key only if their rows already hold
             # powers of this parameter; otherwise they differ in its column.
             distinct = not a_pows[:, [slot, self.m + slot]].any()
@@ -540,52 +573,82 @@ class _NumericFrontier:
             a_pows[:, slot] += 1
             s_pows[:, self.m + slot] += 1
 
-        # Invariant: a child p^g anticommutes with g as its parent p does, so it can only
-        # meet an anticommuting row. The commuting rows skip the merge; as the merge does
-        # with its own rows, the zero ones among them are dropped. A merge that only prunes
-        # floored rows changes nothing else: under a floor no row is zero.
-        self.coeff[anti] = 0.0  # these rows move into the merged block
-        rows = np.flatnonzero(self.coeff)
-        block = (np.concatenate([ax[a_keep], sx[keep]]), np.concatenate([az[a_keep], sz[keep]]),
-                 np.concatenate([a_coeff[a_keep], sin_coeff[keep]]),
-                 np.concatenate([a_sines[a_keep], new_sines[keep]]),
-                 np.concatenate([a_pows[a_keep], s_pows[keep]]))
-        if distinct:
-            nonzero = block[2] != 0.0
-            block = tuple(arr[nonzero] for arr in block)
-        else:
-            block = _merge_rows(*block, self.by_sines)
-        self.xw, self.zw, self.coeff, self.sines, self.pows = (
-            np.concatenate([old.take(rows, axis=0), new])
-            for old, new in zip((self.xw, self.zw, self.coeff, self.sines, self.pows), block))
+        new = np.flatnonzero(keep)
+        if not distinct:
+            # A sine child p^g anticommutes with g as its parent p does, so of all rows
+            # it can only meet the cosine child of another anticommuting row; as keys
+            # are unique, at most one. Their sum adds two floats, which commutes.
+            cols = np.flatnonzero((a_pows | s_pows).any(axis=0))
+            cos_rows = np.flatnonzero(~floored)
+            partner = _partners(self._keys(ax, az, a_pows[:, cols], a_sines)[cos_rows],
+                                self._keys(sx, sz, s_pows[:, cols], new_sines)[new])
+            met = partner >= 0
+            rows, children = anti[cos_rows[partner[met]]], new[met]
+            self.coeff[rows] += sin_coeff[children]
+            self.sines[rows] = np.minimum(self.sines[rows], new_sines[children])
+            new = new[~met]
+        new = new[sin_coeff[new] != 0.0]
+
+        # rows of weight exactly 0 go: zero sums, zero or floored cosine children, and
+        # zero rows that earlier rotations without sine children left behind
+        if self.may_hold_zeros or not self.coeff[anti].all():
+            nonzero = self.coeff != 0.0
+            self.xw, self.zw, self.coeff, self.sines, self.pows = (
+                arr[nonzero] for arr in (self.xw, self.zw, self.coeff, self.sines, self.pows))
+            self.may_hold_zeros = False
+        if new.shape[0]:
+            self.xw, self.zw, self.coeff, self.sines, self.pows = (
+                np.concatenate([old, child[new]]) for old, child in zip(
+                    (self.xw, self.zw, self.coeff, self.sines, self.pows),
+                    (sx, sz, sin_coeff, new_sines, s_pows)))
+
+    def _keys(self, xw: np.ndarray, zw: np.ndarray, pows: np.ndarray,
+              sines: np.ndarray) -> np.ndarray:
+        """Rows' keys as uint64 columns: the Pauli words, ``pows``, and the sine count if ``by_sines``."""
+        parts = [xw, zw, pows]
+        if self.by_sines:
+            parts.append(sines[:, np.newaxis])
+        return np.concatenate(parts, axis=1, dtype=np.uint64, casting="unsafe")
 
 
-def _merge_rows(xw: np.ndarray, zw: np.ndarray, coeff: np.ndarray, sines: np.ndarray,
-                pows: np.ndarray, by_sines: bool) -> tuple[np.ndarray, ...]:
-    """Merge rows of equal key, summing coefficients, min sine count; drop zero rows.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
-    The key is the Pauli plus the exponent columns, and the sine count when
-    ``by_sines``. Pooling numeric rows by Pauli is what keeps this numerically
-    viable on deep circuits: partial sums of paths binned by their sine count
-    grow combinatorially and only cancel across bins, which float64 cannot
-    survive (a sine-resolved variant reached 1e21 coefficient mass on an
-    80-layer chain). The cost is that later sine-order cuts see the minimum
-    count of a merged term, deliberately erring toward keeping mass.
+
+def _row_hash(keys: np.ndarray) -> np.ndarray:
+    """One 64-bit hash per row of the uint64 array ``keys``; equal rows hash equal.
+
+    Each word's high half is folded into its low half, so that a difference in
+    any bit reaches the low bits; the columns are then weighed by odd powers of
+    one constant and summed modulo 2^64.
     """
-    key = [xw, zw, pows[:, pows.any(axis=0)].astype(np.uint64)]
-    if by_sines:
-        key.append(sines[:, None].astype(np.uint64))
-    key = np.concatenate(key, axis=1)
-    order = np.lexsort(key.T[::-1])
-    key = key[order]
-    boundary = np.ones(len(coeff), dtype=bool)
-    boundary[1:] = np.any(key[1:] != key[:-1], axis=1)
-    starts = np.flatnonzero(boundary)
-    coeff = np.add.reduceat(coeff[order], starts)
-    sines = np.minimum.reduceat(sines[order], starts)
-    nonzero = coeff != 0.0
-    rows = order[starts][nonzero]
-    return xw[rows], zw[rows], coeff[nonzero], sines[nonzero], pows[rows]
+    weights = np.cumprod(np.full(keys.shape[1], _HASH_MULTIPLIER))
+    return (keys ^ (keys >> np.uint64(32))) @ weights
+
+
+def _partners(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per row of ``right``, the index of the ``left`` row with the same key, or -1.
+
+    Keys are unique on each side. Each right row searches its hash among the
+    sorted left hashes. Its candidate's full key is compared, and a row whose
+    candidate differs moves on to the next left row of equal hash, so keys
+    whose hashes collide still pair exactly.
+    """
+    left_hash, right_hash = _row_hash(left), _row_hash(right)
+    order = np.argsort(left_hash)
+    # a last entry no smaller than any hash keeps every search position in bounds
+    sorted_hash = np.append(left_hash[order], np.iinfo(np.uint64).max)
+    todo = np.argsort(right_hash)  # searching sorted queries is faster
+    pos = np.searchsorted(sorted_hash, right_hash[todo])
+    partner = np.full(right.shape[0], -1, dtype=np.intp)
+    while True:
+        hit = (pos < order.shape[0]) & (sorted_hash[pos] == right_hash[todo])
+        todo, pos = todo[hit], pos[hit]
+        if not todo.shape[0]:
+            return partner
+        candidate = order[pos]
+        same = (left[candidate] == right[todo]).all(axis=1)
+        partner[todo[same]] = candidate[same]
+        todo, pos = todo[~same], pos[~same] + 1
 
 
 def _propagate(circuit: Circuit, terms: Sequence[tuple[PauliString, float]],

@@ -209,10 +209,15 @@ def test_rmse_sweep_exits_2_on_a_dense_state_of_the_wrong_size(workdir, capsys):
     ("shot-compare", "--alpha-draws", "0"),
     ("shot-compare", "--strategies", "uniform,banana"),
     ("taylor", "--scan-points", "0"),
+    ("taylor", "--shots", "0"),
+    ("kz-scan", "--layers", "0"),
+    ("shot-compare", "--r", "-1"),
+    ("taylor", "--r", "nan"),
 ], ids=["topology-grid-without-columns", "topology-chain-not-a-number", "tf-not-a-number",
         "zero-dt", "unknown-ramp", "r-list-not-numbers", "zero-samples",
         "shots-list-not-integers", "zero-repeats", "zero-alpha-draws", "unknown-strategy",
-        "zero-scan-points"])
+        "zero-scan-points", "zero-taylor-shots", "zero-layers", "negative-half-width",
+        "nan-half-width"])
 def test_malformed_option_values_exit_2(workdir, capsys, command, option, value):
     options = {
         "kz-scan": {"--topology": "chain:6", "--tf": "3", "--obs-edge": "2 3"},

@@ -34,6 +34,7 @@ from paulipatch import (
     save_artifact,
     worst_case_coeff_bounds,
 )
+from paulipatch import propagation
 from paulipatch.propagation import (
     ARTIFACT_FORMAT,
     NUMERIC,
@@ -932,6 +933,41 @@ def test_symbolic_zero_weight_rows_follow_numeric_rule():
     assert [(p.to_text(), t.min_sine_count) for p, t in po.terms.items()] == [
         ("X", 1), ("Y", 2), ("Z", 0)]
     assert po.stats.paths_expanded == 3  # Z at X and Y, X at Z
+
+
+# --- the pair join under colliding hashes ------------------------------------------------------
+# A sine child finds the one row it can merge with through a 64-bit hash of its key. With the
+# hash replaced by a constant, every key collides with every other, and the join must still pair
+# exactly: the full-merge reference test runs again unchanged under it, and circuits of fixed,
+# free and shared angles are checked against the dict-engine reference.
+
+
+@pytest.fixture
+def every_hash_collides(monkeypatch):
+    hashed = []
+
+    def constant(keys):
+        hashed.append(keys.shape[0])
+        return np.zeros(keys.shape[0], dtype=np.uint64)
+
+    monkeypatch.setattr(propagation, "_row_hash", constant)
+    yield
+    assert max(hashed, default=0) >= 2  # some join saw two different keys of one hash
+
+
+@pytest.mark.usefixtures("every_hash_collides")
+class TestEveryHashCollides:
+    test_numeric_matches_full_merge_reference = staticmethod(
+        test_numeric_matches_full_merge_reference)
+
+    @staticmethod
+    @pytest.mark.parametrize("policy", [TruncationPolicy(), TruncationPolicy(kappa=1),
+                                        TruncationPolicy(kappa=3, max_weight=2)],
+                             ids=["exact", "kappa1", "kappa3-w2"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_angles_match_dict_engine_reference(seed, policy):
+        # fixed angles, free parameters and a shared pool of two
+        _assert_matches_dict_engine(*_mixed_angle_case(500 + seed), policy)
 
 
 # --- the symbolic table -----------------------------------------------------------------------
