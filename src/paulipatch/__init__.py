@@ -81,7 +81,6 @@ from .surrogate import (
     bound_worst_truncation,
     effective_norm_avg,
     effective_norm_worst,
-    evaluate,
     pauli_mean_squares,
     trig_moment,
     worst_case_coeff_bounds,

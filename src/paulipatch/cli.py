@@ -65,7 +65,6 @@ from .states import (
     Dense,
     TrotterEvolvedZero,
     exact_expectation_batch,
-    overlap,
 )
 from .surrogate import SurrogateEvaluator, bound_mse_truncation
 from .taylor import (
@@ -313,7 +312,7 @@ def cmd_kz_scan(args) -> int:
             build_s = time.perf_counter() - t0
             manifest.timings[f"build_s_{ramp_kind}_tf{t_f:g}"] = build_s
             t0 = time.perf_counter()
-            value = sum(t.coefficient * overlap(plus, p) for p, t in po.terms.items())
+            value = po.expectation(plus)
             manifest.timings[f"eval_s_{ramp_kind}_tf{t_f:g}"] = time.perf_counter() - t0
             rows.append((ramp_kind, t_f, layers, 1.0 - value,
                          math.sqrt(po.norm2_sq()), len(po.terms)))
@@ -394,6 +393,7 @@ def _comma_list(item):
 
 
 _COUNT = _option(int, lambda value: value >= 1, "an integer >= 1")
+_ORDER = _option(int, lambda value: value >= 0, "an integer >= 0")
 _POSITIVE = _option(float, lambda value: 0 < value < math.inf, "a finite number > 0")
 _HALF_WIDTH = _option(float, lambda value: 0 <= value < math.inf, "a finite number >= 0")
 _RAMP = _option(str, RAMP_KINDS.__contains__, "a ramp: " + ", ".join(RAMP_KINDS))
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all-zero | all-plus | dense:FILE | trotter:FILE")
     p.add_argument("--r", type=_comma_list(_HALF_WIDTH), required=True,
                    help="comma list of patch half-widths")
-    p.add_argument("--kappa-max", type=int, required=True, dest="kappa_max")
+    p.add_argument("--kappa-max", type=_ORDER, required=True, dest="kappa_max")
     p.add_argument("--max-weight", type=int, default=None)
     p.add_argument("--samples", type=_COUNT, default=200)
     p.add_argument("--out", required=True, help="CSV path")

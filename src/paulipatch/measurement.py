@@ -57,10 +57,10 @@ class AllocationPlan:
             raise ConfigError(f"shot budget must be >= 1, got {self.shots}")
         total = 0.0
         for p, prob in self.entries:
-            if prob <= 0.0:
-                raise ConfigError(f"probability for {p} must be > 0, got {prob}")
+            if not 0.0 < prob <= 1.0:  # NaN fails too
+                raise ConfigError(f"probability for {p} must be in (0, 1], got {prob}")
             total += prob
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ConfigError(f"probabilities sum to {total}, not 1")
 
     @property
@@ -84,23 +84,21 @@ def make_allocation(
 ) -> AllocationPlan:
     """Build the sampling distribution for the named strategy.
 
-    ``uniform`` and ``abs-coeff`` weigh a fixed coefficient table; the
-    effective-1-norm strategies weigh a symbolic surrogate's patch moments
-    (``r`` is the patch half-width).
+    ``uniform`` and ``abs-coeff`` weigh a finite coefficient table (1 or |c|);
+    the effective-1-norm strategies weigh a symbolic surrogate's patch moments
+    (``r`` is the patch half-width). Paulis of weight 0 are left out.
     """
     if strategy in ("uniform", "abs-coeff"):
         if coeffs is None:
             if surrogate is None:
                 raise ConfigError(f"{strategy} needs a coefficient table")
             coeffs = {p: 1.0 for p in surrogate.terms}
-        support = [(p, abs(c)) for p, c in coeffs.items() if c != 0.0]
-        if not support:
-            raise ConfigError("allocation support is empty")
+        if not all(math.isfinite(c) for c in coeffs.values()):
+            raise ConfigError(f"{strategy} needs finite coefficients")
         if strategy == "uniform":
-            beta = [(p, 1.0 / len(support)) for p, _ in support]
+            weights = {p: float(c != 0.0) for p, c in coeffs.items()}
         else:
-            total = sum(w for _, w in support)
-            beta = [(p, w / total) for p, w in support]
+            weights = {p: abs(c) for p, c in coeffs.items()}
     elif strategy in ("eff1norm-avg", "eff1norm-worst"):
         if surrogate is None or r is None:
             raise ConfigError(f"{strategy} needs a symbolic surrogate and half-width r")
@@ -109,17 +107,16 @@ def make_allocation(
             weights = {p: math.sqrt(v) for p, v in squares.items()}
         else:
             weights = worst_case_coeff_bounds(surrogate, r)
-        support = [(p, w) for p, w in weights.items() if w > 0.0]
-        if not support:
-            raise ConfigError("allocation support is empty")
-        total = sum(w for _, w in support)
-        beta = [(p, w / total) for p, w in support]
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
+    support = [(p, w) for p, w in weights.items() if w > 0.0]
+    if not support:
+        raise ConfigError("allocation support is empty")
+    total = sum(w for _, w in support)
+    beta = [(p, w / total) for p, w in support]
     # exact renormalization guards the sum-to-one invariant against rounding
     norm = sum(b for _, b in beta)
-    beta = [(p, b / norm) for p, b in beta]
-    return AllocationPlan(tuple(beta), strategy, shots)
+    return AllocationPlan(tuple((p, b / norm) for p, b in beta), strategy, shots)
 
 
 # --- direct Pauli measurements -----------------------------------------------------

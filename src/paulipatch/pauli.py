@@ -13,6 +13,7 @@ rather than hand-written constants.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -312,8 +313,8 @@ class ObservableSpec:
         for p, c in self.terms:
             if p.n != n:
                 raise DimensionError("observable terms act on different qubit counts")
-            if c == 0.0:
-                raise ValidationError(f"zero coefficient for {p}")
+            if c == 0.0 or not math.isfinite(c):
+                raise ValidationError(f"coefficient for {p} must be finite and nonzero, got {c}")
             key = (p.x, p.z)
             if key in seen:
                 raise ValidationError(f"duplicate Pauli term {p}")

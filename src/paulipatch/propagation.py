@@ -20,6 +20,10 @@ restriction and the artifact file all work on that table.
 built from the table only when it is read; the table's factors are checked
 where it is built or loaded, and the view does not check them again.
 
+``PropagatedObservable.expectation(state, alphas=None)`` is the one-point
+landscape value sum_P c_P(alpha) Tr[rho P] of either mode, summed in term
+order; ``surrogate.SurrogateEvaluator`` is the batched sweep over many points.
+
 ``backpropagate``, ``restrict_sine_order`` and ``load_artifact`` each hand
 their columns (Paulis, minimum sine counts, and the coefficients or the table)
 to one constructor, which makes the terms and reads the final term and
@@ -79,6 +83,7 @@ from .pauli import (
     PauliString,
     gate_table,
 )
+from .states import InitialState, overlap
 
 NUMERIC = "numeric"
 SYMBOLIC = "symbolic"
@@ -364,18 +369,27 @@ class PropagatedObservable:
             raise ConfigError("monomial tables require a symbolic surrogate")
         return self.table
 
+    def _coefficients(self, alphas: Sequence[float] | None = None) -> np.ndarray:
+        """Each term's coefficient at ``alphas``, in term order."""
+        if self.mode == NUMERIC:
+            if alphas is not None:
+                raise ConfigError("a numeric observable's parameters are bound at build")
+            return np.array([t.coefficient for t in self.terms.values()], dtype=float)
+        return self.monomial_table().coefficients([] if alphas is None else alphas)
+
     def coefficients_at(self, alphas: Sequence[float] | None = None) -> dict[PauliString, float]:
         """Numeric coefficient of every surviving Pauli at parameters ``alphas``."""
-        if self.mode == NUMERIC:
-            return {p: t.coefficient for p, t in self.terms.items()}
-        coeffs = self.monomial_table().coefficients([] if alphas is None else alphas)
-        return dict(zip(self.terms, coeffs.tolist()))
+        return dict(zip(self.terms, self._coefficients(alphas).tolist()))
 
     def norm2_sq(self, alphas: Sequence[float] | None = None) -> float:
         """Frobenius weight sum(c_P^2); equals sum(a_P^2) when nothing is cut."""
-        if self.mode == NUMERIC:
-            return float(sum(t.coefficient ** 2 for t in self.terms.values()))
-        return float(sum(c * c for c in self.coefficients_at(alphas).values()))
+        # over the array itself: a tolist() copy raised the 127-qubit benchmark's peak RSS
+        return float(sum(c * c for c in self._coefficients(alphas)))
+
+    def expectation(self, state: InitialState, alphas: Sequence[float] | None = None) -> float:
+        """The landscape value sum_P c_P(alpha) Tr[rho P], summed in term order."""
+        coeffs = self._coefficients(alphas).tolist()
+        return float(sum(c * overlap(state, p) for c, p in zip(coeffs, self.terms)))
 
 
 def path_stats(po: PropagatedObservable) -> dict:
@@ -828,8 +842,6 @@ def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObser
     counts its own surviving terms and monomials. A ``kappa`` above the
     build's raises ``ConfigError``: the build holds no higher orders.
     """
-    if po.mode != SYMBOLIC:
-        raise ConfigError("sine-order restriction needs a symbolic surrogate")
     if po.policy.kappa is not None and kappa > po.policy.kappa:
         raise ConfigError(f"kappa {kappa} exceeds the build's kappa {po.policy.kappa}")
     table = po.monomial_table()

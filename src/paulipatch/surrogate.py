@@ -7,10 +7,12 @@ and loads): flat index arrays that store each factor as an index into the
 table's few distinct (param, cos, sin) factors. ``SurrogateEvaluator``,
 ``pauli_mean_squares`` and ``worst_case_coeff_bounds`` read that table as it
 is; ``PropagatedTerm.monomials`` is a tuple view of it that none of them
-builds. A sweep over a patch runs on blocks of parameter rows: per row, the
-distinct factors are raised to their powers once, gathered per factor and
-multiplied per monomial, and the monomial values meet the overlap-weighted
-monomial weights in one matrix-vector product per block.
+builds. ``PropagatedObservable.expectation`` gives one landscape value at one
+point in either mode; ``SurrogateEvaluator`` is the batched sweep over a
+patch. It runs on blocks of parameter rows: per row, the distinct factors
+are raised to their powers once, gathered per factor and multiplied per
+monomial, and the monomial values meet the overlap-weighted monomial weights
+in one matrix-vector product per block.
 
 A patch is given by its half-width ``r`` alone: the hypercube [-r, r]^m
 around the origin, so ``pauli_mean_squares`` and ``effective_norm_avg`` take
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, HypothesisViolationError
 from .pauli import PauliString
-from .propagation import SYMBOLIC, MonomialTable, PropagatedObservable
+from .propagation import MonomialTable, PropagatedObservable
 from .states import InitialState, overlap
 
 _MOMENT_WORK_BYTES = 32 << 20  # work arrays of one row block in pauli_mean_squares
@@ -101,15 +103,6 @@ class SurrogateEvaluator(MonomialTable):
         for rows, mono_vals in self._monomial_blocks(alpha_rows):
             out[rows] = mono_vals @ weights
         return out
-
-
-def evaluate(po: PropagatedObservable, alphas: Sequence[float],
-             state: InitialState) -> float:
-    """Surrogate landscape value sum_P d_P c_P(alpha) for a symbolic surrogate.
-
-    Builds a fresh ``SurrogateEvaluator``; hold one for repeated evaluations.
-    """
-    return SurrogateEvaluator(po, state).value(alphas)
 
 
 # --- exact trigonometric patch moments ----------------------------------------------
@@ -201,8 +194,6 @@ def worst_case_coeff_bounds(po: PropagatedObservable, r: float) -> dict[PauliStr
     Each monomial is maximized factor-wise: |cos| <= 1 and |sin| <=
     sin(min(r, pi/2)), so the result over-approximates the true maximum.
     """
-    if po.mode != SYMBOLIC:
-        raise ConfigError("worst-case bounds require a symbolic surrogate")
     if r < 0:
         raise ConfigError(f"half-width must be >= 0, got {r}")
     sin_cap = math.sin(min(r, math.pi / 2.0))

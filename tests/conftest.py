@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from paulipatch import CliffordGate, Circuit, ObservableSpec, ParamRef, PauliString, Rotation
+from paulipatch import (
+    AllocationPlan,
+    CliffordGate,
+    Circuit,
+    ConfigError,
+    ObservableSpec,
+    ParamRef,
+    PauliString,
+    Rotation,
+    pauli_mean_squares,
+    overlap,
+    worst_case_coeff_bounds,
+)
 
 # dense single-qubit matrices built here on purpose: tests must not reuse the
 # package's own matrix table as their oracle
@@ -168,3 +182,55 @@ def ref_coefficients(po, alpha_rows: np.ndarray) -> np.ndarray:
         np.add.at(coeffs, mono_term, mono_weight * mono_vals)
         rows.append(coeffs)
     return np.array(rows).reshape(len(rows), n_terms)
+
+
+# --- the per-branch allocation, kept as the bitwise reference ----------------------------
+# ``make_allocation`` before its strategies shared one weighting path: each branch filtered,
+# divided and checked its own support. The shared path must reproduce its plans exactly.
+
+
+def ref_make_allocation(strategy, shots, coeffs=None, surrogate=None, r=None):
+    if strategy in ("uniform", "abs-coeff"):
+        if coeffs is None:
+            if surrogate is None:
+                raise ConfigError(f"{strategy} needs a coefficient table")
+            coeffs = {p: 1.0 for p in surrogate.terms}
+        support = [(p, abs(c)) for p, c in coeffs.items() if c != 0.0]
+        if not support:
+            raise ConfigError("allocation support is empty")
+        if strategy == "uniform":
+            beta = [(p, 1.0 / len(support)) for p, _ in support]
+        else:
+            total = sum(w for _, w in support)
+            beta = [(p, w / total) for p, w in support]
+    elif strategy in ("eff1norm-avg", "eff1norm-worst"):
+        if surrogate is None or r is None:
+            raise ConfigError(f"{strategy} needs a symbolic surrogate and half-width r")
+        if strategy == "eff1norm-avg":
+            squares = pauli_mean_squares(surrogate, r)
+            weights = {p: math.sqrt(v) for p, v in squares.items()}
+        else:
+            weights = worst_case_coeff_bounds(surrogate, r)
+        support = [(p, w) for p, w in weights.items() if w > 0.0]
+        if not support:
+            raise ConfigError("allocation support is empty")
+        total = sum(w for _, w in support)
+        beta = [(p, w / total) for p, w in support]
+    else:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    # exact renormalization guards the sum-to-one invariant against rounding
+    norm = sum(b for _, b in beta)
+    beta = [(p, b / norm) for p, b in beta]
+    return AllocationPlan(tuple(beta), strategy, shots)
+
+
+# --- the hand-written landscape sum, kept as the bitwise reference ------------------------
+# What callers wrote out before ``PropagatedObservable.expectation``: a numeric observable's
+# stored coefficients against the overlaps, in term order. ``expectation`` must equal it.
+
+
+def ref_expectation(po, state) -> float:
+    total = 0
+    for p, term in po.terms.items():
+        total += term.coefficient * overlap(state, p)
+    return total

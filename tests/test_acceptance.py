@@ -75,7 +75,7 @@ def test_criterion_01_oracle_equivalence():
         state = AllZero(n)
         for row, expected in zip(draws, exact):
             po = backpropagate(circuit, obs, mode=NUMERIC, alphas=row)
-            value = sum(t.coefficient * overlap(state, p) for p, t in po.terms.items())
+            value = po.expectation(state)
             worst = max(worst, abs(value - expected))
         assert worst <= 1e-10, f"circuit {index}: error {worst:.2e}"
     elapsed = time.perf_counter() - start
@@ -314,7 +314,7 @@ def test_criterion_09_kz_scaling():
             circuit = build_tfi_trotter(top, layers=round(t_f / dt), dt=dt,
                                         ramp=RampSpec(ramp, t_f), binding="fixed")
             po = backpropagate(circuit, obs, policy, mode=NUMERIC)
-            value = sum(t.coefficient * overlap(plus, p) for p, t in po.terms.items())
+            value = po.expectation(plus)
             n_def.append(1.0 - value)
         slope = float(np.polyfit(np.log(t_f_grid), np.log(n_def), 1)[0])
         assert -0.65 <= slope <= -0.35, f"{ramp}: slope {slope:.3f}"
@@ -346,7 +346,7 @@ def test_criterion_10_heavyhex_soft_performance_tier():
     retained = math.sqrt(po.norm2_sq())
     start = time.perf_counter()
     plus = AllPlus(127)
-    value = sum(t.coefficient * overlap(plus, p) for p, t in po.terms.items())
+    value = po.expectation(plus)
     eval_s = time.perf_counter() - start
     assert build_s < 300.0, f"build took {build_s:.0f}s"
     assert retained >= 0.8, f"retained norm {retained:.3f}"

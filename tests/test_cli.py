@@ -213,11 +213,12 @@ def test_rmse_sweep_exits_2_on_a_dense_state_of_the_wrong_size(workdir, capsys):
     ("kz-scan", "--layers", "0"),
     ("shot-compare", "--r", "-1"),
     ("taylor", "--r", "nan"),
+    ("rmse-sweep", "--kappa-max", "-1"),
 ], ids=["topology-grid-without-columns", "topology-chain-not-a-number", "tf-not-a-number",
         "zero-dt", "unknown-ramp", "r-list-not-numbers", "zero-samples",
         "shots-list-not-integers", "zero-repeats", "zero-alpha-draws", "unknown-strategy",
         "zero-scan-points", "zero-taylor-shots", "zero-layers", "negative-half-width",
-        "nan-half-width"])
+        "nan-half-width", "negative-kappa-max"])
 def test_malformed_option_values_exit_2(workdir, capsys, command, option, value):
     options = {
         "kz-scan": {"--topology": "chain:6", "--tf": "3", "--obs-edge": "2 3"},

@@ -79,6 +79,19 @@ def test_plan_invariants_enforced():
         make_allocation("abs-coeff", 10, coeffs={Z1: 0.0})
 
 
+def test_non_finite_allocation_inputs_are_refused():
+    with pytest.raises(ConfigError):
+        AllocationPlan(((Z1, math.nan),), "uniform", 10)
+    with pytest.raises(ConfigError):
+        AllocationPlan(((Z1, math.inf),), "uniform", 10)
+    with pytest.raises(ConfigError):
+        AllocationPlan(((Z1, 0.5), (X1, math.nan)), "uniform", 10)
+    for strategy in ("abs-coeff", "uniform"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                make_allocation(strategy, 10, coeffs={Z1: bad, X1: 1.0})
+
+
 def test_eff1norm_allocations_from_surrogate():
     c = Circuit(1, 1, (Rotation("Z", (0,), ParamRef.free(0)),))
     obs = ObservableSpec.single(X1)

@@ -1,6 +1,7 @@
 """Pauli algebra against an exhaustive dense-matrix oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -277,3 +278,6 @@ def test_observable_rejects_duplicates_and_zeros():
         ObservableSpec(((z, 1.0), (z, 2.0)))
     with pytest.raises(ValidationError):
         ObservableSpec(((z, 0.0),))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            ObservableSpec(((z, bad),))

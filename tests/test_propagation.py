@@ -27,7 +27,6 @@ from paulipatch import (
     exact_expectation_batch,
     grid,
     load_artifact,
-    overlap,
     path_stats,
     pauli_mean_squares,
     restrict_sine_order,
@@ -45,10 +44,6 @@ from paulipatch.propagation import (
 )
 
 from conftest import random_mixed_circuit, random_observable
-
-
-def propagated_expectation(po, state):
-    return sum(t.coefficient * overlap(state, p) for p, t in po.terms.items())
 
 
 # --- one-rotation circuits ------------------------------------------------------------
@@ -153,7 +148,7 @@ def test_untruncated_numeric_matches_dense_oracle(seed):
     exact = exact_expectation_batch(c, alphas, obs, AllZero(n))
     for row, expected in zip(alphas, exact):
         po = backpropagate(c, obs, mode=NUMERIC, alphas=row)
-        assert propagated_expectation(po, AllZero(n)) == pytest.approx(
+        assert po.expectation(AllZero(n)) == pytest.approx(
             expected, abs=1e-10)
 
 

@@ -1,11 +1,16 @@
 """Surrogate evaluation, exact patch moments, effective norms, and bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import paulipatch
 from paulipatch import (
     AllPlus,
     AllZero,
@@ -18,8 +23,10 @@ from paulipatch import (
     ObservableSpec,
     ParamRef,
     PauliString,
+    RampSpec,
     Rotation,
     SurrogateEvaluator,
+    TrotterEvolvedZero,
     TruncationPolicy,
     backpropagate,
     bound_correlated_avg,
@@ -29,10 +36,10 @@ from paulipatch import (
     chain,
     effective_norm_avg,
     effective_norm_worst,
-    evaluate,
     exact_expectation,
     exact_expectation_batch,
     grid,
+    make_allocation,
     pauli_mean_squares,
     trig_moment,
     worst_case_coeff_bounds,
@@ -46,7 +53,13 @@ from paulipatch.propagation import (
     PropagationStats,
 )
 
-from conftest import random_mixed_circuit, random_observable, ref_coefficients
+from conftest import (
+    random_mixed_circuit,
+    random_observable,
+    ref_coefficients,
+    ref_expectation,
+    ref_make_allocation,
+)
 
 
 def single_rz_surrogate():
@@ -56,6 +69,19 @@ def single_rz_surrogate():
 
 
 # --- trig moments ------------------------------------------------------------------------
+
+
+def test_package_import_loads_no_scipy():
+    # the moments import scipy.special on first use: loaded with the package, it
+    # would double the import time of every command
+    src = str(Path(paulipatch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, paulipatch; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_odd_sine_moment_is_exactly_zero():
@@ -160,14 +186,14 @@ def test_evaluate_at_zero_is_clifford_point(rng):
     obs = random_observable(rng, 4, terms=2)
     po = backpropagate(c, obs, mode=SYMBOLIC)
     clifford_point = exact_expectation(c, np.zeros(c.m), obs, AllZero(4))
-    assert evaluate(po, np.zeros(c.m), AllZero(4)) == pytest.approx(
+    assert po.expectation(AllZero(4), np.zeros(c.m)) == pytest.approx(
         clifford_point, abs=1e-12)
 
 
 def test_evaluate_single_rotation_closed_form():
     _, _, po = single_rz_surrogate()
-    assert evaluate(po, [math.pi / 3], AllPlus(1)) == pytest.approx(0.5)
-    assert evaluate(po, [0.0], AllPlus(1)) == pytest.approx(1.0)
+    assert po.expectation(AllPlus(1), [math.pi / 3]) == pytest.approx(0.5)
+    assert po.expectation(AllPlus(1), [0.0]) == pytest.approx(1.0)
 
 
 def test_evaluate_matches_numeric_backpropagation(rng):
@@ -181,7 +207,7 @@ def test_evaluate_matches_numeric_backpropagation(rng):
         num = backpropagate(c, obs, policy, mode=NUMERIC, alphas=alphas)
         num_value = sum(t.coefficient * (1.0 if p.x == 0 else 0.0)
                         for p, t in num.terms.items())
-        assert evaluate(po, alphas, state) == pytest.approx(num_value, abs=1e-12)
+        assert po.expectation(state, alphas) == pytest.approx(num_value, abs=1e-12)
 
 
 def test_evaluate_mode_and_length_errors(rng):
@@ -189,10 +215,59 @@ def test_evaluate_mode_and_length_errors(rng):
     obs = random_observable(rng, 3)
     num = backpropagate(c, obs, mode=NUMERIC, alphas=np.zeros(c.m))
     with pytest.raises(ConfigError):
-        evaluate(num, np.zeros(c.m), AllZero(3))
+        num.expectation(AllZero(3), np.zeros(c.m))
     po = backpropagate(c, obs, mode=SYMBOLIC)
-    with pytest.raises(Exception):
-        evaluate(po, np.zeros(c.m + 1), AllZero(3))
+    with pytest.raises(DimensionError):
+        po.expectation(AllZero(3), np.zeros(c.m + 1))
+    assert c.m > 0
+    with pytest.raises(DimensionError):
+        po.expectation(AllZero(3))
+
+
+_CRITERION_1_SEED = 20240817  # the acceptance suite's GLOBAL_SEED
+
+
+@pytest.mark.parametrize("index", range(30))
+def test_numeric_expectation_is_the_term_order_loop(index):
+    # criterion 1's circuit, observable and draws, rebuilt from the same seed
+    rng = np.random.default_rng(_CRITERION_1_SEED + index)
+    n = int(rng.integers(2, 11))
+    n_rot = int(rng.integers(3, 21))
+    circuit = random_mixed_circuit(rng, n=n, n_rot=n_rot, shared=index % 3 == 0)
+    obs = random_observable(rng, n, terms=int(rng.integers(1, 4)))
+    draws = rng.uniform(-np.pi, np.pi, size=(50, circuit.m))
+    states = (AllZero(n), AllPlus(n),
+              Dense(np.exp(1j * rng.uniform(0, 2 * np.pi, 2**n)) / math.sqrt(2**n)))
+    for row in draws[:3]:
+        po = backpropagate(circuit, obs, mode=NUMERIC, alphas=row)
+        for state in states:
+            assert po.expectation(state) == ref_expectation(po, state)
+
+
+def test_numeric_expectation_is_the_term_order_loop_on_a_kz_chain():
+    circuit = build_tfi_trotter(chain(31), layers=20, dt=0.3,
+                                ramp=RampSpec("linear", 6.0), binding="fixed")
+    obs = ObservableSpec.single(PauliString.from_sparse("Z15 Z16", 31))
+    po = backpropagate(circuit, obs, TruncationPolicy(max_weight=5), mode=NUMERIC)
+    assert po.n_paulis > 100
+    plus = AllPlus(31)
+    assert po.expectation(plus) == ref_expectation(po, plus)
+    assert po.expectation(AllZero(31)) == ref_expectation(po, AllZero(31))
+
+
+def test_symbolic_expectation_matches_the_evaluator(rng):
+    c = random_mixed_circuit(rng, n=4, n_rot=9, shared=True)
+    obs = random_observable(rng, 4, terms=3)
+    po = backpropagate(c, obs, TruncationPolicy(kappa=4), mode=SYMBOLIC)
+    prep = random_mixed_circuit(rng, n=4, n_rot=5)
+    states = (AllZero(4), AllPlus(4),
+              Dense(np.exp(1j * rng.uniform(0, 2 * np.pi, 16)) / 4.0),
+              TrotterEvolvedZero(prep.bind(rng.uniform(-np.pi, np.pi, prep.m))))
+    for state in states:
+        ev = SurrogateEvaluator(po, state)
+        for alphas in rng.uniform(-0.6, 0.6, size=(5, c.m)):
+            assert po.expectation(state, alphas) == pytest.approx(ev.value(alphas),
+                                                                  abs=1e-12)
 
 
 # Exact output of the evaluator and the worst-case bounds on one small surrogate with
@@ -248,6 +323,22 @@ def test_evaluator_and_worst_bounds_pinned_output():
     assert got == _PINNED_COEFFS
     worst = [(p.to_text(), v) for p, v in worst_case_coeff_bounds(po, 0.3).items()]
     assert worst == _PINNED_WORST
+
+
+@pytest.mark.parametrize("strategy,inputs", [
+    ("uniform", {"coeffs": "at-alphas"}),
+    ("uniform", {}),
+    ("abs-coeff", {"coeffs": "at-alphas"}),
+    ("eff1norm-avg", {"r": 0.3}),
+    ("eff1norm-worst", {"r": 0.3}),
+], ids=["uniform", "uniform-from-surrogate", "abs-coeff", "eff1norm-avg", "eff1norm-worst"])
+def test_allocation_matches_the_per_branch_reference(strategy, inputs):
+    po = _pinned_surrogate()
+    kwargs = {"surrogate": po, **inputs}
+    if "coeffs" in kwargs:
+        kwargs["coeffs"] = po.coefficients_at(_PINNED_ALPHAS)
+    plan = make_allocation(strategy, 100, **kwargs)
+    assert plan.entries == ref_make_allocation(strategy, 100, **kwargs).entries
 
 
 def test_evaluator_batch_values(rng):
