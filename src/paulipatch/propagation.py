@@ -54,10 +54,21 @@ and a comparison of the full key; a sine child adds its weight there, or is
 appended. No bit depends on this: a group's sum adds two floats, which
 commutes, and the output is ordered by Pauli and monomial, with ties pooled by
 ``math.fsum`` and the minimum sine count, whatever the order of the rows.
+
+The frontier also keeps its support: a superset of the qubits any row acts on,
+as one int. It starts as the initial terms' qubits. A rotation that keeps a
+sine child widens it by the generator's qubits, and a Clifford gate that acts
+on one of its qubits widens it by the gate's. A rotation whose generator acts
+outside the support commutes with every row, so it returns before reading a
+row; this is how a wide circuit's rotations outside the observable's backward
+light cone cost nothing (on the 127-qubit heavy-hex lattice, most of them).
+The anticommuting rows' parity and phase are read only from the 64-bit words
+the generator acts on.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import json
 import math
@@ -346,7 +357,8 @@ class PropagatedObservable:
     """The back-propagated (truncated) observable plus run metadata.
 
     A symbolic one holds its ``MonomialTable`` in ``table``, with one table
-    term per entry of ``terms``, in order; a numeric one holds none.
+    term per entry of ``terms``, in order; a numeric one holds its terms'
+    coefficients as one array in ``coeffs``, in the same order.
     """
 
     n: int
@@ -358,6 +370,7 @@ class PropagatedObservable:
     n_rotations: int
     n_paulis_initial: int
     table: MonomialTable | None = None
+    coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_paulis(self) -> int:
@@ -374,7 +387,7 @@ class PropagatedObservable:
         if self.mode == NUMERIC:
             if alphas is not None:
                 raise ConfigError("a numeric observable's parameters are bound at build")
-            return np.array([t.coefficient for t in self.terms.values()], dtype=float)
+            return self.coeffs
         return self.monomial_table().coefficients([] if alphas is None else alphas)
 
     def coefficients_at(self, alphas: Sequence[float] | None = None) -> dict[PauliString, float]:
@@ -464,6 +477,12 @@ class _NumericFrontier:
     every row of weight exactly 0: floored cosine children, zero sums, zero
     cosine children, and zero rows left by earlier rotations without sine
     children. Otherwise no row is removed or moved.
+
+    ``support`` is a superset of the qubits the rows act on, one bit per qubit:
+    the initial terms' qubits, widened by the generator's qubits when a
+    rotation keeps a sine child and by a Clifford gate's qubits when the gate
+    acts on one of them. It never narrows. A rotation whose generator misses it
+    returns at once, as one without anticommuting rows does.
     """
 
     def __init__(self, n: int, terms: Sequence[tuple[PauliString, float]], m: int = 0,
@@ -475,6 +494,9 @@ class _NumericFrontier:
         self.pows = np.zeros((len(terms), 2 * m), dtype=dtype)
         self.m = m
         self.by_sines = by_sines
+        self.support = 0
+        for p, _ in terms:
+            self.support |= p.x | p.z
         # whether a row may weigh exactly 0: a rotation without sine children leaves
         # its zero cosine children in place, and the next one with some removes them
         self.may_hold_zeros = not self.coeff.all()
@@ -499,6 +521,10 @@ class _NumericFrontier:
             for sub in reversed(gate.sequence):
                 self.apply_clifford(sub)
             return
+        # the gate maps a row acting on its qubits onto any of them; the others it leaves
+        qubits = sum(1 << q for q in gate.qubits)
+        if qubits & self.support:
+            self.support |= qubits
         codes, signs = gate_table(gate.kind)
         code = np.zeros(len(self), dtype=np.int64)
         for j, q in enumerate(gate.qubits):
@@ -518,10 +544,14 @@ class _NumericFrontier:
         A bound angle ``theta`` multiplies the children by its cos and sin; a free
         parameter ``slot`` (symbolic mode) raises its exponent column instead.
         """
+        gen_qubits = gen.x | gen.z
+        if not gen_qubits & self.support:  # no row acts where gen does: all commute with it
+            return
         gxw, gzw = _masks_to_words([gen.x, gen.z], gen.n)
+        words = np.flatnonzero(gxw | gzw).tolist()
         # symplectic parity, read only from the words where the generator acts
         parity = np.zeros(len(self), dtype=np.uint8)
-        for w in np.flatnonzero(gxw | gzw):
+        for w in words:
             parity ^= np.bitwise_count((self.xw[:, w] & gzw[w]) ^ (self.zw[:, w] & gxw[w]))
         anti = np.flatnonzero(parity & 1)
         n_anti = anti.shape[0]
@@ -533,14 +563,15 @@ class _NumericFrontier:
         a_coeff, a_sines, a_pows = self.coeff[anti], self.sines[anti], self.pows[anti]
         sx, sz = ax ^ gxw, az ^ gzw
         new_sines = a_sines + 1
-        # phase exponent of gen @ p, then sign of i * (gen @ p)
-        exponent = (
-            int((gen.x & gen.z).bit_count())
-            + _popcount_words(ax & az)
-            - _popcount_words(sx & sz)
-            + 2 * _popcount_words(gzw & ax)
-        ) % 4
-        sign = np.where(exponent == 3, 1.0, -1.0)
+        # phase exponent of gen @ p, then sign of i * (gen @ p); off the generator's words
+        # sx, sz equal ax, az and their terms cancel. The uint8 sums wrap modulo 256, a
+        # multiple of 4.
+        exponent = (gen.x & gen.z).bit_count() % 4
+        for w in words:
+            exponent = exponent + (np.bitwise_count(ax[:, w] & az[:, w])
+                                   - np.bitwise_count(sx[:, w] & sz[:, w])
+                                   + 2 * np.bitwise_count(ax[:, w] & gzw[w]))
+        sign = np.where((exponent & 3) == 3, 1.0, -1.0)
         if slot is None:
             cos_f, sin_f = math.cos(theta), math.sin(theta)
             sin_coeff = a_coeff * sin_f * sign
@@ -560,6 +591,9 @@ class _NumericFrontier:
             below = keep & (np.abs(sin_coeff) < policy.coeff_floor)
             stats.truncated_coeff += int(below.sum())
             keep &= ~below
+        kept = keep.any()
+        if kept:  # a sine child acts only where its parent or the generator does
+            self.support |= gen_qubits
 
         # the cosine children stay in their parents' rows
         if slot is None:
@@ -570,14 +604,14 @@ class _NumericFrontier:
             stats.truncated_coeff += n_floored
             # a floored child's row is zeroed here and removed with the zero rows below
             self.coeff[anti] = np.where(floored, 0.0, a_coeff)
-            if not keep.any() and not n_floored:
+            if not kept and not n_floored:
                 self.may_hold_zeros |= not a_coeff.all()
                 return
             s_pows = a_pows
             distinct = False
         else:
             self.pows[anti, slot] += 1
-            if not keep.any():
+            if not kept:
                 return
             floored = np.zeros(n_anti, dtype=bool)
             # A cosine and a sine child share a key only if their rows already hold
@@ -594,8 +628,8 @@ class _NumericFrontier:
             # are unique, at most one. Their sum adds two floats, which commutes.
             cols = np.flatnonzero((a_pows | s_pows).any(axis=0))
             cos_rows = np.flatnonzero(~floored)
-            partner = _partners(self._keys(ax, az, a_pows[:, cols], a_sines)[cos_rows],
-                                self._keys(sx, sz, s_pows[:, cols], new_sines)[new])
+            partner = _partners(self._keys(ax, az, a_pows[:, cols], a_sines, cos_rows),
+                                self._keys(sx, sz, s_pows[:, cols], new_sines, new))
             met = partner >= 0
             rows, children = anti[cos_rows[partner[met]]], new[met]
             self.coeff[rows] += sin_coeff[children]
@@ -616,16 +650,28 @@ class _NumericFrontier:
                     (self.xw, self.zw, self.coeff, self.sines, self.pows),
                     (sx, sz, sin_coeff, new_sines, s_pows)))
 
-    def _keys(self, xw: np.ndarray, zw: np.ndarray, pows: np.ndarray,
-              sines: np.ndarray) -> np.ndarray:
-        """Rows' keys as uint64 columns: the Pauli words, ``pows``, and the sine count if ``by_sines``."""
-        parts = [xw, zw, pows]
+    def _keys(self, xw: np.ndarray, zw: np.ndarray, pows: np.ndarray, sines: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
+        """The keys of ``rows`` as uint64 columns.
+
+        A key is the Pauli words, ``pows``, and the sine count if ``by_sines``.
+        """
+        # take is several times faster than fancy indexing on rows of a 2-D array
+        parts = [xw.take(rows, axis=0), zw.take(rows, axis=0), pows.take(rows, axis=0)]
         if self.by_sines:
-            parts.append(sines[:, np.newaxis])
+            parts.append(sines[rows, np.newaxis])
         return np.concatenate(parts, axis=1, dtype=np.uint64, casting="unsafe")
 
 
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+@functools.cache
+def _hash_weights(width: int) -> np.ndarray:
+    """The first ``width`` odd powers of one constant, modulo 2^64; shared, so read-only."""
+    weights = np.cumprod(np.full(width, _HASH_MULTIPLIER))
+    weights.flags.writeable = False
+    return weights
 
 
 def _row_hash(keys: np.ndarray) -> np.ndarray:
@@ -635,8 +681,7 @@ def _row_hash(keys: np.ndarray) -> np.ndarray:
     any bit reaches the low bits; the columns are then weighed by odd powers of
     one constant and summed modulo 2^64.
     """
-    weights = np.cumprod(np.full(keys.shape[1], _HASH_MULTIPLIER))
-    return (keys ^ (keys >> np.uint64(32))) @ weights
+    return (keys ^ (keys >> np.uint64(32))) @ _hash_weights(keys.shape[1])
 
 
 def _partners(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -660,7 +705,7 @@ def _partners(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         if not todo.shape[0]:
             return partner
         candidate = order[pos]
-        same = (left[candidate] == right[todo]).all(axis=1)
+        same = (left.take(candidate, axis=0) == right.take(todo, axis=0)).all(axis=1)
         partner[todo[same]] = candidate[same]
         todo, pos = todo[~same], pos[~same] + 1
 
@@ -758,11 +803,11 @@ def _observable(paulis: Iterable[PauliString], sines: np.ndarray,
     read off these columns.
     """
     if isinstance(values, MonomialTable):
-        table = values
+        table, coeffs = values, None
         terms = {p: PropagatedTerm(p, min_sine_count=s, table=table, index=i)
                  for i, (p, s) in enumerate(zip(paulis, sines.tolist()))}
     else:
-        table = None
+        table, coeffs = None, values
         terms = {p: PropagatedTerm(p, coefficient=c, min_sine_count=s)
                  for p, c, s in zip(paulis, values.tolist(), sines.tolist())}
     return PropagatedObservable(
@@ -770,13 +815,19 @@ def _observable(paulis: Iterable[PauliString], sines: np.ndarray,
         stats=replace(stats, terms_final=len(terms),
                       monomials_final=len(terms) if table is None else table.n_monomials),
         policy=policy, m=m, n_rotations=n_rotations, n_paulis_initial=n_paulis_initial,
-        table=table,
+        table=table, coeffs=coeffs,
     )
 
 
-def _pauli(n: int, x: np.ndarray, z: np.ndarray) -> PauliString:
-    return PauliString(n, int.from_bytes(x.tobytes(), "little"),
-                       int.from_bytes(z.tobytes(), "little"))
+def _word_ints(words: np.ndarray) -> list[int]:
+    """Each row of 64-bit words as one int, word ``w`` in its bits ``64 w`` on.
+
+    The words are turned into ints one column at a time.
+    """
+    ints = words[:, -1].tolist()
+    for w in range(words.shape[1] - 2, -1, -1):
+        ints = [high << 64 | low for high, low in zip(ints, words[:, w].tolist())]
+    return ints
 
 
 # --- public entry point --------------------------------------------------------------
@@ -818,17 +869,18 @@ def backpropagate(
     # rows of one Pauli (one row in numeric mode) end up adjacent, in text order
     nonzero = np.flatnonzero(frontier.coeff)
     order = nonzero[_text_order(circuit.n, frontier.xw[nonzero], frontier.zw[nonzero])]
-    xs, zs = frontier.xw[order].astype("<u8"), frontier.zw[order].astype("<u8")
+    xs, zs = frontier.xw[order], frontier.zw[order]
     if mode == NUMERIC:
-        firsts, sines, values = range(order.shape[0]), frontier.sines[order], frontier.coeff[order]
+        sines, values = frontier.sines[order], frontier.coeff[order]
     else:
         values, firsts, sines = _frontier_table(circuit.m, xs, zs, frontier.coeff[order],
                                                 frontier.sines[order], frontier.pows[order])
+        xs, zs = xs[firsts], zs[firsts]
     # each Pauli joins its term as it is made: listing all 27 691 Paulis of a 127-qubit
     # build first raised its peak RSS by 2.5 MB
-    return _observable((_pauli(circuit.n, xs[i], zs[i]) for i in firsts), sines, values, policy,
-                       stats, n=circuit.n, m=circuit.m, n_rotations=len(circuit.rotations),
-                       n_paulis_initial=obs.n_paulis)
+    paulis = (PauliString(circuit.n, x, z) for x, z in zip(_word_ints(xs), _word_ints(zs)))
+    return _observable(paulis, sines, values, policy, stats, n=circuit.n, m=circuit.m,
+                       n_rotations=len(circuit.rotations), n_paulis_initial=obs.n_paulis)
 
 
 def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObservable:

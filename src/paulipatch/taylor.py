@@ -51,7 +51,6 @@ class EvalLedger:
     nominal_evaluations: int = 0    # sum of 2^|k| over computed derivatives
     unique_derivatives: int = 0
     n_d_max: int = 1                # max per-derivative nominal cost 2^|k|
-    b0: float = 1.0                 # largest |b_j| across derivative recipes
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -247,8 +246,10 @@ class TaylorSurrogate:
                 entries[key] = number(raw["value"])
             for key, value in doc["ledger"].items():
                 number(value, f"ledger.{key}")
+            # documents written before the ledger lost its constant "b0" (always 1.0) carry it
+            ledger = {key: value for key, value in doc["ledger"].items() if key != "b0"}
             return cls(center=center, order=integer(doc["order"], "order"), entries=entries,
-                       ledger=EvalLedger(**doc["ledger"]))
+                       ledger=EvalLedger(**ledger))
 
 
 def unique_derivative_count(m: int, kappa: int) -> int:

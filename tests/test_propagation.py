@@ -18,6 +18,7 @@ from paulipatch import (
     PathMonomial,
     PauliString,
     PolicyOverflowError,
+    RampSpec,
     Rotation,
     SurrogateEvaluator,
     TruncationPolicy,
@@ -26,6 +27,7 @@ from paulipatch import (
     build_tfi_trotter,
     exact_expectation_batch,
     grid,
+    heavyhex127,
     load_artifact,
     path_stats,
     pauli_mean_squares,
@@ -662,8 +664,28 @@ def _one_word_case(seed):
     return c, random_observable(rng, 5, terms=3), rng
 
 
+def _clifford_widening_case(seed):
+    # Back-propagation meets the two CNOTs first. They carry the observable, which acts on
+    # qubit 0 alone, onto qubits 1 and 2, where no row acted before, and the next rotations
+    # act there; the X rotation on qubit 4 still misses every row. A random circuit follows.
+    rng = np.random.default_rng(seed)
+    block = random_mixed_circuit(rng, n=5, n_rot=8)
+    m = block.m
+    gates = (*block.gates,
+             Rotation("X", (4,), ParamRef.free(m)),
+             Rotation("ZZ", (1, 2), ParamRef.free(m + 1)),
+             Rotation("Y", (1,), ParamRef.free(m + 2)),
+             Rotation("Z", (2,), ParamRef.free(m + 3)),
+             CliffordGate("cnot", (1, 2)),
+             CliffordGate("cnot", (0, 1)))
+    obs = ObservableSpec(((PauliString.from_letters("X", (0,), 5), 0.9),
+                          (PauliString.from_letters("Y", (0,), 5), -0.4)))
+    return Circuit(5, m + 4, gates), obs, rng
+
+
 @pytest.mark.parametrize("case", [(_one_word_case, 41), (_one_word_case, 42),
-                                  (_two_word_case, 43)], ids=["n5-a", "n5-b", "n70"])
+                                  (_two_word_case, 43), (_clifford_widening_case, 45)],
+                         ids=["n5-a", "n5-b", "n70", "clifford-widens"])
 @pytest.mark.parametrize("policy", [
     TruncationPolicy(),
     TruncationPolicy(kappa=3),
@@ -682,6 +704,21 @@ def test_numeric_matches_full_merge_reference(case, policy):
         assert [(p.to_text(), t.coefficient, t.min_sine_count)
                 for p, t in po.terms.items()] == ordered
         assert po.stats.as_dict() == stats
+
+
+def test_heavyhex_matches_full_merge_reference():
+    # The 127-qubit heavy-hex Kibble-Zurek ramp at 6 layers: most rotations act where no
+    # row does, and the observed pair's neighbour edge (63, 64) straddles two 64-bit words.
+    circuit = build_tfi_trotter(heavyhex127(), layers=6, dt=0.18,
+                                ramp=RampSpec("linear", 1.08), binding="fixed")
+    obs = ObservableSpec.single(PauliString.from_sparse("Z62 Z63", 127))
+    policy = TruncationPolicy(kappa=21, max_weight=5)
+    po = backpropagate(circuit, obs, policy, mode=NUMERIC)
+    ordered, stats = _full_merge_reference(circuit, obs, policy, [])
+    assert len(ordered) == 10_817
+    assert [(p.to_text(), t.coefficient, t.min_sine_count)
+            for p, t in po.terms.items()] == ordered
+    assert po.stats.as_dict() == stats
 
 
 def test_merge_drops_zero_rows_that_skip_it():
@@ -875,6 +912,8 @@ _POLICY_IDS = ["exact", "kappa0", "kappa1", "kappa3", "kappa3-w2", "w3"]
 @pytest.mark.parametrize("seed", range(6))
 def test_symbolic_matches_dict_engine_reference(seed, policy):
     c, obs = _mixed_angle_case(500 + seed)
+    _assert_matches_dict_engine(c, obs, policy)
+    c, obs, _ = _clifford_widening_case(700 + seed)
     _assert_matches_dict_engine(c, obs, policy)
     rng = np.random.default_rng(600 + seed)
     for shared in (False, True):
@@ -1143,6 +1182,20 @@ def test_numeric_artifact_round_trip(tmp_path, rng):
     old = tmp_path / "old.json"
     old.write_text(json.dumps(doc))
     assert load_artifact(old).coefficients_at() == po.coefficients_at()
+
+
+def test_numeric_observable_keeps_its_coefficient_column(tmp_path, rng):
+    c = random_mixed_circuit(rng, n=4, n_rot=8)
+    po = backpropagate(c, random_observable(rng, 4, terms=3), TruncationPolicy(kappa=3),
+                       mode=NUMERIC, alphas=rng.uniform(-1, 1, c.m))
+    path = tmp_path / "artifact.json"
+    save_artifact(po, path)
+    loaded = load_artifact(path)
+    for obs in (po, loaded):
+        assert obs.coeffs.dtype == np.float64
+        assert obs.coeffs.tolist() == [t.coefficient for t in obs.terms.values()]
+        assert "coeffs" not in repr(obs)
+    assert loaded == po
 
 
 def _v1_doc(po):

@@ -189,7 +189,6 @@ def one_call_per_point_build(oracle, center, kappa):
                     ledger.evaluations += 1
                 total += weight * value
             entries[tuple((p, o) for p, o in enumerate(kvec) if o)] = total
-    ledger.b0 = 1.0
     return entries, ledger
 
 
@@ -396,6 +395,19 @@ def test_surrogate_from_json_rejects_malformed_documents(corrupt):
     doc = _taylor_doc()
     assert TaylorSurrogate.from_json(json.dumps(doc)).entries[((0, 1), (1, 1))] == -0.125
     corrupt(doc)
+    with pytest.raises(ValidationError):
+        TaylorSurrogate.from_json(json.dumps(doc))
+
+
+def test_surrogate_from_json_reads_a_document_with_b0():
+    # documents written while the ledger still had its constant b0 field load unchanged
+    doc = _taylor_doc()
+    assert "b0" not in doc["ledger"]
+    doc["ledger"]["b0"] = 1.0
+    ts = TaylorSurrogate.from_json(json.dumps(doc))
+    assert ts.ledger == EvalLedger(evaluations=9, unique_derivatives=3)
+    assert ts.entries[((0, 1), (1, 1))] == -0.125
+    doc["ledger"]["b0"] = "1.0"  # its value is still checked
     with pytest.raises(ValidationError):
         TaylorSurrogate.from_json(json.dumps(doc))
 
