@@ -184,6 +184,27 @@ def ref_coefficients(po, alpha_rows: np.ndarray) -> np.ndarray:
     return np.array(rows).reshape(len(rows), n_terms)
 
 
+# --- the per-factor block kernel, kept as the bitwise reference --------------------------
+# ``MonomialTable._monomial_blocks`` before it multiplied one factor position at a time: the
+# block's distinct-factor powers gathered once per factor and multiplied per monomial with
+# ``reduceat``. The level-by-level kernel must reproduce its blocks exactly.
+
+
+def ref_monomial_blocks(table, alpha_rows: np.ndarray):
+    """Yield (row slice, monomial values of those rows) block by block."""
+    for start in range(0, alpha_rows.shape[0], table.block_rows):
+        rows = slice(start, start + table.block_rows)
+        block = alpha_rows[rows]
+        if table.m:
+            cos_v, sin_v = np.cos(block), np.sin(block)
+        else:  # only the dummy factor, read at param 0
+            cos_v, sin_v = np.ones((block.shape[0], 1)), np.zeros((block.shape[0], 1))
+        reps = (block.shape[0], 1)
+        dist = (cos_v[:, table.dist_param] ** np.tile(table.dist_cos, reps)
+                * sin_v[:, table.dist_param] ** np.tile(table.dist_sin, reps))
+        yield rows, np.multiply.reduceat(dist[:, table.fac_dist], table.fac_starts, axis=1)
+
+
 # --- the per-branch allocation, kept as the bitwise reference ----------------------------
 # ``make_allocation`` before its strategies shared one weighting path: each branch filtered,
 # divided and checked its own support. The shared path must reproduce its plans exactly.
