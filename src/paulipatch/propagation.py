@@ -72,6 +72,7 @@ import functools
 import gzip
 import json
 import math
+import numbers
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
@@ -99,7 +100,7 @@ from .states import InitialState, overlap
 NUMERIC = "numeric"
 SYMBOLIC = "symbolic"
 
-_EVAL_WORK_BYTES = 2 << 20  # the per-factor array of one MonomialTable row block
+_EVAL_WORK_BYTES = 2 << 20  # rows * factors * 8 bytes of one MonomialTable row block
 
 # monomial: sorted tuple of (param_index, cos_exponent, sin_exponent)
 MonoKey = tuple[tuple[int, int, int], ...]
@@ -115,6 +116,16 @@ class TruncationPolicy:
     path_cap: int | None = None
 
     def __post_init__(self) -> None:
+        # NaN compares as no cut, and 1.5 or True would pass for an integer cut; a NumPy
+        # integer is stored as an int, so that the policy writes to JSON
+        for name in ("kappa", "max_weight", "path_cap"):
+            value = getattr(self, name)
+            if value is not None:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValidationError(f"{name} must be an integer or None, got {value!r}")
+                object.__setattr__(self, name, int(value))
+        if not math.isfinite(self.coeff_floor):
+            raise ValidationError(f"coeff_floor must be finite, got {self.coeff_floor}")
         if self.kappa is not None and self.kappa < 0:
             raise ValidationError(f"kappa must be >= 0, got {self.kappa}")
         if self.max_weight is not None and self.max_weight < 1:
@@ -142,6 +153,13 @@ class PathMonomial:
     factors: MonoKey = ()
 
 
+def _finite_parameters(alphas: np.ndarray) -> np.ndarray:
+    """``alphas``, refused when a parameter is NaN or infinite."""
+    if not np.isfinite(alphas).all():
+        raise ValidationError("parameters must be finite")
+    return alphas
+
+
 class MonomialTable:
     """A symbolic surrogate's monomials as flat arrays, in term order.
 
@@ -158,10 +176,20 @@ class MonomialTable:
     constant monomial holds one dummy factor (param 0, exponents 0) that
     evaluates to 1, so every monomial owns a factor.
 
-    Evaluation runs on blocks of ``block_rows`` parameter rows, sized so that
-    a block's per-factor array stays within a fixed 2 MiB: per row, the
-    distinct factors are raised to their powers once, gathered per factor and
-    multiplied per monomial.
+    Evaluation runs on blocks of ``block_rows`` parameter rows. Per block the
+    distinct factors are raised to their powers once, as a (distinct, rows)
+    array, and the monomials are multiplied level by level: longest first, so
+    that the monomials with more than ``j`` factors are a prefix, each level
+    multiplies factor position ``j`` into that prefix in place. Every monomial
+    is still multiplied left to right over its own factors, so its value does
+    not depend on the block. The layout (``_levels``) is built on the first
+    evaluation.
+
+    ``block_rows`` keeps ``rows * factors * 8`` bytes within a fixed 2 MiB,
+    which also bounds the kernel's (monomials, rows) arrays. Sizing it by the
+    monomial count would give larger blocks, but ``values`` takes one
+    matrix-vector product per block, and BLAS sums a block of another shape in
+    another order, which moves the last bits of the values.
     """
 
     def __init__(self, m: int, term_starts: np.ndarray, mono_weight: np.ndarray,
@@ -176,6 +204,7 @@ class MonomialTable:
         self.mono_term = np.repeat(np.arange(term_starts.shape[0] - 1), np.diff(term_starts))
         self.block_rows = max(1, _EVAL_WORK_BYTES // (8 * max(1, fac_dist.shape[0])))
         self._monomials: tuple | None = None
+        self._layout: tuple | None = None
 
     @classmethod
     def from_factors(cls, m: int, term_sizes: np.ndarray, weights: np.ndarray,
@@ -259,30 +288,57 @@ class MonomialTable:
         if alpha_rows.ndim != 2 or alpha_rows.shape[1] != self.m:
             raise DimensionError(
                 f"expected rows of {self.m} parameters, got shape {alpha_rows.shape}")
-        return alpha_rows
+        return _finite_parameters(alpha_rows)
 
     def _check_row(self, alphas) -> np.ndarray:
         """One parameter point as a one-row block."""
         alphas = np.asarray(alphas, dtype=float)
         if alphas.shape != (self.m,):
             raise DimensionError(f"expected {self.m} parameters, got {alphas.shape}")
-        return alphas[np.newaxis]
+        return _finite_parameters(alphas)[np.newaxis]
+
+    def _levels(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The factors by position, monomials longest first, and the inverse order.
+
+        Entry ``j`` of the list holds the distinct-factor index at position ``j``
+        of every monomial with more than ``j`` factors, which are a prefix of
+        the order. Built on the first call.
+        """
+        if self._layout is None:
+            fac_counts = np.diff(self.fac_starts, append=self.fac_dist.shape[0])
+            order = np.argsort(-fac_counts, kind="stable")
+            starts, counts = self.fac_starts[order], fac_counts[order]
+            levels = [self.fac_dist[starts[:np.count_nonzero(counts > j)] + j]
+                      for j in range(max(1, int(counts.max(initial=0))))]
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(order.shape[0])
+            self._layout = levels, inverse
+        return self._layout
 
     def _monomial_blocks(self, alpha_rows: np.ndarray):
-        """Yield (row slice, monomial values of those rows) block by block."""
+        """Yield (row slice, monomial values of those rows) block by block.
+
+        The values of a block come as a C-contiguous (rows, monomials) array.
+        """
+        levels, inverse = self._levels()
         for start in range(0, alpha_rows.shape[0], self.block_rows):
             rows = slice(start, start + self.block_rows)
-            block = alpha_rows[rows]
+            block = np.ascontiguousarray(alpha_rows[rows].T)  # (params, rows)
             if self.m:
                 cos_v, sin_v = np.cos(block), np.sin(block)
             else:  # only the dummy factor, read at param 0
-                cos_v, sin_v = np.ones((block.shape[0], 1)), np.zeros((block.shape[0], 1))
-            # exponents tiled to the block's shape: on a large broadcast numpy runs
-            # another power loop, which rounds some results differently
-            reps = (block.shape[0], 1)
-            dist = (cos_v[:, self.dist_param] ** np.tile(self.dist_cos, reps)
-                    * sin_v[:, self.dist_param] ** np.tile(self.dist_sin, reps))
-            yield rows, np.multiply.reduceat(dist[:, self.fac_dist], self.fac_starts, axis=1)
+                cos_v, sin_v = np.ones((1, block.shape[1])), np.zeros((1, block.shape[1]))
+            # contiguous operands and exponents tiled to the block's shape: on a large
+            # broadcast numpy runs another power loop, which rounds some results differently
+            reps = (1, block.shape[1])
+            dist = (cos_v[self.dist_param] ** np.tile(self.dist_cos[:, np.newaxis], reps)
+                    * sin_v[self.dist_param] ** np.tile(self.dist_sin[:, np.newaxis], reps))
+            # each monomial multiplies its own factors left to right, so no value depends
+            # on the block; take is several times faster here than fancy indexing
+            mono_vals = dist.take(levels[0], axis=0)
+            for level in levels[1:]:
+                mono_vals[:level.shape[0]] *= dist.take(level, axis=0)
+            yield rows, mono_vals.T.take(inverse, axis=1)
 
     def coefficient_rows(self, alpha_rows: np.ndarray) -> np.ndarray:
         """c_P(alpha) per row of ``alpha_rows`` and term, shape (rows, terms)."""
@@ -651,16 +707,19 @@ class _NumericFrontier:
                     (sx, sz, sin_coeff, new_sines, s_pows)))
 
     def _keys(self, xw: np.ndarray, zw: np.ndarray, pows: np.ndarray, sines: np.ndarray,
-              rows: np.ndarray) -> np.ndarray:
-        """The keys of ``rows`` as uint64 columns.
+              rows: np.ndarray) -> list[np.ndarray]:
+        """The keys of ``rows`` as parts: 2-D uint64 arrays with one row per key.
 
         A key is the Pauli words, ``pows``, and the sine count if ``by_sines``.
+        The parts are not joined into one array: that copies them row by row.
         """
         # take is several times faster than fancy indexing on rows of a 2-D array
-        parts = [xw.take(rows, axis=0), zw.take(rows, axis=0), pows.take(rows, axis=0)]
+        parts = [xw.take(rows, axis=0), zw.take(rows, axis=0)]
+        if pows.shape[1]:
+            parts.append(pows.take(rows, axis=0).astype(np.uint64))
         if self.by_sines:
-            parts.append(sines[rows, np.newaxis])
-        return np.concatenate(parts, axis=1, dtype=np.uint64, casting="unsafe")
+            parts.append(sines[rows, np.newaxis].astype(np.uint64))
+        return parts
 
 
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
@@ -674,22 +733,29 @@ def _hash_weights(width: int) -> np.ndarray:
     return weights
 
 
-def _row_hash(keys: np.ndarray) -> np.ndarray:
-    """One 64-bit hash per row of the uint64 array ``keys``; equal rows hash equal.
+def _row_hash(parts: list[np.ndarray]) -> np.ndarray:
+    """One 64-bit hash per key, given as uint64 parts; equal keys hash equal.
 
     Each word's high half is folded into its low half, so that a difference in
-    any bit reaches the low bits; the columns are then weighed by odd powers of
-    one constant and summed modulo 2^64.
+    any bit reaches the low bits; the key's columns, part after part, are then
+    weighed by odd powers of one constant and summed modulo 2^64.
     """
-    return (keys ^ (keys >> np.uint64(32))) @ _hash_weights(keys.shape[1])
+    weights = _hash_weights(sum(part.shape[1] for part in parts))
+    columns = (column for part in parts for column in (part ^ (part >> np.uint64(32))).T)
+    hashes = np.zeros(parts[0].shape[0], dtype=np.uint64)
+    # column by column: an integer matmul of a few columns costs more than these products
+    for column, weight in zip(columns, weights):
+        hashes += column * weight
+    return hashes
 
 
-def _partners(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per row of ``right``, the index of the ``left`` row with the same key, or -1.
+def _partners(left: list[np.ndarray], right: list[np.ndarray]) -> np.ndarray:
+    """Per key of ``right``, the index of the ``left`` key equal to it, or -1.
 
-    Keys are unique on each side. Each right row searches its hash among the
-    sorted left hashes. Its candidate's full key is compared, and a row whose
-    candidate differs moves on to the next left row of equal hash, so keys
+    Both sides are lists of key parts, as ``_NumericFrontier._keys`` gives
+    them. Keys are unique on each side. Each right key searches its hash among
+    the sorted left hashes. Its candidate's parts are compared, and a key whose
+    candidate differs moves on to the next left key of equal hash, so keys
     whose hashes collide still pair exactly.
     """
     left_hash, right_hash = _row_hash(left), _row_hash(right)
@@ -698,14 +764,17 @@ def _partners(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     sorted_hash = np.append(left_hash[order], np.iinfo(np.uint64).max)
     todo = np.argsort(right_hash)  # searching sorted queries is faster
     pos = np.searchsorted(sorted_hash, right_hash[todo])
-    partner = np.full(right.shape[0], -1, dtype=np.intp)
+    partner = np.full(right_hash.shape[0], -1, dtype=np.intp)
     while True:
         hit = (pos < order.shape[0]) & (sorted_hash[pos] == right_hash[todo])
         todo, pos = todo[hit], pos[hit]
         if not todo.shape[0]:
             return partner
         candidate = order[pos]
-        same = (left.take(candidate, axis=0) == right.take(todo, axis=0)).all(axis=1)
+        same = np.ones(todo.shape[0], dtype=bool)
+        for left_part, right_part in zip(left, right):
+            same &= (left_part.take(candidate, axis=0)
+                     == right_part.take(todo, axis=0)).all(axis=1)
         partner[todo[same]] = candidate[same]
         todo, pos = todo[~same], pos[~same] + 1
 
@@ -863,6 +932,7 @@ def backpropagate(
             raise DimensionError(
                 f"numeric mode needs {circuit.m} parameters, got {alpha_arr.shape}"
             )
+        _finite_parameters(alpha_arr)
     stats = PropagationStats()
     frontier = _propagate(circuit, obs.terms, policy, stats,
                           None if mode == SYMBOLIC else alpha_arr)
@@ -894,6 +964,7 @@ def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObser
     counts its own surviving terms and monomials. A ``kappa`` above the
     build's raises ``ConfigError``: the build holds no higher orders.
     """
+    policy = replace(po.policy, kappa=kappa)  # refuses a kappa that is not an integer
     if po.policy.kappa is not None and kappa > po.policy.kappa:
         raise ConfigError(f"kappa {kappa} exceeds the build's kappa {po.policy.kappa}")
     table = po.monomial_table()
@@ -903,8 +974,8 @@ def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObser
     sub = table.select(keep)
     sines = np.minimum.reduceat(orders[keep], sub.term_starts[:-1])
     paulis = [p for p, kept in zip(po.terms, alive.tolist()) if kept]
-    return _observable(paulis, sines, sub, replace(po.policy, kappa=kappa), po.stats, n=po.n,
-                       m=po.m, n_rotations=po.n_rotations, n_paulis_initial=po.n_paulis_initial)
+    return _observable(paulis, sines, sub, policy, po.stats, n=po.n, m=po.m,
+                       n_rotations=po.n_rotations, n_paulis_initial=po.n_paulis_initial)
 
 
 # --- surrogate artifact file ---------------------------------------------------------

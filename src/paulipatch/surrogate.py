@@ -9,10 +9,10 @@ table's few distinct (param, cos, sin) factors. ``SurrogateEvaluator``,
 is; ``PropagatedTerm.monomials`` is a tuple view of it that none of them
 builds. ``PropagatedObservable.expectation`` gives one landscape value at one
 point in either mode; ``SurrogateEvaluator`` is the batched sweep over a
-patch. It runs on blocks of parameter rows: per row, the distinct factors
-are raised to their powers once, gathered per factor and multiplied per
-monomial, and the monomial values meet the overlap-weighted monomial weights
-in one matrix-vector product per block.
+patch. It runs on blocks of parameter rows: per block, the distinct factors
+are raised to their powers once, the monomials are multiplied one factor
+position at a time, and the monomial values meet the overlap-weighted
+monomial weights in one matrix-vector product per block.
 
 A patch is given by its half-width ``r`` alone: the hypercube [-r, r]^m
 around the origin, so ``pauli_mean_squares`` and ``effective_norm_avg`` take

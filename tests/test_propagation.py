@@ -3,6 +3,7 @@
 import gzip
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from paulipatch import (
     Circuit,
     CliffordGate,
     ConfigError,
+    DimensionError,
     ObservableSpec,
     ParamRef,
     PathMonomial,
@@ -316,6 +318,45 @@ def test_symbolic_mode_rejects_alphas():
     obs = ObservableSpec.single(PauliString.from_text("X"))
     with pytest.raises(ConfigError):
         backpropagate(c, obs, mode=SYMBOLIC, alphas=[0.1])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kappa", math.nan), ("kappa", True), ("kappa", 1.5), ("kappa", 2.0), ("kappa", "2"),
+    ("max_weight", 2.5), ("max_weight", False), ("max_weight", math.inf),
+    ("path_cap", math.inf), ("path_cap", True), ("path_cap", 10.0),
+    ("coeff_floor", math.nan), ("coeff_floor", math.inf),
+])
+def test_policy_refuses_values_that_disable_a_cut(field, value):
+    with pytest.raises(ValidationError):
+        TruncationPolicy(**{field: value})
+
+
+def test_policy_stores_numpy_integer_cuts_as_ints():
+    policy = TruncationPolicy(kappa=np.int64(3), max_weight=np.uint8(2), path_cap=np.int32(9))
+    assert policy == TruncationPolicy(kappa=3, max_weight=2, path_cap=9)
+    assert all(type(v) is int for v in (policy.kappa, policy.max_weight, policy.path_cap))
+    json.dumps(asdict(policy))
+
+
+def test_restriction_refuses_a_kappa_that_is_not_an_integer():
+    c = Circuit(1, 2, (Rotation("Z", (0,), ParamRef.free(0)),
+                       Rotation("X", (0,), ParamRef.free(1))))
+    po = backpropagate(c, ObservableSpec.single(PauliString.from_text("Y")), mode=SYMBOLIC)
+    for kappa in (1.5, math.nan, True):
+        with pytest.raises(ValidationError):
+            restrict_sine_order(po, kappa)
+    assert restrict_sine_order(po, np.int64(1)).policy.kappa == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_numeric_mode_refuses_non_finite_parameters(bad):
+    c = Circuit(1, 2, (Rotation("Z", (0,), ParamRef.free(0)),
+                       Rotation("X", (0,), ParamRef.free(1))))
+    obs = ObservableSpec.single(PauliString.from_text("Y"))
+    with pytest.raises(ValidationError):
+        backpropagate(c, obs, mode=NUMERIC, alphas=[0.1, bad])
+    with pytest.raises(DimensionError):
+        backpropagate(c, obs, mode=NUMERIC, alphas=[bad])
 
 
 def test_fixed_angles_do_not_consume_monomial_slots():
@@ -980,9 +1021,9 @@ def test_symbolic_zero_weight_rows_follow_numeric_rule():
 def every_hash_collides(monkeypatch):
     hashed = []
 
-    def constant(keys):
-        hashed.append(keys.shape[0])
-        return np.zeros(keys.shape[0], dtype=np.uint64)
+    def constant(parts):
+        hashed.append(parts[0].shape[0])
+        return np.zeros(parts[0].shape[0], dtype=np.uint64)
 
     monkeypatch.setattr(propagation, "_row_hash", constant)
     yield

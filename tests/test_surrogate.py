@@ -28,6 +28,7 @@ from paulipatch import (
     SurrogateEvaluator,
     TrotterEvolvedZero,
     TruncationPolicy,
+    ValidationError,
     backpropagate,
     bound_correlated_avg,
     bound_mse_truncation,
@@ -41,6 +42,7 @@ from paulipatch import (
     grid,
     make_allocation,
     pauli_mean_squares,
+    restrict_sine_order,
     trig_moment,
     worst_case_coeff_bounds,
 )
@@ -59,6 +61,7 @@ from conftest import (
     ref_coefficients,
     ref_expectation,
     ref_make_allocation,
+    ref_monomial_blocks,
 )
 
 
@@ -404,6 +407,59 @@ def test_batched_kernel_matches_per_row_reference(rng, case):
     empty = np.zeros((0, po.m))
     assert ev.values(empty).shape == (0,)
     assert ev.coefficient_rows(empty).shape == (0, len(po.terms))
+
+
+_BLOCK_CASES = {
+    **_KERNEL_CASES,
+    "pinned-restricted": lambda rng: restrict_sine_order(_pinned_surrogate(), 1),
+    "free-restricted": lambda rng: restrict_sine_order(_KERNEL_CASES["free-kappa3"](rng), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_level_kernel_matches_per_factor_reference(rng, case):
+    po = _BLOCK_CASES[case](rng)
+    amplitudes = rng.normal(size=2**po.n) + 1j * rng.normal(size=2**po.n)
+    ev = SurrogateEvaluator(po, Dense(amplitudes / np.linalg.norm(amplitudes)))
+    if 2 * ev.block_rows + 3 > 20_000:  # a tiny table: shrink the blocks both kernels read
+        ev.block_rows = 7
+    alphas = rng.uniform(-1.0, 1.0, size=(2 * ev.block_rows + 3, po.m))
+    blocks = list(ev._monomial_blocks(alphas))
+    ref_blocks = list(ref_monomial_blocks(ev, alphas))
+    assert len(blocks) == len(ref_blocks) == 3
+    for (rows, mono_vals), (ref_rows, ref_vals) in zip(blocks, ref_blocks):
+        assert rows == ref_rows
+        assert mono_vals.flags.c_contiguous
+        assert np.array_equal(mono_vals, ref_vals)
+    # what values and coefficient_rows make of the reference blocks
+    weights = ev.mono_weight * ev.d[ev.mono_term]
+    n_terms = len(po.terms)
+    values = np.empty(alphas.shape[0])
+    coeffs = np.zeros((alphas.shape[0], n_terms))
+    for rows, mono_vals in ref_blocks:
+        values[rows] = mono_vals @ weights
+        flat = np.arange(mono_vals.shape[0])[:, np.newaxis] * n_terms + ev.mono_term
+        np.add.at(coeffs[rows].reshape(-1), flat.reshape(-1),
+                  (ev.mono_weight * mono_vals).reshape(-1))
+    assert np.array_equal(ev.values(alphas), values)
+    assert np.array_equal(ev.coefficient_rows(alphas), coeffs)
+    assert np.array_equal(po.monomial_table().coefficients(alphas[4]), coeffs[4])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluation_refuses_non_finite_parameters(bad):
+    po = _pinned_surrogate()
+    ev = SurrogateEvaluator(po, AllZero(4))
+    point = np.array([0.1, bad, 0.2])
+    rows = np.array([[0.1, 0.2, 0.3], point])
+    for call, arg in ((ev.values, rows), (ev.coefficient_rows, rows), (ev.value, point),
+                      (ev.coefficients, point),
+                      (lambda a: po.expectation(AllZero(4), a), point),
+                      (po.coefficients_at, point), (po.norm2_sq, point)):
+        with pytest.raises(ValidationError):
+            call(arg)
+    with pytest.raises(DimensionError):
+        ev.values(np.full((2, 2), bad))
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 4), (0, 2), (1, 3, 1), ()])
