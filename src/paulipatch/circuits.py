@@ -30,6 +30,13 @@ SHARED = "shared"
 FIXED = "fixed"
 
 
+def finite_parameters(alphas):
+    """``alphas`` (one value or an array), refused when a parameter is NaN or infinite."""
+    if not np.isfinite(alphas).all():
+        raise ValidationError("parameters must be finite")
+    return alphas
+
+
 @dataclass(frozen=True)
 class ParamRef:
     """Reference of a rotation angle to a parameter slot or a fixed value."""
@@ -45,7 +52,7 @@ class ParamRef:
         elif self.kind == FIXED:
             if self.value is None or self.index is not None:
                 raise ValidationError("fixed ref needs a value only")
-            object.__setattr__(self, "value", float(self.value))
+            object.__setattr__(self, "value", finite_parameters(float(self.value)))
         else:
             raise ValidationError(f"unknown param kind {self.kind!r}")
 

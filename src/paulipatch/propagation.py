@@ -81,7 +81,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import documents
-from .circuits import Circuit
+from .circuits import Circuit, finite_parameters
 from .documents import count, integer, number
 from .errors import (
     ConfigError,
@@ -151,13 +151,6 @@ class PathMonomial:
     """
 
     factors: MonoKey = ()
-
-
-def _finite_parameters(alphas: np.ndarray) -> np.ndarray:
-    """``alphas``, refused when a parameter is NaN or infinite."""
-    if not np.isfinite(alphas).all():
-        raise ValidationError("parameters must be finite")
-    return alphas
 
 
 class MonomialTable:
@@ -288,14 +281,14 @@ class MonomialTable:
         if alpha_rows.ndim != 2 or alpha_rows.shape[1] != self.m:
             raise DimensionError(
                 f"expected rows of {self.m} parameters, got shape {alpha_rows.shape}")
-        return _finite_parameters(alpha_rows)
+        return finite_parameters(alpha_rows)
 
     def _check_row(self, alphas) -> np.ndarray:
         """One parameter point as a one-row block."""
         alphas = np.asarray(alphas, dtype=float)
         if alphas.shape != (self.m,):
             raise DimensionError(f"expected {self.m} parameters, got {alphas.shape}")
-        return _finite_parameters(alphas)[np.newaxis]
+        return finite_parameters(alphas)[np.newaxis]
 
     def _levels(self) -> tuple[list[np.ndarray], np.ndarray]:
         """The factors by position, monomials longest first, and the inverse order.
@@ -932,7 +925,7 @@ def backpropagate(
             raise DimensionError(
                 f"numeric mode needs {circuit.m} parameters, got {alpha_arr.shape}"
             )
-        _finite_parameters(alpha_arr)
+        finite_parameters(alpha_arr)
     stats = PropagationStats()
     frontier = _propagate(circuit, obs.terms, policy, stats,
                           None if mode == SYMBOLIC else alpha_arr)

@@ -2,12 +2,17 @@
 
 The dense simulator is the ground truth every propagation result is checked
 against. States are vectors of complex amplitudes with qubit ``q`` on basis
-bit ``q``. Gates act on the ``(rows, 2, ..., 2)`` view of a batch, where
-qubit ``q`` is axis ``n - q``: a Pauli flips its X/Y axes and multiplies by a
-sign spanning only its Z/Y axes, and every Clifford kind but ``h`` moves
-slices of its axes with a fixed index and phase. No operator matrix over all
+bit ``q``. A block of rows (one state per parameter row) is held
+amplitude-major, as a C-contiguous ``(2**n, rows)`` array, and gates act on
+its ``(2, ..., 2, rows)`` view, where qubit ``q`` is axis ``n - 1 - q``, so
+every pass runs over contiguous runs of ``rows`` amplitudes. A Pauli flips its
+X/Y axes and multiplies by a phase spanning only its Z/Y axes and the row
+axis; a rotation updates the block in place through one work array; every
+Clifford kind but ``h`` moves slices of its axes into the work array with a
+fixed index and phase, and the two arrays swap. No operator matrix over all
 qubits is ever built, and the kernels keep no array of size ``2**n`` between
-calls.
+calls. ``Dense`` and ``TrotterEvolvedZero`` vectors are read-only, so the
+in-place kernels cannot change a state.
 
 Caps: expectation oracles run up to 14 qubits; dense state construction and
 overlap evaluation are allowed up to 16 so that a Trotter-prepared 16-qubit
@@ -21,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, Rotation
+from .circuits import Circuit, finite_parameters
 from .errors import DimensionError, OracleCapError, ValidationError
 from .pauli import (
     CLIFFORD_1Q,
@@ -35,8 +40,9 @@ from .pauli import (
 DENSE_EXPECTATION_CAP = 14
 DENSE_STATE_CAP = 16
 
-# Working-array budget of one block of rows: 64 rows of a 10-qubit state. Larger blocks
-# buy no speed here and raise peak memory (512 rows cost 8 MB per working array).
+# Budget of each of a block's two arrays (states and work): 64 rows of a 10-qubit state.
+# On the mixed10 benchmark scans 512 KB and 1 MB run alike and 256 KB and 2-4 MB slower,
+# with the same bits at every size.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -55,18 +61,22 @@ class AllPlus:
 
 
 class Dense:
-    """An explicit amplitude vector, normalized to 1 within 1e-12."""
+    """An explicit amplitude vector, normalized to 1 within 1e-12.
+
+    ``vector`` is a read-only copy of the amplitudes given.
+    """
 
     def __init__(self, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=complex).reshape(-1)
+        vector = np.asarray(vector, dtype=complex).flatten()  # a copy the state owns
         n = int(vector.size).bit_length() - 1
         if 1 << n != vector.size:
             raise ValidationError(f"amplitude count {vector.size} is not a power of 2")
         if n > DENSE_STATE_CAP:
             raise OracleCapError(f"dense states capped at {DENSE_STATE_CAP} qubits, got {n}")
         norm = float(np.linalg.norm(vector))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # also refuses a NaN norm
             raise ValidationError(f"state norm {norm} deviates from 1 beyond 1e-12")
+        vector.flags.writeable = False
         self.n = n
         self.vector = vector
 
@@ -88,7 +98,10 @@ class Dense:
 
 
 class TrotterEvolvedZero:
-    """|0...0> evolved through a fully bound circuit, built densely on demand."""
+    """|0...0> evolved through a fully bound circuit, built densely on demand.
+
+    ``vector`` is built on first use, cached and read-only.
+    """
 
     def __init__(self, circuit: Circuit) -> None:
         if circuit.m != 0:
@@ -102,16 +115,21 @@ class TrotterEvolvedZero:
 
     @cached_property
     def vector(self) -> np.ndarray:
-        psi = np.zeros(1 << self.n, dtype=complex)
+        psi = np.zeros((1 << self.n, 1), dtype=complex)
         psi[0] = 1.0
-        return _apply_circuit(psi[np.newaxis, :], self.circuit, np.zeros((1, 0)))[0]
+        vector = _apply_circuit(psi, self.circuit, np.zeros((1, 0)))[:, 0]
+        vector.flags.writeable = False
+        return vector
 
 
 InitialState = AllZero | AllPlus | Dense | TrotterEvolvedZero
 
 
 def state_vector(state: InitialState) -> np.ndarray:
-    """Dense amplitudes of any supported state (subject to the state cap)."""
+    """Dense amplitudes of any supported state (subject to the state cap).
+
+    For ``Dense`` and ``TrotterEvolvedZero`` this is the state's own read-only array.
+    """
     if isinstance(state, AllZero):
         if state.n > DENSE_STATE_CAP:
             raise OracleCapError(f"dense form capped at {DENSE_STATE_CAP} qubits")
@@ -134,43 +152,42 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (16 << n))
 
 
-def apply_pauli_dense(batch: np.ndarray, p: PauliString) -> np.ndarray:
-    """Apply ``p`` to each row of a (batch, 2**n) amplitude array.
+def _qubit_view(states: np.ndarray, n: int) -> np.ndarray:
+    """The (2, ..., 2, rows) view of a (2**n, rows) array: qubit ``q`` is axis ``n - 1 - q``."""
+    return states.reshape((2,) * n + (states.shape[1],), copy=False)
 
-    The result is ``phase * np.flip(view, x_axes)`` on the (batch, 2, ..., 2)
-    view. ``phase`` is the exact +/-1, +/-i factor of each basis state; it
-    spans only the Z/Y axes (2**|z| values) and broadcasts over the rest. A
-    generator without X/Y letters needs no flip.
+
+def apply_pauli_dense(states: np.ndarray, p: PauliString, factor=1.0,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """``factor * p`` applied to each column of a C-contiguous (2**n, rows) array.
+
+    The result is ``phase * np.flip(view, x_axes)`` on the (2, ..., 2, rows)
+    view, where qubit ``q`` is axis ``n - 1 - q``. ``phase`` is the exact
+    +/-1, +/-i factor of each basis state times ``factor`` (a scalar, or one
+    value per column); it spans only the Z/Y axes and the row axis
+    (2**|z| values per row) and broadcasts over the rest. Each phase is
+    +/-1 or +/-i exactly, so folding ``factor`` into it gives the same bits
+    as multiplying the result by ``factor``. A generator without X/Y letters
+    needs no flip. The result is written into ``out``, a C-contiguous array
+    of the same shape that does not overlap ``states`` (a new array when
+    None), and returned.
     """
     n = p.n
-    shaped = batch.reshape(batch.shape[0], *([2] * n))
+    shaped = _qubit_view(states, n)
     parity = np.ones((1,) * (n + 1))
     for q in range(n):
         if p.z >> q & 1:
-            sign = np.array([1.0, -1.0]).reshape((1,) * (n - q) + (2,) + (1,) * q)
+            sign = np.array([1.0, -1.0]).reshape((1,) * (n - 1 - q) + (2,) + (1,) * (q + 1))
             parity = parity * sign
-    phase = (1j ** ((p.x & p.z).bit_count())) * parity
-    x_axes = tuple(n - q for q in range(n) if p.x >> q & 1)
+    phase = (1j ** ((p.x & p.z).bit_count())) * parity * factor
+    x_axes = tuple(n - 1 - q for q in range(n) if p.x >> q & 1)
     if x_axes:
         # out[j] is phase[j ^ x] * in[j ^ x]: flip the phase with the amplitudes
         phase, shaped = np.flip(phase, x_axes), np.flip(shaped, x_axes)
-    return (phase * shaped).reshape(batch.shape[0], -1)
-
-
-def _apply_gate_matrix(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...],
-                       n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix on ``qubits`` (gate qubit 0 = low matrix bit)."""
-    shaped = batch.reshape(batch.shape[0], *([2] * n))
-    # numpy axis for qubit q is n-q (axis 0 is the batch); gate's qubit 0 must
-    # land on the least-significant flattened bit, hence reversed move order.
-    axes = [n - q for q in reversed(qubits)]
-    moved = np.moveaxis(shaped, axes, range(1, 1 + len(qubits)))
-    head = moved.shape[: 1 + len(qubits)]
-    flat = moved.reshape(batch.shape[0], mat.shape[0], -1)
-    flat = np.einsum("ij,bjk->bik", mat, flat)
-    moved = flat.reshape(head + moved.shape[1 + len(qubits):])
-    shaped = np.moveaxis(moved, range(1, 1 + len(qubits)), axes)
-    return shaped.reshape(batch.shape[0], -1)
+    if out is None:
+        out = np.empty_like(states)
+    np.multiply(phase, shaped, out=_qubit_view(out, n))
+    return out
 
 
 def _index_and_phase(mat: np.ndarray) -> tuple[tuple[int, ...], tuple[complex, ...]]:
@@ -184,47 +201,57 @@ _MONOMIAL_GATES = {kind: _index_and_phase(gate_matrix(kind))
                    for kind in CLIFFORD_1Q + CLIFFORD_2Q if kind != "h"}
 
 
-def _apply_clifford(batch: np.ndarray, kind: str, qubits: tuple[int, ...],
-                    n: int) -> np.ndarray:
-    """Apply one non-seq Clifford gate; all kinds but ``h`` move slices of their axes."""
+def _apply_clifford(states: np.ndarray, kind: str, qubits: tuple[int, ...], n: int,
+                    out: np.ndarray) -> None:
+    """Write one non-seq Clifford gate applied to the columns of ``states`` into ``out``.
+
+    ``h`` multiplies its 2x2 matrix into the (higher qubits, 2, lower qubits
+    and rows) view; every other kind moves 2**k slices of its axes with a
+    fixed index and phase.
+    """
     if kind == "h":
-        return _apply_gate_matrix(batch, _H, qubits, n)
+        lanes = states.reshape((1 << (n - 1 - qubits[0]), 2, -1), copy=False)
+        np.einsum("ij,ajk->aik", _H, lanes, out=out.reshape(lanes.shape, copy=False))
+        return
     index, phase = _MONOMIAL_GATES[kind]
-    shaped = batch.reshape(batch.shape[0], *([2] * n))
-    out = np.empty_like(shaped)
+    source, target = _qubit_view(states, n), _qubit_view(out, n)
 
     def local(i: int) -> tuple:
         view: list = [slice(None)] * (n + 1)
         for bit, q in enumerate(qubits):
-            view[n - q] = (i >> bit) & 1
+            view[n - 1 - q] = (i >> bit) & 1
         return tuple(view)
 
     for i, (j, factor) in enumerate(zip(index, phase)):
-        np.multiply(factor, shaped[local(j)], out=out[local(i)])
-    return out.reshape(batch.shape[0], -1)
+        np.multiply(factor, source[local(j)], out=target[local(i)])
 
 
-def _apply_circuit(batch: np.ndarray, circuit: Circuit, alphas: np.ndarray) -> np.ndarray:
-    """Run ``circuit`` on a batch of states; row b uses parameter row b."""
+def _apply_circuit(states: np.ndarray, circuit: Circuit, alphas: np.ndarray) -> np.ndarray:
+    """Run ``circuit`` on the columns of a C-contiguous (2**n, rows) array it may overwrite.
+
+    Column b uses parameter row b. A rotation updates ``states`` in place
+    through one work array; a Clifford writes into the work array and the two
+    swap. Returns whichever of the two holds the result.
+    """
     n = circuit.n
+    work = np.empty_like(states)
     for gate in circuit.gates:
         if isinstance(gate, CliffordGate):
             for sub in gate.sequence if gate.kind == "seq" else (gate,):
-                batch = _apply_clifford(batch, sub.kind, sub.qubits, n)
+                _apply_clifford(states, sub.kind, sub.qubits, n, out=work)
+                states, work = work, states
         else:
             theta = (
-                np.full(batch.shape[0], gate.param.value)
+                np.full(states.shape[1], gate.param.value)
                 if gate.param.is_fixed
                 else alphas[:, gate.param.index]
             )
-            rotated = apply_pauli_dense(batch, gate.generator(n))
-            cos = np.cos(theta / 2.0)[:, np.newaxis]
-            sin = np.sin(theta / 2.0)[:, np.newaxis]
-            # cos * batch - 1j * sin * rotated, with one temporary fewer
-            rotated *= 1j * sin
-            batch = cos * batch
-            batch -= rotated
-    return batch
+            # cos * states - 1j * sin * P states, with no temporary of the block's size
+            rotated = apply_pauli_dense(states, gate.generator(n), 1j * np.sin(theta / 2.0),
+                                        out=work)
+            states *= np.cos(theta / 2.0)
+            states -= rotated
+    return states
 
 
 # --- Overlaps and expectations -----------------------------------------------------
@@ -239,7 +266,7 @@ def overlap(state: InitialState, p: PauliString) -> float:
     if isinstance(state, AllPlus):
         return 1.0 if p.z == 0 else 0.0
     psi = state.vector
-    value = np.vdot(psi, apply_pauli_dense(psi[np.newaxis, :], p)[0])
+    value = np.vdot(psi, apply_pauli_dense(psi[:, np.newaxis], p)[:, 0])
     return float(value.real)
 
 
@@ -252,8 +279,9 @@ def evolve_state(circuit: Circuit, alphas, state: InitialState) -> Dense:
     alphas = np.asarray(alphas, dtype=float).reshape(1, -1)
     if alphas.shape[1] != circuit.m:
         raise DimensionError(f"expected {circuit.m} parameters, got {alphas.shape[1]}")
-    psi = _apply_circuit(state_vector(state)[np.newaxis, :], circuit, alphas)[0]
-    return Dense(psi)
+    # a copy: for Dense and TrotterEvolvedZero, state_vector is the state's own array
+    psi = state_vector(state)[:, np.newaxis].copy()
+    return Dense(_apply_circuit(psi, circuit, finite_parameters(alphas))[:, 0])
 
 
 def exact_expectation(circuit: Circuit, alphas, obs: ObservableSpec,
@@ -267,8 +295,10 @@ def exact_expectation_batch(circuit: Circuit, alphas: np.ndarray, obs: Observabl
                             state: InitialState) -> np.ndarray:
     """Vectorized oracle over many parameter vectors (rows of ``alphas``).
 
-    Rows are evolved in blocks of ``block_rows(n)``; every row's value is
-    independent of the block it falls in.
+    Rows are evolved in blocks of ``block_rows(n)``. Up to 13 qubits every
+    row's value is independent of the block it falls in; from 14 on, einsum
+    sums the rows of a multi-row block in 8192-amplitude chunks, so the last
+    bits of a row's value depend on how many rows share its block.
     """
     if circuit.n != state.n or obs.n != circuit.n:
         raise DimensionError("circuit, observable, and state qubit counts must match")
@@ -280,15 +310,16 @@ def exact_expectation_batch(circuit: Circuit, alphas: np.ndarray, obs: Observabl
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 2 or alphas.shape[1] != circuit.m:
         raise DimensionError(f"expected (draws, {circuit.m}) parameters, got {alphas.shape}")
-    psi0 = state_vector(state)
+    finite_parameters(alphas)
+    psi0 = state_vector(state)[:, np.newaxis]
     out = np.empty(alphas.shape[0])
     step = block_rows(circuit.n)
     for start in range(0, alphas.shape[0], step):
         block = alphas[start:start + step]
-        batch = np.repeat(psi0[np.newaxis, :], block.shape[0], axis=0)
-        batch = _apply_circuit(batch, circuit, block)
+        states = _apply_circuit(np.repeat(psi0, block.shape[0], axis=1), circuit, block)
+        bra, ket = states.conj(), np.empty_like(states)
         values = np.zeros(block.shape[0], dtype=complex)
         for p, coeff in obs.terms:
-            values += coeff * np.einsum("bi,bi->b", batch.conj(), apply_pauli_dense(batch, p))
+            values += coeff * np.einsum("ib,ib->b", bra, apply_pauli_dense(states, p, out=ket))
         out[start:start + step] = values.real
     return out

@@ -27,7 +27,7 @@ from paulipatch import (
     overlap,
 )
 from paulipatch.pauli import CLIFFORD_1Q, CLIFFORD_2Q
-from paulipatch.states import state_vector
+from paulipatch.states import block_rows, state_vector
 
 from conftest import (
     random_mixed_circuit,
@@ -68,6 +68,11 @@ def test_dense_normalization_enforced():
         Dense(np.array([1.0, 1.0]))
     with pytest.raises(ValidationError):
         Dense(np.zeros(3))
+    for bad in (np.nan, np.inf):  # a NaN norm compares false with any tolerance
+        with pytest.raises(ValidationError):
+            Dense(np.array([bad, 0.0]))
+        with pytest.raises(ValidationError):
+            Dense(np.array([1.0, complex(0.0, bad)]))
 
 
 def test_norm_preserved_over_thousand_gates(rng):
@@ -184,11 +189,14 @@ def random_dense(rng, n):
     return Dense(raw / np.linalg.norm(raw))
 
 
-@pytest.mark.parametrize("n", [1, 3, 10])
-@pytest.mark.parametrize("kind", ["zero", "plus", "dense", "trotter"])
+# 16 qubits is the grid anchor's shape: one row per block
+@pytest.mark.parametrize("kind, n", [(kind, n) for n in (1, 3, 10)
+                                     for kind in ("zero", "plus", "dense", "trotter")]
+                         + [("trotter", 16)])
 def test_expectation_batch_matches_reference_kernels(n, kind):
     rng = np.random.default_rng(9100 + n)
-    circuit = every_gate_circuit(rng, n, n_rot=12)
+    short = n == 16
+    circuit = every_gate_circuit(rng, n, n_rot=3 if short else 12)
     obs = random_observable(rng, n, terms=min(4, 3 * n))
     if kind == "zero":
         state = AllZero(n)
@@ -197,16 +205,20 @@ def test_expectation_batch_matches_reference_kernels(n, kind):
     elif kind == "dense":
         state = random_dense(rng, n)
     else:
-        prep = every_gate_circuit(rng, n, n_rot=6)
+        prep = every_gate_circuit(rng, n, n_rot=2 if short else 6)
         state = TrotterEvolvedZero(prep.bind(rng.uniform(-np.pi, np.pi, prep.m)))
         psi = np.zeros((1, 1 << n), dtype=complex)
         psi[0, 0] = 1.0
         assert np.array_equal(state.vector, ref_apply_circuit(psi, state.circuit,
                                                               np.zeros((1, 0)))[0])
-    # 70 rows cross the 64-row block of a 10-qubit batch
-    alphas = rng.uniform(-np.pi, np.pi, size=(70, circuit.m))
+    # 70 rows cross the 64-row block of a 10-qubit batch, 6 rows make six 16-qubit blocks.
+    # einsum sums a 2**16-amplitude row in another order when rows share a chunk, so the
+    # 16-qubit reference runs one row at a time, as the oracle's blocks do.
+    assert block_rows(16) == 1
+    alphas = rng.uniform(-np.pi, np.pi, size=(6 if short else 70, circuit.m))
     got = exact_expectation_batch(circuit, alphas, obs, state)
-    assert np.array_equal(got, ref_expectation_batch(circuit, alphas, obs, state))
+    assert np.array_equal(got, ref_expectation_batch(circuit, alphas, obs, state,
+                                                     chunk=1 if short else 64))
     assert exact_expectation(circuit, alphas[5], obs, state) == got[5]
     evolved = evolve_state(circuit, alphas[3], state)
     want = ref_apply_circuit(state_vector(state)[np.newaxis, :], circuit, alphas[3:4])[0]
@@ -225,3 +237,68 @@ def test_dense_overlap_matches_reference_kernel(n):
     for p in paulis:
         want = np.vdot(state.vector, ref_apply_pauli_dense(state.vector[np.newaxis, :], p)[0])
         assert overlap(state, p) == float(want.real)
+
+
+# --- refusals and read-only state vectors ----------------------------------------------
+
+
+def one_rotation_circuit():
+    return Circuit(1, 1, (Rotation("X", (0,), ParamRef.free(0)),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expectation_batch_refuses_non_finite_parameters(bad):
+    obs = ObservableSpec.single(PauliString.from_text("Z"))
+    with pytest.raises(ValidationError):
+        exact_expectation_batch(one_rotation_circuit(), np.array([[0.1], [bad]]), obs,
+                                AllZero(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expectation_refuses_non_finite_parameters(bad):
+    obs = ObservableSpec.single(PauliString.from_text("Z"))
+    with pytest.raises(ValidationError):
+        exact_expectation(one_rotation_circuit(), [bad], obs, AllZero(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evolve_state_refuses_non_finite_parameters(bad):
+    with pytest.raises(ValidationError):
+        evolve_state(one_rotation_circuit(), [bad], AllZero(1))
+    with pytest.raises(DimensionError):
+        evolve_state(one_rotation_circuit(), [bad, 0.1], AllZero(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_angle_refuses_non_finite_values(bad):
+    with pytest.raises(ValidationError):
+        ParamRef.fixed(bad)
+    with pytest.raises(ValidationError):
+        one_rotation_circuit().bind([bad])
+
+
+def test_dense_keeps_a_copy_of_its_amplitudes():
+    raw = np.array([1.0, 0.0], dtype=complex)
+    state = Dense(raw)
+    assert not np.shares_memory(raw, state.vector)
+    raw[0] = 0.5
+    assert state.vector[0] == 1.0
+
+
+def test_state_vectors_are_read_only_and_survive_the_oracle():
+    rng = np.random.default_rng(9300)
+    n = 3
+    circuit = every_gate_circuit(rng, n, n_rot=4)
+    prep = every_gate_circuit(rng, n, n_rot=2)
+    obs = random_observable(rng, n, terms=3)
+    alphas = rng.uniform(-np.pi, np.pi, size=(5, circuit.m))
+    for state in (random_dense(rng, n),
+                  TrotterEvolvedZero(prep.bind(rng.uniform(-np.pi, np.pi, prep.m)))):
+        before = state.vector.copy()
+        with pytest.raises(ValueError):
+            state.vector[0] = 0.0
+        evolve_state(circuit, alphas[0], state)
+        exact_expectation_batch(circuit, alphas, obs, state)
+        for p, _ in obs.terms:
+            overlap(state, p)
+        assert state.vector.tobytes() == before.tobytes()
