@@ -194,14 +194,12 @@ def cmd_rmse_sweep(args) -> int:
     circuit = parse_circuit(_read(args.circuit))
     obs = parse_observable(_read(args.observable), n=circuit.n)
     state = _load_state(args.state, circuit.n)
-    free_only = all(g.param.kind == "free" for g in circuit.rotations)
 
     rng = np.random.Generator(np.random.Philox(args.seed))
     t0 = time.perf_counter()
-    full = (backpropagate(circuit, obs,
-                          TruncationPolicy(kappa=args.kappa_max, max_weight=args.max_weight),
-                          mode=SYMBOLIC)
-            if free_only else None)
+    full = backpropagate(circuit, obs,
+                         TruncationPolicy(kappa=args.kappa_max, max_weight=args.max_weight),
+                         mode=SYMBOLIC)
     manifest.timings["build_s"] = time.perf_counter() - t0
 
     rows = []
@@ -212,10 +210,7 @@ def cmd_rmse_sweep(args) -> int:
         exact = exact_expectation_batch(circuit, alphas, obs, state)
         manifest.timings[f"oracle_s_r{r:g}"] = time.perf_counter() - t0
         for kappa in range(args.kappa_max + 1):
-            po = (restrict_sine_order(full, kappa) if full is not None else
-                  backpropagate(circuit, obs,
-                                TruncationPolicy(kappa=kappa, max_weight=args.max_weight),
-                                mode=SYMBOLIC))
+            po = restrict_sine_order(full, kappa)
             ev = SurrogateEvaluator(po, state)
             approx = ev.values(alphas)
             rmse = float(np.sqrt(np.mean((approx - exact) ** 2)))

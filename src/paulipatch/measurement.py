@@ -123,7 +123,7 @@ def make_allocation(
 
 
 class ShotRecords:
-    """Direct-measurement outcomes as flat arrays; behaves like a record list."""
+    """Direct-measurement outcomes as flat arrays."""
 
     def __init__(self, pauli_index: np.ndarray, outcomes: np.ndarray, stream: int) -> None:
         self.pauli_index = np.asarray(pauli_index, dtype=np.uint32)
@@ -136,10 +136,6 @@ class ShotRecords:
 
     def __len__(self) -> int:
         return self.pauli_index.shape[0]
-
-    def __getitem__(self, i: int) -> tuple[int, int, int]:
-        """(pauli index, outcome, draw index) of one shot."""
-        return int(self.pauli_index[i]), int(self.outcomes[i]), i
 
 
 def simulate_direct(state: InitialState, plan: AllocationPlan, seed: int) -> ShotRecords:

@@ -9,8 +9,8 @@ vectorized numpy, so wide circuits (127 qubits, 10^4 gates) stay cheap.
   paths.
 * ``symbolic`` -- each row also carries cos and sin exponent columns over the
   free/shared parameters, so coefficients are trigonometric monomials; fixed
-  angles multiply in numerically without consuming a monomial slot. This is
-  the landscape surrogate.
+  angles multiply in numerically without consuming a monomial slot or a sine.
+  This is the landscape surrogate.
 
 A symbolic surrogate is stored as one ``MonomialTable``, built straight from
 the final frontier's rows: flat arrays of monomial weights and factors, in
@@ -29,21 +29,22 @@ their columns (Paulis, minimum sine counts, and the coefficients or the table)
 to one constructor, which makes the terms and reads the final term and
 monomial counts off those columns.
 
-Truncation is decided at split time: a sine branch is dropped when its path
-sine order would exceed ``kappa``, its Pauli weight would exceed
-``max_weight``, or (numeric mode) its coefficient falls below the floor.
+Truncation is decided at split time: a sine branch is dropped when its sine
+count would exceed ``kappa``, its Pauli weight would exceed ``max_weight``, or
+(numeric mode) its coefficient falls below the floor. Numeric mode counts the
+sine of every rotation on the path. Symbolic mode counts only the sines of the
+free and shared parameters, which are small on a patch, so a row's count is
+the sum of its monomial's sine exponents: a symbolic sine cut is exactly a cut
+on the monomial's sine order. The modes therefore differ at finite ``kappa`` on
+circuits with fixed angles.
 Merging sums the weights of rows with equal keys and keeps the minimum sine
 count. A rotation that keeps a sine child or floors a cosine child drops every
 row of weight exactly zero, and so does the end, in both modes. The key is the
-Pauli in numeric mode, and the Pauli and monomial in symbolic mode, plus the
-path sine count when ``kappa`` is finite.
-Symbolic sine-order cuts are therefore exactly per-path; at the end the
-sine-count classes of one (Pauli, monomial) are pooled with ``math.fsum``. (A
-circuit without free parameters has only constant monomials; its key leaves
-out the sine count, so its cuts are pooled as in numeric mode.)
+Pauli in numeric mode, and the Pauli and monomial in symbolic mode.
 A numeric term's cut uses the minimum count of its merged contributors
-(keeping strictly more mass), so the modes agree exactly whenever ``kappa``
-is unlimited, and to within the truncated-tail scale otherwise.
+(keeping strictly more mass), so on circuits without fixed angles the modes
+agree exactly whenever ``kappa`` is unlimited, and to within the
+truncated-tail scale otherwise.
 
 A rotation updates the frontier in place. Each anticommuting row holds its
 cosine child. A sine child p^g anticommutes with the generator g as its
@@ -52,8 +53,8 @@ row, and as frontier keys are unique, at most one: a merge group has at most
 two rows. A pair join finds that partner through one 64-bit hash of the key
 and a comparison of the full key; a sine child adds its weight there, or is
 appended. No bit depends on this: a group's sum adds two floats, which
-commutes, and the output is ordered by Pauli and monomial, with ties pooled by
-``math.fsum`` and the minimum sine count, whatever the order of the rows.
+commutes, and the output is ordered by Pauli and monomial, whatever the order
+of the rows.
 
 The frontier also keeps its support: a superset of the qubits any row acts on,
 as one int. It starts as the initial terms' qubits. A rotation that keeps a
@@ -108,7 +109,12 @@ MonoKey = tuple[tuple[int, int, int], ...]
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Path-pruning rules; ``None`` disables the corresponding cut."""
+    """Path-pruning rules; ``None`` disables the corresponding cut.
+
+    ``kappa`` caps a path's sine count. Numeric mode counts the sine of every
+    rotation; symbolic mode counts those of the free and shared parameters
+    only, so that it caps each monomial's sine order in the patch parameters.
+    """
 
     kappa: int | None = None
     max_weight: int | None = None
@@ -455,7 +461,12 @@ class PropagatedObservable:
 
 
 def path_stats(po: PropagatedObservable) -> dict:
-    """Stats record plus the analytic path-count bounds for the run."""
+    """Stats record plus the analytic path-count bounds for the run.
+
+    The per-Pauli bounds count the paths of at most ``kappa`` sines over all
+    ``n_rotations`` rotations. They hold only when every rotation counts toward
+    ``kappa``: in numeric mode, or in a symbolic build without fixed angles.
+    """
     kappa = po.policy.kappa
     m = po.n_rotations
     if kappa is None or kappa >= m:
@@ -507,9 +518,10 @@ class _NumericFrontier:
     A row holds a Pauli, a weight, a sine count and, over ``m`` free parameters,
     exponent columns ``pows``: row ``i`` carries the monomial
     ``prod_k cos(a_k)^pows[i, k] * sin(a_k)^pows[i, m + k]``. Numeric mode has
-    ``m = 0``. With ``by_sines`` the sine count is part of a row's key, so rows
-    of one monomial are kept apart per path sine count; otherwise merged rows
-    keep the minimum count.
+    ``m = 0``. With ``bound_sines`` (numeric mode) a bound angle's sine child
+    raises its sine count as a free parameter's does; without it (symbolic
+    mode) only free parameters raise it, so a row's count is the sum of its
+    sine exponents. Merged rows keep the minimum count.
 
     Pooling numeric rows by Pauli is what keeps this numerically viable on deep
     circuits: partial sums of paths binned by their sine count grow
@@ -535,14 +547,14 @@ class _NumericFrontier:
     """
 
     def __init__(self, n: int, terms: Sequence[tuple[PauliString, float]], m: int = 0,
-                 dtype: type = np.uint8, by_sines: bool = False) -> None:
+                 dtype: type = np.uint8, bound_sines: bool = True) -> None:
         self.xw = _masks_to_words([p.x for p, _ in terms], n)
         self.zw = _masks_to_words([p.z for p, _ in terms], n)
         self.coeff = np.array([c for _, c in terms], dtype=np.float64)
         self.sines = np.zeros(len(terms), dtype=np.int64)
         self.pows = np.zeros((len(terms), 2 * m), dtype=dtype)
         self.m = m
-        self.by_sines = by_sines
+        self.bound_sines = bound_sines
         self.support = 0
         for p, _ in terms:
             self.support |= p.x | p.z
@@ -611,7 +623,7 @@ class _NumericFrontier:
         ax, az = self.xw.take(anti, axis=0), self.zw.take(anti, axis=0)
         a_coeff, a_sines, a_pows = self.coeff[anti], self.sines[anti], self.pows[anti]
         sx, sz = ax ^ gxw, az ^ gzw
-        new_sines = a_sines + 1
+        new_sines = a_sines + 1 if slot is not None or self.bound_sines else a_sines
         # phase exponent of gen @ p, then sign of i * (gen @ p); off the generator's words
         # sx, sz equal ax, az and their terms cancel. The uint8 sums wrap modulo 256, a
         # multiple of 4.
@@ -677,8 +689,8 @@ class _NumericFrontier:
             # are unique, at most one. Their sum adds two floats, which commutes.
             cols = np.flatnonzero((a_pows | s_pows).any(axis=0))
             cos_rows = np.flatnonzero(~floored)
-            partner = _partners(self._keys(ax, az, a_pows[:, cols], a_sines, cos_rows),
-                                self._keys(sx, sz, s_pows[:, cols], new_sines, new))
+            partner = _partners(self._keys(ax, az, a_pows[:, cols], cos_rows),
+                                self._keys(sx, sz, s_pows[:, cols], new))
             met = partner >= 0
             rows, children = anti[cos_rows[partner[met]]], new[met]
             self.coeff[rows] += sin_coeff[children]
@@ -699,19 +711,18 @@ class _NumericFrontier:
                     (self.xw, self.zw, self.coeff, self.sines, self.pows),
                     (sx, sz, sin_coeff, new_sines, s_pows)))
 
-    def _keys(self, xw: np.ndarray, zw: np.ndarray, pows: np.ndarray, sines: np.ndarray,
+    @staticmethod
+    def _keys(xw: np.ndarray, zw: np.ndarray, pows: np.ndarray,
               rows: np.ndarray) -> list[np.ndarray]:
         """The keys of ``rows`` as parts: 2-D uint64 arrays with one row per key.
 
-        A key is the Pauli words, ``pows``, and the sine count if ``by_sines``.
-        The parts are not joined into one array: that copies them row by row.
+        A key is the Pauli words and ``pows``. The parts are not joined into one
+        array: that copies them row by row.
         """
         # take is several times faster than fancy indexing on rows of a 2-D array
         parts = [xw.take(rows, axis=0), zw.take(rows, axis=0)]
         if pows.shape[1]:
             parts.append(pows.take(rows, axis=0).astype(np.uint64))
-        if self.by_sines:
-            parts.append(sines[rows, np.newaxis].astype(np.uint64))
         return parts
 
 
@@ -780,10 +791,9 @@ def _propagate(circuit: Circuit, terms: Sequence[tuple[PauliString, float]],
         # a parameter driving r rotations reaches exponent r, which picks the column type
         uses = np.bincount([g.param.index for g in circuit.rotations if not g.param.is_fixed],
                            minlength=circuit.m)
-        # without free parameters every monomial is constant: pool the cuts as numeric mode
         frontier = _NumericFrontier(circuit.n, terms, circuit.m,
                                     np.min_scalar_type(int(uses.max(initial=0))),
-                                    by_sines=policy.kappa is not None and circuit.m > 0)
+                                    bound_sines=False)
     else:
         frontier = _NumericFrontier(circuit.n, terms)
     for gate in reversed(circuit.gates):
@@ -809,13 +819,11 @@ def _propagate(circuit: Circuit, terms: Sequence[tuple[PauliString, float]],
 
 
 def _frontier_table(m: int, xs: np.ndarray, zs: np.ndarray, coeffs: np.ndarray,
-                    sines: np.ndarray, pows: np.ndarray) -> tuple[MonomialTable, np.ndarray,
-                                                                  np.ndarray]:
-    """The table of rows grouped by Pauli, with each table term's first row and min sine count.
+                    pows: np.ndarray) -> tuple[MonomialTable, np.ndarray, np.ndarray]:
+    """The table of rows grouped by Pauli, with each term's first row and min sine count.
 
-    A term lists its monomials with their factor tuples in lexicographic
-    order, and pools one monomial's rows (its sine classes) with ``math.fsum``;
-    zero weights, and Paulis left without a monomial, are dropped.
+    Each row is one monomial, as frontier keys are unique. A term lists its
+    monomials with their factor tuples in lexicographic order.
     """
     rows = coeffs.shape[0]
     new_pauli = np.ones(rows, dtype=bool)
@@ -833,25 +841,12 @@ def _frontier_table(m: int, xs: np.ndarray, zs: np.ndarray, coeffs: np.ndarray,
     keys[row_of, np.arange(row_of.shape[0]) - (np.cumsum(counts) - counts)[row_of]] = (
         (params * base + cos_e[row_of, params]) * base + sin_e[row_of, params])
     order = np.lexsort((*keys.T[::-1], group))
-    sorted_keys, sorted_group, coeffs = keys[order], group[order], coeffs[order]
-    new_mono = np.ones(rows, dtype=bool)
-    new_mono[1:] = ((sorted_group[1:] != sorted_group[:-1])
-                    | np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1))
-    starts = np.flatnonzero(new_mono)
-    sizes = np.diff(starts, append=rows)
-    weights = coeffs[starts]
-    for k in np.flatnonzero(sizes > 1).tolist():
-        weights[k] = math.fsum(coeffs[starts[k]:starts[k] + sizes[k]].tolist())
-    keep = weights != 0.0
-    mono_rows = order[starts[keep]]
-    term_groups, term_sizes = np.unique(group[mono_rows], return_counts=True)
-    fac_counts = counts[mono_rows]
-    codes, fac_index = np.unique(keys[mono_rows][keys[mono_rows] >= 0], return_inverse=True)
+    keys = keys[order]
+    codes, fac_index = np.unique(keys[keys >= 0], return_inverse=True)
     factor_table = np.stack([codes // (base * base), codes // base % base, codes % base], axis=1)
-    table = MonomialTable.from_factors(m, term_sizes, weights[keep], fac_counts, fac_index,
-                                       factor_table)
-    min_sines = np.minimum.reduceat(sines, pauli_starts)[term_groups]
-    return table, pauli_starts[term_groups], min_sines
+    table = MonomialTable.from_factors(m, np.diff(pauli_starts, append=rows), coeffs[order],
+                                       counts[order], fac_index, factor_table)
+    return table, pauli_starts, np.minimum.reduceat(table.sine_order, pauli_starts)
 
 
 def _observable(paulis: Iterable[PauliString], sines: np.ndarray,
@@ -937,7 +932,7 @@ def backpropagate(
         sines, values = frontier.sines[order], frontier.coeff[order]
     else:
         values, firsts, sines = _frontier_table(circuit.m, xs, zs, frontier.coeff[order],
-                                                frontier.sines[order], frontier.pows[order])
+                                                frontier.pows[order])
         xs, zs = xs[firsts], zs[firsts]
     # each Pauli joins its term as it is made: listing all 27 691 Paulis of a 127-qubit
     # build first raised its peak RSS by 2.5 MB
@@ -949,13 +944,13 @@ def backpropagate(
 def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObservable:
     """Sub-surrogate keeping monomials of sine order at most ``kappa``.
 
-    For free-parameter circuits a monomial's sine order equals its path sine
-    count, so this equals a fresh build at that kappa: a path cut at split
-    time is exactly one whose monomial would exceed the order, and cutting it
-    also removes all its descendants, which carry even higher orders. The
-    result keeps the build's counters of expanded and truncated paths, and
-    counts its own surviving terms and monomials. A ``kappa`` above the
-    build's raises ``ConfigError``: the build holds no higher orders.
+    A monomial's sine order is its path's sine count, so this equals a fresh
+    build at that kappa: a path cut at split time is exactly one whose
+    monomial would exceed the order, and cutting it also removes all its
+    descendants, which carry even higher orders. The result keeps the build's
+    counters of expanded and truncated paths, and counts its own surviving
+    terms and monomials. A ``kappa`` above the build's raises ``ConfigError``:
+    the build holds no higher orders.
     """
     policy = replace(po.policy, kappa=kappa)  # refuses a kappa that is not an integer
     if po.policy.kappa is not None and kappa > po.policy.kappa:

@@ -349,13 +349,6 @@ def derivative_growth_gamma(circuit: Circuit) -> float:
     """Derivative-growth constant 2 * max_l ||H_l|| for the circuit's rotations.
 
     Every rotation here is exp(-i*alpha*P/2) with ||P/2|| = 1/2, so the
-    constant is 1; ``gamma_for_generator_norm`` covers rescaled generators.
+    constant is 1.
     """
     return 1.0
-
-
-def gamma_for_generator_norm(h_norm: float) -> float:
-    """Derivative-growth constant for a generator with spectral norm ``h_norm``."""
-    if h_norm < 0:
-        raise ConfigError(f"norm must be >= 0, got {h_norm}")
-    return 2.0 * h_norm

@@ -67,6 +67,16 @@ def random_mixed_circuit(rng: np.random.Generator, n: int, n_rot: int,
     return Circuit(n, m, tuple(gates))
 
 
+def patch_around_fixed_x(circuit: Circuit) -> Circuit:
+    """``circuit`` with a shared parameter on X after each X rotation: a patch around it."""
+    gates = []
+    for gate in circuit.gates:
+        gates.append(gate)
+        if isinstance(gate, Rotation) and gate.letters == "X":
+            gates.append(Rotation("X", gate.qubits, ParamRef.shared(0)))
+    return Circuit(circuit.n, 1, tuple(gates))
+
+
 def random_observable(rng: np.random.Generator, n: int, terms: int = 1) -> ObservableSpec:
     chosen: dict[PauliString, float] = {}
     while len(chosen) < terms:

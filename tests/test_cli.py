@@ -10,12 +10,17 @@ from paulipatch import (
     Dense,
     ObservableSpec,
     PauliString,
+    TruncationPolicy,
+    backpropagate,
     build_tfi_trotter,
+    chain,
     grid,
     load_artifact,
 )
 from paulipatch.circuits import circuit_to_json, observable_to_json
 from paulipatch.cli import main
+
+from conftest import patch_around_fixed_x
 
 
 @pytest.fixture
@@ -63,6 +68,25 @@ def test_rmse_sweep_golden_header_and_monotone(workdir):
     # statistically nonincreasing in kappa; exact at the top order here
     assert rmse[-1] <= rmse[0] + 1e-12
     assert rmse[-1] < 1e-8
+
+
+def test_rmse_sweep_with_fixed_angles_restricts_like_fresh_builds(tmp_path):
+    circuit = patch_around_fixed_x(build_tfi_trotter(chain(4), layers=2, dt=0.25))
+    obs = ObservableSpec.single(PauliString.from_sparse("Z1 Z2", 4))
+    (tmp_path / "circ.json").write_text(circuit_to_json(circuit))
+    (tmp_path / "obs.json").write_text(observable_to_json(obs))
+    out = tmp_path / "sweep.csv"
+    code = main(["rmse-sweep", "--circuit", str(tmp_path / "circ.json"),
+                 "--observable", str(tmp_path / "obs.json"), "--state", "all-plus",
+                 "--r", "0.1", "--kappa-max", "3", "--max-weight", "3", "--samples", "5",
+                 "--seed", "7", "--out", str(out)])
+    assert code == 0
+    counts = [(int(row[2]), int(row[3])) for row in
+              (line.split(",") for line in read_lines(out)[2:])]
+    fresh = [backpropagate(circuit, obs, TruncationPolicy(kappa=kappa, max_weight=3),
+                           mode="symbolic") for kappa in range(4)]
+    assert counts == [(len(po.terms), po.table.n_monomials) for po in fresh]
+    assert len(set(counts)) == 4
 
 
 def test_rmse_zero_radius_is_exact(workdir):

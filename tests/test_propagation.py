@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paulipatch import (
+    AllPlus,
     AllZero,
     Circuit,
     CliffordGate,
@@ -27,6 +28,7 @@ from paulipatch import (
     ValidationError,
     backpropagate,
     build_tfi_trotter,
+    chain,
     exact_expectation_batch,
     grid,
     heavyhex127,
@@ -47,7 +49,7 @@ from paulipatch.propagation import (
     _NumericFrontier,
 )
 
-from conftest import random_mixed_circuit, random_observable
+from conftest import patch_around_fixed_x, random_mixed_circuit, random_observable
 
 
 # --- one-rotation circuits ------------------------------------------------------------
@@ -367,7 +369,7 @@ def test_fixed_angles_do_not_consume_monomial_slots():
     for term in po.terms.values():
         for mono, _ in term.monomials:
             assert all(param == 0 for param, _, _ in mono.factors)
-    # the fixed gate's sine still counts toward the path sine order
+    # only the free parameter's sines count toward kappa: kappa=0 cuts Z's sine child Y
     po0 = backpropagate(c, obs, TruncationPolicy(kappa=0), mode=SYMBOLIC)
     assert all(t.min_sine_count == 0 for t in po0.terms.values())
 
@@ -525,19 +527,33 @@ _GOLDEN = {
     (SYMBOLIC, 2): [
         ("IYX", ((((0, 0, 1), (1, 1, 0), (2, 1, 0), (3, 1, 0)), -0.7),)),
         ("XXX", ((((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)), 0.7),)),
-        ("XYY", ((((0, 1, 0), (1, 1, 0), (2, 0, 1), (3, 0, 1)), 0.5539215856631877),)),
+        ("XYY", ((((0, 1, 0), (1, 1, 0), (2, 0, 1), (3, 0, 1)), 0.6769340772645986),)),
+        ("XYZ", ((((0, 1, 0), (1, 1, 0), (2, 0, 1), (3, 0, 1)), 0.1023085793784759),)),
         ("XZI", ((((1, 0, 1), (2, 1, 0), (3, 1, 0)), -0.7),)),
-        ("XZY", ((((2, 0, 1),), -0.31652662037896445),)),
+        ("XZY", ((((2, 0, 1),), -0.38681947272262784),)),
         ("XZZ", ((((2, 0, 1),), -0.058462045359129106),)),
-        ("YIY", ((((0, 0, 1), (2, 1, 0)), 0.31652662037896445),)),
-        ("YIZ", ((((0, 0, 1), (2, 1, 0)), 0.058462045359129106),)),
-        ("YYY", ((((1, 1, 0), (3, 0, 1)), 0.11806420076456274),)),
-        ("YZY", ((((0, 1, 0),), -0.06746525757975015),)),
+        ("YIY", (
+            (((0, 0, 1), (2, 1, 0)), 0.38681947272262784),
+            (((0, 1, 0), (1, 0, 1), (3, 0, 1)), -0.02180630069004425),
+        )),
+        ("YIZ", (
+            (((0, 0, 1), (2, 1, 0)), 0.058462045359129106),
+            (((0, 1, 0), (1, 0, 1), (3, 0, 1)), 0.1442833839140871),
+        )),
+        ("YYY", ((((1, 1, 0), (3, 0, 1)), 0.1442833839140871),)),
+        ("YYZ", ((((1, 1, 0), (3, 0, 1)), 0.02180630069004425),)),
+        ("YZY", ((((0, 1, 0),), -0.08244764795090692),)),
         ("YZZ", ((((0, 1, 0),), -0.012460743251453864),)),
-        ("ZIY", ((((0, 0, 1),), 0.06746525757975015),)),
-        ("ZIZ", ((((0, 1, 0), (1, 0, 1), (2, 1, 0), (3, 0, 1)), -0.5539215856631877),)),
+        ("ZIY", (
+            (((0, 0, 1),), 0.08244764795090692),
+            (((0, 1, 0), (1, 0, 1), (2, 1, 0), (3, 0, 1)), 0.1023085793784759),
+        )),
+        ("ZIZ", (
+            (((0, 0, 1),), 0.012460743251453864),
+            (((0, 1, 0), (1, 0, 1), (2, 1, 0), (3, 0, 1)), -0.6769340772645986),
+        )),
         ("ZXX", ((((1, 1, 0), (2, 0, 1), (3, 1, 0)), 0.7),)),
-        ("ZYY", ((((1, 1, 0), (2, 1, 0), (3, 0, 1)), -0.5539215856631877),)),
+        ("ZYY", ((((1, 1, 0), (2, 1, 0), (3, 0, 1)), -0.6769340772645986),)),
         ("ZYZ", ((((1, 1, 0), (2, 1, 0), (3, 0, 1)), -0.1023085793784759),)),
         ("ZZI", ((((0, 1, 0), (1, 0, 1), (2, 0, 1), (3, 1, 0)), -0.7),)),
         ("ZZY", ((((0, 1, 0), (2, 1, 0)), 0.38681947272262784),)),
@@ -785,11 +801,9 @@ def test_merge_drops_zero_rows_that_skip_it():
 
 
 # --- reference: the dict-based symbolic engine -----------------------------------------------
-# Symbolic mode once ran on its own engine: a dict from Pauli to a dict from (monomial, sine
-# class) to [weight, minimum sine count]. With a finite kappa the class is the path's sine
-# count, so the sine cut is per path; without one it is 0 and only the minimum is kept. The
-# array engine must reproduce it bit for bit, except that one Pauli's sine classes of one
-# monomial are pooled here with ``math.fsum`` (the dict engine added them in insertion order).
+# Symbolic mode once ran on its own engine: a dict from Pauli to a dict from monomial to
+# [weight, minimum sine count]. Only a free or shared parameter's sine raises the count, so it
+# is the monomial's sine order. The array engine must reproduce it bit for bit.
 
 
 def _ref_raised(mono, param, which):
@@ -806,17 +820,16 @@ def _ref_raised(mono, param, which):
     return tuple(out)
 
 
-def _ref_insert(frontier, key, mono, weight, sines, resolved):
+def _ref_insert(frontier, key, mono, weight, sines):
     monos = frontier.setdefault(key, {})
-    slot = (mono, sines if resolved else 0)
-    entry = monos.get(slot)
+    entry = monos.get(mono)
     if entry is None:
-        monos[slot] = [weight, sines]
+        monos[mono] = [weight, sines]
         return
     entry[0] += weight
     entry[1] = min(entry[1], sines)
     if entry[0] == 0.0:
-        del monos[slot]
+        del monos[mono]
         if not monos:
             del frontier[key]
 
@@ -837,18 +850,17 @@ def _dict_engine_reference(circuit, obs, policy):
 
     kappa = math.inf if policy.kappa is None else policy.kappa
     max_w = math.inf if policy.max_weight is None else policy.max_weight
-    resolved = policy.kappa is not None
     stats = PropagationStats()
     frontier = {}
     for p, coeff in obs.terms:
-        _ref_insert(frontier, (p.x, p.z), (), float(coeff), 0, resolved)
+        _ref_insert(frontier, (p.x, p.z), (), float(coeff), 0)
     for gate in reversed(circuit.gates):
         new = {}
         if isinstance(gate, CliffordGate):
             for (x, z), monos in frontier.items():
                 nx, nz, sign = conjugate_masks(x, z, gate)
-                for (mono, _), (w, s) in monos.items():
-                    _ref_insert(new, (nx, nz), mono, w * sign, s, resolved)
+                for mono, (w, s) in monos.items():
+                    _ref_insert(new, (nx, nz), mono, w * sign, s)
         else:
             gen = gate.generator(circuit.n)
             param = gate.param
@@ -856,27 +868,27 @@ def _dict_engine_reference(circuit, obs, policy):
                 cos_f, sin_f = math.cos(param.value), math.sin(param.value)
             for (x, z), monos in frontier.items():
                 if (((x & gen.z).bit_count() ^ (z & gen.x).bit_count()) & 1) == 0:
-                    for (mono, _), (w, s) in monos.items():
-                        _ref_insert(new, (x, z), mono, w, s, resolved)
+                    for mono, (w, s) in monos.items():
+                        _ref_insert(new, (x, z), mono, w, s)
                     continue
                 sx, sz = x ^ gen.x, z ^ gen.z
                 sign = 1 if phase_exponent(gen.x, gen.z, x, z) == 3 else -1
-                for (mono, _), (w, s) in monos.items():
+                for mono, (w, s) in monos.items():
                     stats.paths_expanded += 1
                     if param.is_fixed:
-                        _ref_insert(new, (x, z), mono, w * cos_f, s, resolved)
+                        _ref_insert(new, (x, z), mono, w * cos_f, s)
                     else:
-                        _ref_insert(new, (x, z), _ref_raised(mono, param.index, "cos"), w, s,
-                                    resolved)
-                    if s + 1 > kappa:
+                        _ref_insert(new, (x, z), _ref_raised(mono, param.index, "cos"), w, s)
+                    # only a free or shared parameter's sine raises the sine count
+                    if s + (not param.is_fixed) > kappa:
                         stats.truncated_sine += 1
                     elif (sx | sz).bit_count() > max_w:
                         stats.truncated_weight += 1
                     elif param.is_fixed:
-                        _ref_insert(new, (sx, sz), mono, w * sin_f * sign, s + 1, resolved)
+                        _ref_insert(new, (sx, sz), mono, w * sin_f * sign, s)
                     else:
                         _ref_insert(new, (sx, sz), _ref_raised(mono, param.index, "sin"),
-                                    w * sign, s + 1, resolved)
+                                    w * sign, s + 1)
         frontier = new
         if _ref_overflow(frontier, policy, stats):
             return None, stats.as_dict()
@@ -888,15 +900,11 @@ def _dict_engine_reference(circuit, obs, policy):
 
     ordered = []
     for x, z in sorted(frontier, key=text_key):
-        pooled = {}
-        for (mono, _), (w, s) in frontier[(x, z)].items():
-            weights, sines = pooled.get(mono, ([], s))
-            pooled[mono] = (weights + [w], min(sines, s))
-        monos = tuple((mono, math.fsum(ws)) for mono, (ws, _) in sorted(pooled.items())
-                      if math.fsum(ws) != 0.0)
-        if monos:
-            ordered.append((PauliString(circuit.n, x, z).to_text(), monos,
-                            min(s for _, s in pooled.values())))
+        entries = sorted(item for item in frontier[(x, z)].items() if item[1][0] != 0.0)
+        if entries:
+            ordered.append((PauliString(circuit.n, x, z).to_text(),
+                            tuple((mono, w) for mono, (w, _) in entries),
+                            min(s for _, (_, s) in entries)))
     stats.terms_final = len(ordered)
     stats.monomials_final = sum(len(monos) for _, monos, _ in ordered)
     return ordered, stats.as_dict()
@@ -999,8 +1007,9 @@ def test_shared_parameter_driving_300_rotations():
 
 def test_symbolic_zero_weight_rows_follow_numeric_rule():
     # Back-propagating Z: the fixed X rotation at angle 0 leaves a sine child Y of weight
-    # exactly 0 (sine count 1). Like a numeric merge, the rotation's merge drops it, so it
-    # is not expanded by the free Z rotation and does not lower Y's minimum sine count.
+    # exactly 0 (sine count 0, as a fixed angle's sine does not count). Like a numeric
+    # merge, the rotation's merge drops it, so it is not expanded by the free Z rotation
+    # and does not lower Y's minimum sine count.
     c = Circuit(1, 2, (Rotation("Z", (0,), ParamRef.free(1)),
                        Rotation("Y", (0,), ParamRef.free(0)),
                        Rotation("X", (0,), ParamRef.fixed(0.0))))
@@ -1172,6 +1181,42 @@ def test_restriction_refuses_a_kappa_above_the_build():
         restrict_sine_order(full, 4)
     unlimited = backpropagate(circuit, obs, mode=SYMBOLIC)
     assert restrict_sine_order(unlimited, 5).policy.kappa == 5
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_restriction_equals_a_fresh_build_with_fixed_angles(seed):
+    # fixed angles, free parameters and a shared pool of two: only the patch parameters'
+    # sines count, so cutting the monomials above k is the build at kappa=k
+    c, obs = _mixed_angle_case(500 + seed)
+    for max_weight in (None, 2):
+        full = backpropagate(c, obs, TruncationPolicy(kappa=4, max_weight=max_weight),
+                             mode=SYMBOLIC)
+        for k in range(5):
+            fresh = backpropagate(c, obs, TruncationPolicy(kappa=k, max_weight=max_weight),
+                                  mode=SYMBOLIC)
+            assert _symbolic_rows(restrict_sine_order(full, k)) == _symbolic_rows(fresh)
+
+
+def _shifted_patch_probe():
+    """4 fixed TFI layers on chain(8), each X rotation followed by one shared alpha on X."""
+    return (patch_around_fixed_x(build_tfi_trotter(chain(8), layers=4, dt=0.25)),
+            ObservableSpec.single(PauliString.from_sparse("Z3 Z4", 8)), AllPlus(8))
+
+
+def test_patch_around_fixed_angles_converges_in_kappa():
+    # a patch around a nonzero point: a fixed angle's sine is not small, so it must not
+    # count toward kappa; the surrogate is exact at the centre and converges off it
+    circuit, obs, state = _shifted_patch_probe()
+    alphas = np.linspace(-0.1, 0.1, 9)[:, np.newaxis]
+    exact = exact_expectation_batch(circuit, alphas, obs, state)
+    errors = []
+    for kappa in (1, 2, 4, 6):
+        po = backpropagate(circuit, obs, TruncationPolicy(kappa=kappa), mode=SYMBOLIC)
+        approx = SurrogateEvaluator(po, state).values(alphas)
+        assert approx[4] == pytest.approx(exact[4], abs=1e-12)  # alpha = 0
+        errors.append(float(np.max(np.abs(approx - exact))))
+    assert all(b < a for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < 1e-12
 
 
 # --- determinism ------------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from paulipatch.taylor import (
     EvalLedger,
     _shift_combinations,
     evaluation_budget_bound,
-    gamma_for_generator_norm,
     unique_derivative_count,
 )
 
@@ -293,8 +292,6 @@ def test_taylor_bounds_vanish_at_large_order():
 def test_gamma_for_pauli_rotations(rng):
     c = random_mixed_circuit(rng, n=3, n_rot=4)
     assert derivative_growth_gamma(c) == 1.0
-    assert gamma_for_generator_norm(0.5) == 1.0
-    assert gamma_for_generator_norm(1.5) == 3.0
 
 
 def test_second_derivative_bounded_by_gamma(rng):
