@@ -72,6 +72,7 @@ from .states import (
     exact_expectation,
     exact_expectation_batch,
     overlap,
+    overlaps,
 )
 from .surrogate import (
     BoundReport,

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .pauli import PauliString
 from .propagation import PropagatedObservable
-from .states import AllPlus, AllZero, InitialState, block_rows, overlap, state_vector
+from .states import AllPlus, AllZero, InitialState, block_rows, overlaps, state_vector
 from .surrogate import BoundReport, pauli_mean_squares, worst_case_coeff_bounds
 
 STRATEGIES = ("uniform", "abs-coeff", "eff1norm-avg", "eff1norm-worst")
@@ -67,12 +69,20 @@ class AllocationPlan:
     def paulis(self) -> tuple[PauliString, ...]:
         return tuple(p for p, _ in self.entries)
 
-    @property
+    @cached_property
     def probabilities(self) -> np.ndarray:
-        return np.array([b for _, b in self.entries])
+        """beta in entry order, read-only, built once per plan."""
+        beta = np.array([b for _, b in self.entries])
+        beta.flags.writeable = False
+        return beta
 
-    def index_of(self) -> dict[PauliString, int]:
-        return {p: i for i, (p, _) in enumerate(self.entries)}
+    def index_of(self) -> Mapping[PauliString, int]:
+        """Each Pauli's slot in ``entries``, read-only, built once per plan."""
+        return self._index
+
+    @cached_property
+    def _index(self) -> Mapping[PauliString, int]:
+        return MappingProxyType({p: i for i, (p, _) in enumerate(self.entries)})
 
 
 def make_allocation(
@@ -140,7 +150,7 @@ class ShotRecords:
 
 def simulate_direct(state: InitialState, plan: AllocationPlan, seed: int) -> ShotRecords:
     """Draw plan.shots single-Pauli measurements of ``state``."""
-    expectations = np.array([overlap(state, p) for p in plan.paulis])
+    expectations = overlaps(state, plan.paulis)
     if np.any(np.abs(expectations) > 1 + 1e-9):
         raise ConfigError("true expectations must lie in [-1, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -198,6 +208,22 @@ class ShadowRecords:
         return ("".join(_BASIS_LETTERS[b] for b in self.bases[i]), self.bits[i].copy())
 
 
+def _leading_outcomes(psi: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both outcomes of the leading qubit of each row of a (rows, 2**k) block.
+
+    ``mats`` holds the 2x2 basis change of each row (or of all rows, when
+    ``psi`` has one row). Returns the unnormalized (rows, 2, 2**(k - 1))
+    amplitudes of outcomes 0 and 1, and the probability w0 / (w0 + w1) of
+    outcome 0 per row, from the two halves' squared norms.
+    """
+    half = psi.shape[1] // 2
+    low, high = psi[:, np.newaxis, :half], psi[:, np.newaxis, half:]
+    amps = mats[:, :, 0, np.newaxis] * low + mats[:, :, 1, np.newaxis] * high
+    parts = amps.view(float)
+    weights = np.einsum("ijk,ijk->ij", parts, parts)
+    return amps, weights[:, 0] / (weights[:, 0] + weights[:, 1])
+
+
 # basis change before a Z measurement, indexed by shadow basis code
 _BASIS_ROTATIONS = np.stack([
     np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),          # X: H
@@ -212,7 +238,13 @@ def simulate_shadows(state: InitialState, shots: int, seed: int) -> ShadowRecord
     Stabilizer inputs sample in closed form. Dense states (capped at 14
     qubits) sample each qubit's conditional marginal in turn, on blocks of
     ``block_rows(n)`` shots at once; bit ``(s, q)`` compares the ``(s, q)``
-    entry of one ``(shots, n)`` uniform draw with the probability of 0.
+    entry of one ``(shots, n)`` uniform draw with the probability of 0. The
+    amplitudes are reordered once so that qubit 0 is the leading bit. After
+    qubit ``q`` is measured, each shot keeps only the half of its vector
+    that matches its bit, so the block shrinks to ``(rows, 2**(n - q - 1))``
+    and is never renormalized: the probability of 0 is w0 / (w0 + w1) over
+    the two halves' squared norms. Qubit 0's three basis changes act on the
+    shared input once, for all shots.
     """
     if shots < 1:
         raise ConfigError(f"shot count must be >= 1, got {shots}")
@@ -228,30 +260,23 @@ def simulate_shadows(state: InitialState, shots: int, seed: int) -> ShadowRecord
 
     if n > SHADOW_DENSE_CAP:
         raise OracleCapError(f"dense shadow sampling capped at {SHADOW_DENSE_CAP} qubits")
-    psi0 = state_vector(state)
+    # qubit 0 becomes the most significant bit, so each qubit measured is the leading bit
+    psi0 = state_vector(state).reshape((2,) * n).transpose().ravel()
     uniform = rng.random((shots, n))
     bits = np.zeros((shots, n), dtype=np.uint8)
+    # every shot measures qubit 0 on psi0 itself, so its three bases are applied once
+    first, first_p0 = _leading_outcomes(psi0[np.newaxis, :], _BASIS_ROTATIONS)
     step = block_rows(n)
     for start in range(0, shots, step):
         block = slice(start, start + step)
-        rows = len(bases[block])
-        psi = np.repeat(psi0[np.newaxis, :], rows, axis=0)
-        for q in range(n):
-            # basis change on qubit q, a different 2x2 matrix per shot
-            mats = _BASIS_ROTATIONS[bases[block, q]][:, :, :, np.newaxis, np.newaxis]
-            pairs = psi.reshape(rows, -1, 2, 1 << q)
-            amp = np.empty_like(pairs)
-            for i in (0, 1):
-                amp[:, :, i, :] = (mats[:, i, 0] * pairs[:, :, 0, :]
-                                   + mats[:, i, 1] * pairs[:, :, 1, :])
-            p0 = np.sum(np.abs(amp[:, :, 0, :].reshape(rows, -1)) ** 2, axis=1)
+        bit = uniform[block, 0] >= first_p0[bases[block, 0]]
+        bits[block, 0] = bit
+        psi = first[bases[block, 0], bit.view(np.uint8)]
+        for q in range(1, n):
+            amps, p0 = _leading_outcomes(psi, _BASIS_ROTATIONS[bases[block, q]])
             bit = uniform[block, q] >= p0
             bits[block, q] = bit
-            amp[bit, :, 0, :] = 0.0
-            amp[~bit, :, 1, :] = 0.0
-            amp = amp.reshape(rows, -1)
-            norm = np.sqrt(np.sum(np.abs(amp) ** 2, axis=1))
-            psi = amp / norm[:, np.newaxis]
+            psi = amps[np.arange(len(bit)), bit.view(np.uint8)]
     return ShadowRecords(bases, bits, seed)
 
 

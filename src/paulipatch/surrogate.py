@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ConfigError, HypothesisViolationError
 from .pauli import PauliString
 from .propagation import MonomialTable, PropagatedObservable
-from .states import InitialState, overlap
+from .states import InitialState, overlaps
 
 _MOMENT_WORK_BYTES = 32 << 20  # work arrays of one row block in pauli_mean_squares
 
@@ -77,8 +77,11 @@ class BoundReport:
 class SurrogateEvaluator(MonomialTable):
     """A symbolic surrogate's ``MonomialTable`` plus its initial-state overlaps.
 
-    Overlaps d_P are computed once per Pauli at construction, aligned with
-    ``paulis`` and with ``coefficients``. ``values`` folds them into
+    Overlaps d_P are computed at construction by one ``states.overlaps`` call,
+    aligned with ``paulis`` and with ``coefficients``: a dense state forms one
+    product vector per X mask and sums each Pauli's signs over it with a
+    matrix-vector product, so d_P agrees with ``overlap`` to rounding, not
+    bit for bit. ``values`` folds them into
     per-monomial weights and takes one matrix-vector product per row block,
     so no (rows, terms) coefficient matrix is held; ``value`` is its one-row case.
     """
@@ -86,11 +89,7 @@ class SurrogateEvaluator(MonomialTable):
     def __init__(self, po: PropagatedObservable, state: InitialState | None = None) -> None:
         super().__init__(*po.monomial_table().columns)
         self.paulis: list[PauliString] = list(po.terms.keys())
-        self.d = (
-            np.array([overlap(state, p) for p in self.paulis])
-            if state is not None
-            else np.ones(len(self.paulis))
-        )
+        self.d = overlaps(state, self.paulis) if state is not None else np.ones(len(self.paulis))
 
     def value(self, alphas: Sequence[float]) -> float:
         return float(self.values(self._check_row(alphas))[0])

@@ -19,8 +19,9 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -204,14 +205,39 @@ def _evaluate_new(oracle: LossOracle, center: np.ndarray, offsets,
 # --- the surrogate --------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaylorSurrogate:
-    """Order-``kappa`` Taylor model: sparse multi-index -> derivative value."""
+    """Order-``kappa`` Taylor model: sparse multi-index -> derivative value.
+
+    ``entries`` is a read-only view, and the model is compiled from it at
+    construction, in sorted-key order: row ``e`` of ``_index`` and ``_powers``
+    lists entry ``e``'s parameters and orders (padded with order 0), and
+    ``_coeffs[e]`` is its value / prod k!. A surrogate and its JSON round trip
+    therefore evaluate bit for bit equal.
+    """
 
     center: tuple[float, ...]
     order: int
-    entries: dict[SparseIndex, float]
+    entries: Mapping[SparseIndex, float]
     ledger: EvalLedger
+    _index: np.ndarray = field(init=False, repr=False, compare=False)
+    _powers: np.ndarray = field(init=False, repr=False, compare=False)
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        keys = sorted(self.entries)
+        width = max((len(key) for key in keys), default=0)
+        index = np.zeros((len(keys), width), dtype=np.intp)
+        powers = np.zeros((len(keys), width), dtype=np.intp)
+        coeffs = np.empty(len(keys))
+        for e, key in enumerate(keys):
+            for j, (param, power) in enumerate(key):
+                index[e, j], powers[e, j] = param, power
+            coeffs[e] = self.entries[key] / math.prod(math.factorial(k) for _, k in key)
+        for name, value in (("_index", index), ("_powers", powers), ("_coeffs", coeffs)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -304,18 +330,16 @@ def build_taylor(oracle: LossOracle, center: Sequence[float], kappa: int) -> Tay
 
 
 def eval_taylor(ts: TaylorSurrogate, alphas: Sequence[float]) -> float:
-    """Evaluate the Taylor model: sum over entries of value * prod delta^k / k!."""
+    """Evaluate the Taylor model: sum over entries of value * prod delta^k / k!.
+
+    One array expression over the compiled entries: the powers of each entry's
+    deltas, their product per entry, and one dot product with value / prod k!.
+    """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != (ts.m,):
         raise DimensionError(f"expected {ts.m} parameters, got {alphas.shape}")
     delta = alphas - np.asarray(ts.center)
-    total = 0.0
-    for sparse, value in ts.entries.items():
-        factor = 1.0
-        for param, order in sparse:
-            factor *= delta[param] ** order / math.factorial(order)
-        total += value * factor
-    return float(total)
+    return float(ts._coeffs @ np.prod(delta[ts._index] ** ts._powers, axis=1))
 
 
 # --- bound calculators -----------------------------------------------------------------

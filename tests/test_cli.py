@@ -52,6 +52,27 @@ def test_build_writes_artifact_and_manifest(workdir, capsys):
     assert "paths_surviving" in capsys.readouterr().out
 
 
+def test_build_prints_the_path_bound_only_without_fixed_angles(workdir, tmp_path, capsys):
+    # free angles only: every rotation raises the sine count, so the bound holds
+    args = ["build", "--observable", str(workdir / "obs.json"), "--kappa", "2"]
+    assert main(args + ["--circuit", str(workdir / "circ.json"),
+                        "--out", str(workdir / "free.json.gz")]) == 0
+    assert "vs per-Pauli bound" in capsys.readouterr().out
+    # a patch around fixed TFI angles: 400 paths survive against "bounds" of 93 and 250
+    circuit = patch_around_fixed_x(build_tfi_trotter(chain(8), layers=4, dt=0.25))
+    obs = ObservableSpec.single(PauliString.from_sparse("Z3 Z4", 8))
+    (tmp_path / "patch.json").write_text(circuit_to_json(circuit))
+    (tmp_path / "zz.json").write_text(observable_to_json(obs))
+    assert main(["build", "--circuit", str(tmp_path / "patch.json"),
+                 "--observable", str(tmp_path / "zz.json"), "--kappa", "1",
+                 "--out", str(tmp_path / "patch.json.gz")]) == 0
+    out = capsys.readouterr().out
+    stats = json.loads(out[:out.rindex("}") + 1])
+    assert stats["paths_surviving"] > stats["bound_exp_per_pauli"]
+    assert out.rstrip().splitlines()[-1] == f"surviving paths {stats['paths_surviving']}"
+    assert "bound" not in out.rstrip().splitlines()[-1]
+
+
 def test_rmse_sweep_golden_header_and_monotone(workdir):
     out = workdir / "sweep.csv"
     code = main(["rmse-sweep", "--circuit", str(workdir / "circ.json"),

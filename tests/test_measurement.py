@@ -56,6 +56,19 @@ def test_uniform_allocation():
     assert np.allclose(plan.probabilities, 0.25)
 
 
+def test_plan_lookups_are_built_once_and_read_only():
+    plan = make_allocation("abs-coeff", 10, coeffs={Z1: 0.9, X1: 0.1})
+    assert plan.index_of() is plan.index_of()
+    assert plan.probabilities is plan.probabilities
+    assert dict(plan.index_of()) == {Z1: 0, X1: 1}
+    with pytest.raises(TypeError):
+        plan.index_of()[Z1] = 1
+    with pytest.raises(ValueError):
+        plan.probabilities[0] = 0.5
+    # the cached lookups take no part in equality
+    assert plan == AllocationPlan(plan.entries, plan.strategy, plan.shots)
+
+
 def test_peaked_observable_concentration():
     n = 3
     tau = 0.4
@@ -250,9 +263,10 @@ def ref_dense_shadows(state, shots, seed):
     return bases, bits
 
 
-@pytest.mark.parametrize("n, shots", [(4, 600), (10, 150)])
+@pytest.mark.parametrize("n, shots", [(1, 300), (4, 600), (7, 1000), (10, 150)])
 def test_dense_shadows_match_per_shot_reference(n, shots):
-    # 150 shots span three of the 64-shot blocks of a 10-qubit state
+    # 150 shots span three of the 64-shot blocks of a 10-qubit state, 1000 shots a full
+    # 512-shot block of a 7-qubit state and a partial one
     rng = np.random.default_rng(9300 + n)
     raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     state = Dense(raw / np.linalg.norm(raw))

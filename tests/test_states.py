@@ -25,7 +25,9 @@ from paulipatch import (
     exact_expectation_batch,
     grid,
     overlap,
+    overlaps,
 )
+from paulipatch import states
 from paulipatch.pauli import CLIFFORD_1Q, CLIFFORD_2Q
 from paulipatch.states import block_rows, state_vector
 
@@ -237,6 +239,84 @@ def test_dense_overlap_matches_reference_kernel(n):
     for p in paulis:
         want = np.vdot(state.vector, ref_apply_pauli_dense(state.vector[np.newaxis, :], p)[0])
         assert overlap(state, p) == float(want.real)
+
+
+def random_paulis(rng, n, count):
+    """Random Paulis on ``n`` qubits, with identity and pure-Z/pure-X ones mixed in."""
+    def mask():
+        return int.from_bytes(rng.bytes(-(-n // 8)), "little") & ((1 << n) - 1)
+
+    paulis = [PauliString(n, mask(), mask()) for _ in range(count)]
+    return paulis + [PauliString.identity(n), PauliString(n, 0, (1 << n) - 1),
+                     PauliString(n, (1 << n) - 1, 0)]
+
+
+@pytest.mark.parametrize("state", [AllZero(5), AllPlus(5), AllZero(127), AllPlus(127)])
+def test_stabilizer_overlaps_equal_overlap(state):
+    rng = np.random.default_rng(9500 + state.n)
+    paulis = random_paulis(rng, state.n, 40)
+    got = overlaps(state, paulis)
+    assert got.dtype == float and got.shape == (len(paulis),)
+    assert got.tolist() == [overlap(state, p) for p in paulis]
+
+
+@pytest.mark.parametrize("kind", ["dense", "trotter"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dense_overlaps_match_overlap(n, kind):
+    rng = np.random.default_rng(9600 + n)
+    if kind == "dense":
+        state = random_dense(rng, n)
+    else:
+        prep = every_gate_circuit(rng, n, n_rot=4)
+        state = TrotterEvolvedZero(prep.bind(rng.uniform(-np.pi, np.pi, prep.m)))
+    # few X masks with many Z masks each, and many X masks with one or two each
+    paulis = random_paulis(rng, n, 60) + [
+        PauliString(n, int(x), int(rng.integers(1 << n)))
+        for x in rng.integers(1 << n, size=3) for _ in range(20)]
+    got = overlaps(state, paulis)
+    want = np.array([overlap(state, p) for p in paulis])
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_dense_overlaps_of_every_three_qubit_pauli():
+    # all 64 Paulis: the identity, every X mask, and the +/-i phases of the Y letters
+    state = random_dense(np.random.default_rng(9700), 3)
+    paulis = [PauliString.from_text("".join(t)) for t in itertools.product("IXYZ", repeat=3)]
+    got = overlaps(state, paulis)
+    want = np.array([overlap(state, p) for p in paulis])
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert abs(got[0] - 1.0) <= 1e-15  # Tr[rho] = 1
+
+
+def test_dense_overlaps_at_sixteen_qubits():
+    rng = np.random.default_rng(9716)
+    state = random_dense(rng, 16)
+    # 300 Paulis over 6 X masks
+    paulis = [PauliString(16, int(x), int(rng.integers(1 << 16)))
+              for x in rng.integers(1 << 16, size=6) for _ in range(50)]
+    got = overlaps(state, paulis)
+    want = np.array([overlap(state, p) for p in paulis])
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_dense_overlaps_split_a_large_group_into_column_blocks(monkeypatch):
+    # a 64 KiB budget gives chunks of 16 Paulis at 6 qubits: 70 Paulis of one X mask, with
+    # two of another mask on each side, take 5 chunks, and the mask's u outlives each cut
+    rng = np.random.default_rng(9706)
+    state = random_dense(rng, 6)
+    paulis = [PauliString(6, x, int(z)) for x in (0b101101, 0b000011, 0b110000)
+              for z in rng.integers(64, size=70 if x == 0b101101 else 2)]
+    monkeypatch.setattr(states, "_BLOCK_BYTES", 1 << 16)
+    got = overlaps(state, paulis)
+    assert np.max(np.abs(got - [overlap(state, p) for p in paulis])) <= 1e-15
+
+
+@pytest.mark.parametrize("state", [AllZero(3), AllPlus(3),
+                                   Dense(np.full(8, 1 / np.sqrt(8)))])
+def test_overlaps_of_no_paulis_and_of_the_wrong_size(state):
+    assert overlaps(state, []).shape == (0,)
+    with pytest.raises(DimensionError):
+        overlaps(state, [PauliString.from_text("ZZZ"), PauliString.from_text("ZZ")])
 
 
 # --- refusals and read-only state vectors ----------------------------------------------

@@ -1,5 +1,6 @@
 """Taylor patch surrogates: shift derivatives, budgets, and error bounds."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -345,6 +346,45 @@ def test_surrogate_json_round_trip(rng):
     assert loaded.center == ts.center
     probe = rng.uniform(-0.2, 0.2, size=c.m)
     assert eval_taylor(loaded, probe) == eval_taylor(ts, probe)
+
+
+def entry_loop(ts, alphas):
+    """The per-entry loop ``eval_taylor`` ran before it was compiled: the reference."""
+    delta = np.asarray(alphas, dtype=float) - np.asarray(ts.center)
+    total = 0.0
+    for sparse, value in ts.entries.items():
+        factor = 1.0
+        for param, order in sparse:
+            factor *= delta[param] ** order / math.factorial(order)
+        total += value * factor
+    return float(total)
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2, 3])
+def test_compiled_taylor_matches_the_entry_loop(kappa):
+    rng = np.random.default_rng(9800 + kappa)
+    c = random_mixed_circuit(rng, n=3, n_rot=4)
+    obs = random_observable(rng, 3, terms=2)
+    center = rng.uniform(-0.4, 0.4, size=c.m)
+    ts = build_taylor(exact_oracle(c, obs, AllZero(3)), center, kappa=kappa)
+    # the build lists entries by order, the document by sorted key
+    loaded = TaylorSurrogate.from_json(ts.to_json())
+    assert kappa < 2 or list(loaded.entries) != list(ts.entries)
+    scale = sum(abs(v) for v in ts.entries.values())
+    for alphas in center + rng.uniform(-0.3, 0.3, size=(20, c.m)):
+        got = eval_taylor(ts, alphas)
+        assert abs(got - entry_loop(ts, alphas)) <= 1e-15 * scale
+        assert eval_taylor(loaded, alphas) == got
+    assert eval_taylor(ts, center) == ts.entries[()]
+
+
+def test_taylor_entries_are_read_only():
+    ts = TaylorSurrogate((0.0,), 1, {(): 0.5, ((0, 1),): 0.25}, EvalLedger())
+    with pytest.raises(TypeError):
+        ts.entries[()] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ts.entries = {(): 1.0}
+    assert eval_taylor(ts, [0.5]) == 0.5 + 0.25 * 0.5
 
 
 def _taylor_doc():
