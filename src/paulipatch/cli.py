@@ -222,7 +222,7 @@ def cmd_rmse_sweep(args) -> int:
                 bound = math.sqrt(bound_mse_truncation(m_rot, r, kappa, obs.norm1).value)
             except HypothesisViolationError:
                 bound = float("nan")
-            rows.append((r, kappa, len(po.terms), ev.n_monomials, rmse, bound))
+            rows.append((r, kappa, po.n_paulis, ev.n_monomials, rmse, bound))
     write_csv(args.out, ["r", "kappa", "n_paulis", "n_monomials", "rmse", "bound_rmse"],
               rows, manifest)
     manifest.write(args.out)
@@ -280,7 +280,7 @@ def cmd_shot_compare(args) -> int:
                         sq_sum += (est - exact[a_idx]) ** 2
                         count += 1
             rows.append((strategy, shots, math.sqrt(sq_sum / count), rmse_trunc,
-                         len(po.terms)))
+                         po.n_paulis))
     write_csv(args.out, ["strategy", "shots", "rmse_total", "rmse_truncation", "n_paulis"],
               rows, manifest)
     manifest.write(args.out)
@@ -314,7 +314,7 @@ def cmd_kz_scan(args) -> int:
             value = po.expectation(plus)
             manifest.timings[f"eval_s_{ramp_kind}_tf{t_f:g}"] = time.perf_counter() - t0
             rows.append((ramp_kind, t_f, layers, 1.0 - value,
-                         math.sqrt(po.norm2_sq()), len(po.terms)))
+                         math.sqrt(po.norm2_sq()), po.n_paulis))
     write_csv(args.out, ["ramp", "t_f", "layers", "n_def", "retained_norm2", "n_paulis"],
               rows, manifest)
     manifest.write(args.out)

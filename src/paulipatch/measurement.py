@@ -102,7 +102,7 @@ def make_allocation(
         if coeffs is None:
             if surrogate is None:
                 raise ConfigError(f"{strategy} needs a coefficient table")
-            coeffs = {p: 1.0 for p in surrogate.terms}
+            coeffs = {p: 1.0 for p in surrogate.paulis}
         if not all(math.isfinite(c) for c in coeffs.values()):
             raise ConfigError(f"{strategy} needs finite coefficients")
         if strategy == "uniform":

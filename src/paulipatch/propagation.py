@@ -12,22 +12,22 @@ vectorized numpy, so wide circuits (127 qubits, 10^4 gates) stay cheap.
   angles multiply in numerically without consuming a monomial slot or a sine.
   This is the landscape surrogate.
 
-A symbolic surrogate is stored as one ``MonomialTable``, built straight from
-the final frontier's rows: flat arrays of monomial weights and factors, in
-term order. Evaluation, patch moments, worst-case bounds, sine-order
-restriction and the artifact file all work on that table.
-``PropagatedTerm.monomials`` is a read-only view of ``PathMonomial`` tuples,
-built from the table only when it is read; the table's factors are checked
-where it is built or loaded, and the view does not check them again.
+A ``PropagatedObservable`` holds columns in term order: the Paulis, their
+minimum sine counts, and the coefficients (numeric mode) or one
+``MonomialTable`` of monomial weights and factors built straight from the final
+frontier's rows (symbolic mode). Evaluation, patch moments, worst-case bounds,
+sine-order restriction and the artifact file read the columns. The read-only
+per-Pauli ``terms`` view of ``PropagatedTerm`` and ``PathMonomial`` records,
+which the benchmark and tests read, is built on its first read; it does not
+check the table's factors again.
 
 ``PropagatedObservable.expectation(state, alphas=None)`` is the one-point
 landscape value sum_P c_P(alpha) Tr[rho P] of either mode, summed in term
 order; ``surrogate.SurrogateEvaluator`` is the batched sweep over many points.
 
 ``backpropagate``, ``restrict_sine_order`` and ``load_artifact`` each hand
-their columns (Paulis, minimum sine counts, and the coefficients or the table)
-to one constructor, which makes the terms and reads the final term and
-monomial counts off those columns.
+their columns to one constructor, which reads the final term and monomial
+counts off them.
 
 Truncation is decided at split time: a sine branch is dropped when its sine
 count would exceed ``kappa``, its Pauli weight would exceed ``max_weight``, or
@@ -77,7 +77,8 @@ import numbers
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -102,9 +103,6 @@ NUMERIC = "numeric"
 SYMBOLIC = "symbolic"
 
 _EVAL_WORK_BYTES = 2 << 20  # rows * factors * 8 bytes of one MonomialTable row block
-
-# monomial: sorted tuple of (param_index, cos_exponent, sin_exponent)
-MonoKey = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -150,13 +148,13 @@ class TruncationPolicy:
 class PathMonomial:
     """Product of cos/sin powers over parameter slots, sign folded into weight.
 
-    An item of the read-only ``PropagatedTerm.monomials`` view, made only by
-    ``MonomialTable.monomials``. Its factors are checked where the table is
+    An item of ``PropagatedTerm.monomials``, made only by the read-only
+    ``PropagatedObservable.terms`` view. Its factors are checked where the table is
     built or loaded (distinct params in increasing order, exponents >= 0 and
     not both 0), not again here.
     """
 
-    factors: MonoKey = ()
+    factors: tuple[tuple[int, int, int], ...] = ()  # sorted (param, cos, sin) triples
 
 
 class MonomialTable:
@@ -202,7 +200,6 @@ class MonomialTable:
         self.dist_param, self.dist_cos, self.dist_sin = dist_param, dist_cos, dist_sin
         self.mono_term = np.repeat(np.arange(term_starts.shape[0] - 1), np.diff(term_starts))
         self.block_rows = max(1, _EVAL_WORK_BYTES // (8 * max(1, fac_dist.shape[0])))
-        self._monomials: tuple | None = None
         self._layout: tuple | None = None
 
     @classmethod
@@ -260,23 +257,6 @@ class MonomialTable:
                              self.mono_weight[keep], np.cumsum(counts) - counts,
                              self.fac_dist[np.repeat(keep, fac_counts)],
                              self.dist_param, self.dist_cos, self.dist_sin)
-
-    def monomials(self) -> tuple[tuple[tuple[PathMonomial, float], ...], ...]:
-        """Per term, its ``(PathMonomial, weight)`` pairs: a view built on the first call."""
-        if self._monomials is None:
-            distinct = list(zip(self.dist_param.tolist(), self.dist_cos.tolist(),
-                                self.dist_sin.tolist()))
-            flat = [distinct[k] for k in self.fac_dist.tolist()]
-            ends = np.append(self.fac_starts[1:], self.fac_dist.shape[0])
-            # the dummy factor of a constant monomial is left out of the view
-            first = self.fac_dist[self.fac_starts]
-            constant = (self.dist_cos[first] == 0) & (self.dist_sin[first] == 0)
-            ends[constant] = self.fac_starts[constant]
-            pairs = [(PathMonomial(tuple(flat[a:b])), w) for a, b, w in
-                     zip(self.fac_starts.tolist(), ends.tolist(), self.mono_weight.tolist())]
-            bounds = self.term_starts.tolist()
-            self._monomials = tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
-        return self._monomials
 
     @property
     def n_monomials(self) -> int:
@@ -357,38 +337,14 @@ class MonomialTable:
         return self.coefficient_rows(self._check_row(alphas))[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PropagatedTerm:
-    """One surviving Pauli: a merged coefficient, or term ``index`` of a symbolic table."""
+    """One Pauli of the ``terms`` view: its coefficient (numeric) or monomials (symbolic)."""
 
     pauli: PauliString
     coefficient: float | None = None
     min_sine_count: int | None = None
-    table: MonomialTable | None = field(default=None, repr=False)
-    index: int = 0
-
-    def __post_init__(self) -> None:
-        numeric = self.coefficient is not None
-        if numeric == (self.table is not None):
-            raise ValidationError("term must be numeric xor symbolic")
-        if numeric and not math.isfinite(self.coefficient):
-            raise ValidationError(f"non-finite coefficient for {self.pauli}")
-
-    @property
-    def monomials(self) -> tuple[tuple[PathMonomial, float], ...] | None:
-        """A symbolic term's ``(PathMonomial, weight)`` pairs, read off its table."""
-        return None if self.table is None else self.table.monomials()[self.index]
-
-    def _key(self) -> tuple:
-        return self.pauli, self.coefficient, self.min_sine_count, self.monomials
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PropagatedTerm):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash((self.pauli, self.coefficient, self.min_sine_count))
+    monomials: tuple[tuple[PathMonomial, float], ...] | None = None
 
 
 @dataclass
@@ -407,29 +363,73 @@ class PropagationStats:
         return asdict(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class PropagatedObservable:
-    """The back-propagated (truncated) observable plus run metadata.
+    """The back-propagated (truncated) observable plus run metadata, as columns.
 
-    A symbolic one holds its ``MonomialTable`` in ``table``, with one table
-    term per entry of ``terms``, in order; a numeric one holds its terms'
-    coefficients as one array in ``coeffs``, in the same order.
+    Term ``t`` is ``paulis[t]`` with minimum sine count ``sines[t]``, and its
+    coefficient ``coeffs[t]`` (numeric) or monomials in table term ``t``
+    (symbolic). ``sines`` and ``coeffs`` are read-only.
     """
 
     n: int
-    mode: str
-    terms: dict[PauliString, PropagatedTerm]
+    paulis: tuple[PauliString, ...]
+    sines: np.ndarray = field(repr=False)
     stats: PropagationStats
     policy: TruncationPolicy
     m: int
     n_rotations: int
     n_paulis_initial: int
-    table: MonomialTable | None = None
-    coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    table: MonomialTable | None = field(default=None, repr=False)
+    coeffs: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        for column in (self.sines, self.coeffs):
+            if column is not None:
+                column.flags.writeable = False
+
+    @property
+    def mode(self) -> str:
+        return NUMERIC if self.table is None else SYMBOLIC
 
     @property
     def n_paulis(self) -> int:
-        return len(self.terms)
+        return len(self.paulis)
+
+    @functools.cached_property
+    def terms(self) -> Mapping[PauliString, PropagatedTerm]:
+        """Per Pauli, in term order, its term: a read-only view built on the first read."""
+        sines, t = self.sines.tolist(), self.table
+        if t is None:
+            return MappingProxyType({p: PropagatedTerm(p, c, s) for p, c, s in
+                                     zip(self.paulis, self.coeffs.tolist(), sines)})
+        distinct = list(zip(t.dist_param.tolist(), t.dist_cos.tolist(), t.dist_sin.tolist()))
+        flat = [distinct[k] for k in t.fac_dist.tolist()]
+        ends = np.append(t.fac_starts[1:], t.fac_dist.shape[0])
+        # the dummy factor of a constant monomial is left out of the view
+        first = t.fac_dist[t.fac_starts]
+        constant = (t.dist_cos[first] == 0) & (t.dist_sin[first] == 0)
+        ends[constant] = t.fac_starts[constant]
+        pairs = [(PathMonomial(tuple(flat[a:b])), w) for a, b, w in
+                 zip(t.fac_starts.tolist(), ends.tolist(), t.mono_weight.tolist())]
+        bounds = t.term_starts.tolist()
+        return MappingProxyType({
+            p: PropagatedTerm(p, min_sine_count=s, monomials=tuple(pairs[a:b]))
+            for p, s, a, b in zip(self.paulis, sines, bounds, bounds[1:])})
+
+    def _key(self) -> tuple:
+        """The metadata and columns; a table's factors spelled out, not as distinct-factor ids."""
+        t = self.table
+        columns = [self.sines, self.coeffs] if t is None else [
+            self.sines, t.term_starts, t.mono_weight, t.fac_starts,
+            *(d[t.fac_dist] for d in (t.dist_param, t.dist_cos, t.dist_sin))]
+        return (self.n, self.mode, self.paulis, self.stats, self.policy, self.m,
+                self.n_rotations, self.n_paulis_initial, *(c.tolist() for c in columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PropagatedObservable):
+            return NotImplemented
+        return self._key() == other._key()
 
     def monomial_table(self) -> MonomialTable:
         """The symbolic surrogate's table."""
@@ -447,7 +447,7 @@ class PropagatedObservable:
 
     def coefficients_at(self, alphas: Sequence[float] | None = None) -> dict[PauliString, float]:
         """Numeric coefficient of every surviving Pauli at parameters ``alphas``."""
-        return dict(zip(self.terms, self._coefficients(alphas).tolist()))
+        return dict(zip(self.paulis, self._coefficients(alphas).tolist()))
 
     def norm2_sq(self, alphas: Sequence[float] | None = None) -> float:
         """Frobenius weight sum(c_P^2); equals sum(a_P^2) when nothing is cut."""
@@ -457,7 +457,7 @@ class PropagatedObservable:
     def expectation(self, state: InitialState, alphas: Sequence[float] | None = None) -> float:
         """The landscape value sum_P c_P(alpha) Tr[rho P], summed in term order."""
         coeffs = self._coefficients(alphas).tolist()
-        return float(sum(c * overlap(state, p) for c, p in zip(coeffs, self.terms)))
+        return float(sum(c * overlap(state, p) for c, p in zip(coeffs, self.paulis)))
 
 
 def path_stats(po: PropagatedObservable) -> dict:
@@ -504,12 +504,19 @@ def _popcount_words(arr: np.ndarray) -> np.ndarray:
 
 
 def _text_order(n: int, xw: np.ndarray, zw: np.ndarray) -> np.ndarray:
-    """Row order listing the Paulis text-lexicographically, I < X < Y < Z per qubit."""
+    """Row order listing the Paulis text-lexicographically, I < X < Y < Z per qubit.
+
+    Each row becomes an n-byte string of letter ranks, qubit 0 first, built in
+    place: a lexsort over n one-byte keys raised the peak memory.
+    """
+    if n == 0:  # every row is the identity; "S0" is not a dtype
+        return np.arange(xw.shape[0])
     x = np.unpackbits(xw.astype("<u8").view(np.uint8), axis=1, count=n, bitorder="little")
     z = np.unpackbits(zw.astype("<u8").view(np.uint8), axis=1, count=n, bitorder="little")
-    rank = (z << 1) | (x ^ z)  # uint8 keys: I=0, X=1, Y=2, Z=3
-    # qubit 0 is the most significant letter, and lexsort reads its last key first
-    return np.lexsort(rank.T[::-1])
+    x ^= z
+    z <<= 1
+    z |= x  # uint8 ranks (z << 1) | (x ^ z): I=0, X=1, Y=2, Z=3
+    return np.argsort(z.view(f"S{n}").ravel(), kind="stable")
 
 
 class _NumericFrontier:
@@ -849,7 +856,7 @@ def _frontier_table(m: int, xs: np.ndarray, zs: np.ndarray, coeffs: np.ndarray,
     return table, pauli_starts, np.minimum.reduceat(table.sine_order, pauli_starts)
 
 
-def _observable(paulis: Iterable[PauliString], sines: np.ndarray,
+def _observable(paulis: Sequence[PauliString], sines: np.ndarray,
                 values: np.ndarray | MonomialTable, policy: TruncationPolicy,
                 stats: PropagationStats, *, n: int, m: int, n_rotations: int,
                 n_paulis_initial: int) -> PropagatedObservable:
@@ -859,20 +866,13 @@ def _observable(paulis: Iterable[PauliString], sines: np.ndarray,
     symbolic one. Its counters are a copy of ``stats`` with the final counts
     read off these columns.
     """
-    if isinstance(values, MonomialTable):
-        table, coeffs = values, None
-        terms = {p: PropagatedTerm(p, min_sine_count=s, table=table, index=i)
-                 for i, (p, s) in enumerate(zip(paulis, sines.tolist()))}
-    else:
-        table, coeffs = None, values
-        terms = {p: PropagatedTerm(p, coefficient=c, min_sine_count=s)
-                 for p, c, s in zip(paulis, values.tolist(), sines.tolist())}
+    table = values if isinstance(values, MonomialTable) else None
     return PropagatedObservable(
-        n=n, mode=NUMERIC if table is None else SYMBOLIC, terms=terms,
-        stats=replace(stats, terms_final=len(terms),
-                      monomials_final=len(terms) if table is None else table.n_monomials),
+        n=n, paulis=tuple(paulis), sines=sines,
+        stats=replace(stats, terms_final=len(paulis),
+                      monomials_final=len(paulis) if table is None else table.n_monomials),
         policy=policy, m=m, n_rotations=n_rotations, n_paulis_initial=n_paulis_initial,
-        table=table, coeffs=coeffs,
+        table=table, coeffs=None if table is not None else values,
     )
 
 
@@ -934,9 +934,7 @@ def backpropagate(
         values, firsts, sines = _frontier_table(circuit.m, xs, zs, frontier.coeff[order],
                                                 frontier.pows[order])
         xs, zs = xs[firsts], zs[firsts]
-    # each Pauli joins its term as it is made: listing all 27 691 Paulis of a 127-qubit
-    # build first raised its peak RSS by 2.5 MB
-    paulis = (PauliString(circuit.n, x, z) for x, z in zip(_word_ints(xs), _word_ints(zs)))
+    paulis = tuple(PauliString(circuit.n, x, z) for x, z in zip(_word_ints(xs), _word_ints(zs)))
     return _observable(paulis, sines, values, policy, stats, n=circuit.n, m=circuit.m,
                        n_rotations=len(circuit.rotations), n_paulis_initial=obs.n_paulis)
 
@@ -958,10 +956,10 @@ def restrict_sine_order(po: PropagatedObservable, kappa: int) -> PropagatedObser
     table = po.monomial_table()
     orders = table.sine_order
     keep = orders <= kappa
-    alive = np.bincount(table.mono_term[keep], minlength=len(po.terms)) > 0
+    alive = np.bincount(table.mono_term[keep], minlength=po.n_paulis) > 0
     sub = table.select(keep)
     sines = np.minimum.reduceat(orders[keep], sub.term_starts[:-1])
-    paulis = [p for p, kept in zip(po.terms, alive.tolist()) if kept]
+    paulis = [p for p, kept in zip(po.paulis, alive.tolist()) if kept]
     return _observable(paulis, sines, sub, policy, po.stats, n=po.n, m=po.m,
                        n_rotations=po.n_rotations, n_paulis_initial=po.n_paulis_initial)
 
@@ -992,11 +990,11 @@ def save_artifact(po: PropagatedObservable, path) -> None:
         "n_paulis_initial": po.n_paulis_initial,
         "policy": asdict(po.policy),
         "stats": po.stats.as_dict(),
-        "paulis": [p.to_text() for p in po.terms],
-        "sines": [t.min_sine_count for t in po.terms.values()],
+        "paulis": [p.to_text() for p in po.paulis],
+        "sines": po.sines.tolist(),
     }
     if po.mode == NUMERIC:
-        doc["coeffs"] = [t.coefficient for t in po.terms.values()]
+        doc["coeffs"] = po.coeffs.tolist()
     else:
         doc.update(_table_doc(po.monomial_table()))
     # compact separators keep json on its C encoder; an indent runs the Python one

@@ -1,13 +1,13 @@
 """Landscape-surrogate evaluation, patch moments, and truncation-error bounds.
 
 The symbolic surrogate represents each surviving Pauli's coefficient as a sum
-of trigonometric monomials in the free parameters, stored as the
-``MonomialTable`` that ``backpropagate`` builds (and an artifact file saves
-and loads): flat index arrays that store each factor as an index into the
-table's few distinct (param, cos, sin) factors. ``SurrogateEvaluator``,
-``pauli_mean_squares`` and ``worst_case_coeff_bounds`` read that table as it
-is; ``PropagatedTerm.monomials`` is a tuple view of it that none of them
-builds. ``PropagatedObservable.expectation`` gives one landscape value at one
+of trigonometric monomials in the free parameters. A ``PropagatedObservable``
+stores it as columns in term order: its ``paulis`` and the ``MonomialTable``
+that ``backpropagate`` builds (and an artifact file saves and loads), flat
+arrays that store each factor as an index into the table's few distinct
+(param, cos, sin) factors. ``SurrogateEvaluator``, ``pauli_mean_squares`` and
+``worst_case_coeff_bounds`` read those columns, not the per-Pauli ``terms``
+view. ``PropagatedObservable.expectation`` gives one landscape value at one
 point in either mode; ``SurrogateEvaluator`` is the batched sweep over a
 patch. It runs on blocks of parameter rows: per block, the distinct factors
 are raised to their powers once, the monomials are multiplied one factor
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -81,18 +80,15 @@ class SurrogateEvaluator(MonomialTable):
     aligned with ``paulis`` and with ``coefficients``: a dense state forms one
     product vector per X mask and sums each Pauli's signs over it with a
     matrix-vector product, so d_P agrees with ``overlap`` to rounding, not
-    bit for bit. ``values`` folds them into
-    per-monomial weights and takes one matrix-vector product per row block,
-    so no (rows, terms) coefficient matrix is held; ``value`` is its one-row case.
+    bit for bit. ``values`` folds them into per-monomial weights and takes one
+    matrix-vector product per row block, so no (rows, terms) coefficient matrix
+    is held; ``PropagatedObservable.expectation`` gives one point.
     """
 
-    def __init__(self, po: PropagatedObservable, state: InitialState | None = None) -> None:
+    def __init__(self, po: PropagatedObservable, state: InitialState) -> None:
         super().__init__(*po.monomial_table().columns)
-        self.paulis: list[PauliString] = list(po.terms.keys())
-        self.d = overlaps(state, self.paulis) if state is not None else np.ones(len(self.paulis))
-
-    def value(self, alphas: Sequence[float]) -> float:
-        return float(self.values(self._check_row(alphas))[0])
+        self.paulis: list[PauliString] = list(po.paulis)
+        self.d = overlaps(state, self.paulis)
 
     def values(self, alpha_rows: np.ndarray) -> np.ndarray:
         """Surrogate value sum_P d_P c_P(alpha) per row of ``alpha_rows``."""
@@ -165,7 +161,7 @@ def pauli_mean_squares(po: PropagatedObservable, r: float) -> dict[PauliString, 
     fac_bounds = np.append(table.fac_starts, table.fac_dist.shape[0])
     fac_mono = np.repeat(np.arange(table.n_monomials), np.diff(fac_bounds))
     out: dict[PauliString, float] = {}
-    for t_idx, pauli in enumerate(po.terms):
+    for t_idx, pauli in enumerate(po.paulis):
         lo, hi = table.term_starts[t_idx], table.term_starts[t_idx + 1]
         facs = slice(fac_bounds[lo], fac_bounds[hi])
         support, cols = np.unique(fac_param[facs], return_inverse=True)
@@ -201,9 +197,9 @@ def worst_case_coeff_bounds(po: PropagatedObservable, r: float) -> dict[PauliStr
     # Python's float powers, and add.at sums a term's monomials in order: each bound
     # is bitwise what a loop over the term's monomials gives
     powers = np.array([sin_cap ** k for k in range(int(orders.max(initial=0)) + 1)])
-    bounds = np.zeros(len(po.terms))
+    bounds = np.zeros(po.n_paulis)
     np.add.at(bounds, table.mono_term, np.abs(table.mono_weight) * powers[orders])
-    return dict(zip(po.terms, bounds.tolist()))
+    return dict(zip(po.paulis, bounds.tolist()))
 
 
 def effective_norm_worst(po: PropagatedObservable, r: float) -> float:

@@ -33,6 +33,7 @@ from paulipatch import (
     grid,
     heavyhex127,
     load_artifact,
+    make_allocation,
     path_stats,
     pauli_mean_squares,
     restrict_sine_order,
@@ -44,9 +45,11 @@ from paulipatch.propagation import (
     ARTIFACT_FORMAT,
     NUMERIC,
     SYMBOLIC,
+    PropagatedTerm,
     PropagationStats,
     _masks_to_words,
     _NumericFrontier,
+    _text_order,
 )
 
 from conftest import patch_around_fixed_x, random_mixed_circuit, random_observable
@@ -1109,28 +1112,100 @@ def test_frontier_table_matches_tuple_walk():
 
 
 def test_table_consumers_build_no_path_monomial(tmp_path, rng, monkeypatch):
+    # neither mode builds a term record or a path monomial until the terms view is read
     c, obs = _mixed_angle_case(504)
     policy = TruncationPolicy(kappa=3)
-    v1_doc = _v1_doc(backpropagate(c, obs, policy, mode=SYMBOLIC))  # reads the view
-    built = []
-    init = PathMonomial.__init__
-    monkeypatch.setattr(PathMonomial, "__init__",
-                        lambda self, *args: built.append(self) or init(self, *args))
-    po = backpropagate(c, obs, policy, mode=SYMBOLIC)
+    bound = rng.uniform(-1, 1, c.m)
+    builds = {SYMBOLIC: lambda: backpropagate(c, obs, policy, mode=SYMBOLIC),
+              NUMERIC: lambda: backpropagate(c, obs, policy, mode=NUMERIC, alphas=bound)}
+    v1_docs = {mode: _v1_doc(build()) for mode, build in builds.items()}  # reads the view
+    built = {PathMonomial: [], PropagatedTerm: []}
+    for cls, made in built.items():
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__, _made=made,
+                            **kwargs: _made.append(self) or _init(self, *args, **kwargs))
     alphas = rng.uniform(-0.3, 0.3, size=(5, c.m))
-    save_artifact(po, tmp_path / "v2.json.gz")
-    (tmp_path / "v1.json").write_text(json.dumps(v1_doc))
-    for name in ("v2.json.gz", "v1.json"):
-        loaded = load_artifact(tmp_path / name)
-        SurrogateEvaluator(loaded, AllZero(c.n)).values(alphas)
-        restricted = restrict_sine_order(loaded, 2)
-        worst_case_coeff_bounds(restricted, 0.1)
-        pauli_mean_squares(restricted, 0.1)
-        loaded.coefficients_at(alphas[0])
-        loaded.norm2_sq(alphas[0])
-    assert built == []
-    assert [mono for t in po.terms.values() for mono, _ in t.monomials] == built
-    assert len(built) == po.table.n_monomials > 0
+    pos = {}
+    for mode, build in builds.items():
+        po = pos[mode] = build()
+        point = alphas[0] if mode == SYMBOLIC else None
+        save_artifact(po, tmp_path / "v2.json.gz")
+        (tmp_path / "v1.json").write_text(json.dumps(v1_docs[mode]))
+        for name in ("v2.json.gz", "v1.json"):
+            loaded = load_artifact(tmp_path / name)
+            assert loaded == po
+            loaded.coefficients_at(point)
+            loaded.norm2_sq(point)
+            loaded.expectation(AllPlus(c.n), point)
+            make_allocation("uniform", 10, surrogate=loaded)
+            if mode == SYMBOLIC:
+                SurrogateEvaluator(loaded, AllZero(c.n)).values(alphas)
+                restricted = restrict_sine_order(loaded, 2)
+                worst_case_coeff_bounds(restricted, 0.1)
+                pauli_mean_squares(restricted, 0.1)
+                make_allocation("eff1norm-avg", 10, surrogate=restricted, r=0.1)
+    assert built == {PathMonomial: [], PropagatedTerm: []}
+    symbolic, numeric = pos[SYMBOLIC], pos[NUMERIC]
+    terms = [*symbolic.terms.values(), *numeric.terms.values()]
+    assert built[PropagatedTerm] == terms
+    assert len(terms) == symbolic.n_paulis + numeric.n_paulis
+    assert [mono for t in symbolic.terms.values() for mono, _ in t.monomials] == built[PathMonomial]
+    assert len(built[PathMonomial]) == symbolic.table.n_monomials > 0
+
+
+@pytest.mark.parametrize("mode", [NUMERIC, SYMBOLIC])
+def test_observable_columns_are_read_only_and_compared(tmp_path, rng, mode):
+    c, obs = _mixed_angle_case(504)
+    alphas = None if mode == SYMBOLIC else rng.uniform(-1, 1, c.m)
+    po = backpropagate(c, obs, TruncationPolicy(kappa=3), mode=mode, alphas=alphas)
+    assert (po.mode, po.n_paulis) == (mode, len(po.terms))
+    assert po.terms is po.terms and list(po.terms) == list(po.paulis)
+    with pytest.raises(TypeError):
+        po.terms[po.paulis[0]] = po.terms[po.paulis[0]]
+    for column in (po.sines, po.coeffs):
+        if column is not None:
+            with pytest.raises(ValueError):
+                column[0] = 1
+    path = tmp_path / "artifact.json"
+    save_artifact(po, path)
+    assert load_artifact(path) == po
+    doc = json.loads(path.read_text())
+    edits = {"sines": lambda d: d["sines"].__setitem__(-1, d["sines"][-1] + 1)}
+    if mode == NUMERIC:
+        edits["coeffs"] = lambda d: d["coeffs"].__setitem__(0, d["coeffs"][0] * 0.5)
+    else:
+        edits["weights"] = lambda d: d["weights"].__setitem__(0, d["weights"][0] * 0.5)
+        edits["factor_table"] = lambda d: d["factor_table"][-1].__setitem__(1, 7)
+    for key, edit in edits.items():
+        changed = json.loads(json.dumps(doc))
+        edit(changed)
+        path.write_text(json.dumps(changed))
+        assert load_artifact(path) != po, key
+
+
+def _lexsort_text_order(n, xw, zw):
+    """The text order as a lexsort over one uint8 letter-rank key per qubit."""
+    x = np.unpackbits(xw.astype("<u8").view(np.uint8), axis=1, count=n, bitorder="little")
+    z = np.unpackbits(zw.astype("<u8").view(np.uint8), axis=1, count=n, bitorder="little")
+    return np.lexsort(((z << 1) | (x ^ z)).T[::-1])
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127])
+def test_text_order_matches_lexsort_and_text(rng, n):
+    # random Paulis, some cut to identities past a random qubit, some repeated
+    paulis = []
+    for _ in range(300):
+        x, z = (int(rng.integers(0, 2, n).dot(1 << np.arange(n, dtype=object))) for _ in "xz")
+        keep = (1 << int(rng.integers(0, n + 1))) - 1 if rng.random() < 0.5 else -1
+        paulis.append(PauliString(n, x & keep, z & keep))
+    paulis += paulis[::7]
+    xw = _masks_to_words([p.x for p in paulis], n)
+    zw = _masks_to_words([p.z for p in paulis], n)
+    order = _text_order(n, xw, zw)
+    want = sorted(range(len(paulis)), key=lambda i: paulis[i].to_text())
+    assert order.tolist() == want
+    if n:
+        assert np.array_equal(order, _lexsort_text_order(n, xw, zw))
+    assert _text_order(n, xw[:0], zw[:0]).shape == (0,)
 
 
 # --- final counts ----------------------------------------------------------------------------
