@@ -20,6 +20,7 @@ from paulipatch import (
     overlap,
     worst_case_coeff_bounds,
 )
+from paulipatch.states import state_vector
 
 # dense single-qubit matrices built here on purpose: tests must not reuse the
 # package's own matrix table as their oracle
@@ -146,6 +147,21 @@ def ref_apply_circuit(batch: np.ndarray, circuit: Circuit, alphas: np.ndarray) -
             sin = np.sin(theta / 2.0)[:, np.newaxis]
             batch = cos * batch - 1j * sin * rotated
     return batch
+
+
+def ref_expectation_batch(circuit, alphas, obs, state, chunk=64):
+    """The expectation loop of the reference oracle, over 64-row chunks."""
+    psi0 = state_vector(state)
+    out = np.empty(alphas.shape[0])
+    for start in range(0, alphas.shape[0], chunk):
+        block = alphas[start:start + chunk]
+        batch = np.repeat(psi0[np.newaxis, :], block.shape[0], axis=0)
+        batch = ref_apply_circuit(batch, circuit, block)
+        values = np.zeros(block.shape[0], dtype=complex)
+        for p, coeff in obs.terms:
+            values += coeff * np.einsum("bi,bi->b", batch.conj(), ref_apply_pauli_dense(batch, p))
+        out[start:start + chunk] = values.real
+    return out
 
 
 # --- the per-row surrogate kernel, kept as the bitwise reference -------------------------

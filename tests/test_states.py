@@ -27,7 +27,7 @@ from paulipatch import (
     overlap,
     overlaps,
 )
-from paulipatch import states
+from paulipatch import states, taylor
 from paulipatch.pauli import CLIFFORD_1Q, CLIFFORD_2Q
 from paulipatch.states import block_rows, state_vector
 
@@ -36,6 +36,7 @@ from conftest import (
     random_observable,
     ref_apply_circuit,
     ref_apply_pauli_dense,
+    ref_expectation_batch,
 )
 
 
@@ -146,21 +147,6 @@ def test_dense_binary_round_trip(tmp_path):
 # --- bitwise equality with the reference kernels -------------------------------------
 
 
-def ref_expectation_batch(circuit, alphas, obs, state, chunk=64):
-    """The expectation loop of the reference oracle, over 64-row chunks."""
-    psi0 = state_vector(state)
-    out = np.empty(alphas.shape[0])
-    for start in range(0, alphas.shape[0], chunk):
-        block = alphas[start:start + chunk]
-        batch = np.repeat(psi0[np.newaxis, :], block.shape[0], axis=0)
-        batch = ref_apply_circuit(batch, circuit, block)
-        values = np.zeros(block.shape[0], dtype=complex)
-        for p, coeff in obs.terms:
-            values += coeff * np.einsum("bi,bi->b", batch.conj(), ref_apply_pauli_dense(batch, p))
-        out[start:start + chunk] = values.real
-    return out
-
-
 def every_gate_circuit(rng, n, n_rot):
     """A random Clifford+rotation circuit followed by every Clifford kind, a seq gate,
     X, Y and Z generators (and two-qubit ones when n > 1), and a fixed rotation."""
@@ -225,6 +211,106 @@ def test_expectation_batch_matches_reference_kernels(n, kind):
     evolved = evolve_state(circuit, alphas[3], state)
     want = ref_apply_circuit(state_vector(state)[np.newaxis, :], circuit, alphas[3:4])[0]
     assert np.array_equal(evolved.vector, want)
+
+
+MONOMIAL_1Q = tuple(kind for kind in CLIFFORD_1Q if kind != "h")
+
+
+def monomial_run_circuit(rng, n, m):
+    """A fixed rotation, then ``m`` free rotations in groups of three after an ``h``.
+
+    Each group carries nine monomial Cliffords (every kind but h), so runs of at least
+    eight lie between the h gates, and every other group ends in a seq gate that puts h
+    between monomial gates.
+    """
+    def monomial():
+        if n > 1 and rng.integers(2):
+            a, b = rng.choice(n, size=2, replace=False)
+            return CliffordGate(str(rng.choice(CLIFFORD_2Q)), (int(a), int(b)))
+        return CliffordGate(str(rng.choice(MONOMIAL_1Q)), (int(rng.integers(n)),))
+
+    gates = [Rotation("Y", (n - 1,), ParamRef.fixed(0.41))]
+    for index in range(m):
+        if index % 3 == 0:
+            gates.append(CliffordGate("h", (int(rng.integers(n)),)))
+        gates += [monomial() for _ in range(3)]
+        size = int(rng.integers(1, min(n, 2) + 1))
+        qubits = tuple(int(q) for q in rng.choice(n, size=size, replace=False))
+        letters = "".join(rng.choice(list("XYZ"), size=size))
+        gates.append(Rotation(letters, qubits, ParamRef.free(index)))
+        if index % 6 == 5:
+            if n > 1:
+                a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+                parts = (CliffordGate("s", (a,)), CliffordGate("h", (a,)),
+                         CliffordGate("cnot", (a, b)), CliffordGate("y", (b,)))
+                gates.append(CliffordGate("seq", (a, b), parts))
+            else:
+                parts = (CliffordGate("x", (0,)), CliffordGate("h", (0,)),
+                         CliffordGate("sdg", (0,)))
+                gates.append(CliffordGate("seq", (0,), parts))
+    return Circuit(n, m, tuple(gates))
+
+
+def taylor_like_rows(rng, m, order):
+    """Shift points in ``build_taylor``'s first-seen order, then two special blocks.
+
+    The points shift the centre by +/- pi/2 or +/- pi in one or two coordinates. After
+    them come 128 copies of the centre, which fill at least one 64-row block, and copies
+    of it whose zero coordinate is 0.0 or -0.0 in turn.
+    """
+    center = rng.uniform(-0.3, 0.3, size=m)
+    center[m // 2] = 0.0
+    offsets = {}
+    for k in range(order + 1):
+        for combo in itertools.combinations_with_replacement(range(m), k):
+            kvec = [0] * m
+            for param in combo:
+                kvec[param] += 1
+            for offset in taylor._shift_combinations(kvec):
+                offsets.setdefault(offset, None)
+    points = center + (np.pi / 2.0) * np.array(list(offsets), dtype=float)
+    signed = np.repeat(center[np.newaxis, :], 6, axis=0)
+    signed[1::2, m // 2] = -0.0
+    return np.concatenate([points, np.repeat(center[np.newaxis, :], 128, axis=0), signed])
+
+
+# at 10 qubits and m = 20, rows 41-118 are the order-2 points whose first shifted
+# parameter is 0, a run across the first 64-row block; 16 qubits take one row per block
+@pytest.mark.parametrize("kind, n", [(kind, n) for n in (1, 3, 10)
+                                     for kind in ("zero", "plus", "dense", "trotter")]
+                         + [("trotter", 16)])
+def test_rows_sharing_leading_angles_match_reference_kernels(n, kind):
+    rng = np.random.default_rng(9800 + n)
+    big = n == 16
+    m = 3 if big else {1: 4, 3: 9, 10: 20}[n]
+    circuit = monomial_run_circuit(rng, n, m)
+    obs = random_observable(rng, n, terms=min(3, 3 * n))
+    if kind == "zero":
+        state = AllZero(n)
+    elif kind == "plus":
+        state = AllPlus(n)
+    elif kind == "dense":
+        state = random_dense(rng, n)
+    else:
+        prep = monomial_run_circuit(rng, n, 3 if big else 6)
+        state = TrotterEvolvedZero(prep.bind(rng.uniform(-np.pi, np.pi, prep.m)))
+        psi = np.zeros((1, 1 << n), dtype=complex)
+        psi[0, 0] = 1.0
+        assert np.array_equal(state.vector, ref_apply_circuit(psi, state.circuit,
+                                                              np.zeros((1, 0)))[0])
+    alphas = taylor_like_rows(rng, m, order=1 if big else 2)
+    if big:
+        alphas = alphas[[0, 1, 2, 5, -2, -1]]
+    got = exact_expectation_batch(circuit, alphas, obs, state)
+    assert np.array_equal(got, ref_expectation_batch(circuit, alphas, obs, state,
+                                                     chunk=block_rows(n)))
+    singles = np.array([exact_expectation(circuit, row, obs, state) for row in alphas])
+    assert np.array_equal(got, singles)
+    for row in (1, len(alphas) // 3, len(alphas) - 1):
+        evolved = evolve_state(circuit, alphas[row], state)
+        want = ref_apply_circuit(state_vector(state)[np.newaxis, :], circuit,
+                                 alphas[row:row + 1])[0]
+        assert np.array_equal(evolved.vector, want)
 
 
 @pytest.mark.parametrize("n", [3, 10])
