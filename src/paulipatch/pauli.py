@@ -225,6 +225,11 @@ _TABLES: dict[str, tuple[np.ndarray, np.ndarray]] = {
 }
 
 
+# the same tables as tuples of Python ints, read one Pauli at a time by ``conjugate_masks``
+_INT_TABLES = {kind: (tuple(codes.tolist()), tuple(signs.tolist()))
+               for kind, (codes, signs) in _TABLES.items()}
+
+
 def gate_table(kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Conjugation lookup arrays ``(new_code, sign)`` for a generator kind."""
     try:
@@ -283,16 +288,16 @@ def conjugate_masks(x: int, z: int, gate: CliffordGate) -> tuple[int, int, int]:
             x, z, s = conjugate_masks(x, z, sub)
             sign *= s
         return x, z, sign
-    codes, signs = gate_table(gate.kind)
+    codes, signs = _INT_TABLES[gate.kind]
     code = 0
     for j, q in enumerate(gate.qubits):
         code |= ((x >> q & 1) + 2 * (z >> q & 1)) << (2 * j)
-    new_code = int(codes[code])
+    new_code = codes[code]
     for j, q in enumerate(gate.qubits):
         bit = 1 << q
         x = (x & ~bit) | (((new_code >> (2 * j)) & 1) << q)
         z = (z & ~bit) | (((new_code >> (2 * j + 1)) & 1) << q)
-    return x, z, int(signs[code])
+    return x, z, signs[code]
 
 
 # --- Observables ----------------------------------------------------------------

@@ -5,14 +5,22 @@ against. States are vectors of complex amplitudes with qubit ``q`` on basis
 bit ``q``. A block of rows (one state per parameter row) is held
 amplitude-major, as a C-contiguous ``(2**n, rows)`` array, and gates act on
 its ``(2, ..., 2, rows)`` view, where qubit ``q`` is axis ``n - 1 - q``, so
-every pass runs over contiguous runs of ``rows`` amplitudes. A Pauli flips its
-X/Y axes and multiplies by a phase spanning only its Z/Y axes and the row
-axis; a rotation updates the block in place through one work array; every
-Clifford kind but ``h`` moves slices of its axes into the work array with a
-fixed index and phase, and the two arrays swap. No operator matrix over all
-qubits is ever built, and the kernels keep no array of size ``2**n`` between
-calls. ``Dense`` and ``TrotterEvolvedZero`` vectors are read-only, so the
-in-place kernels cannot change a state.
+every pass runs over contiguous runs of ``rows`` amplitudes.
+
+A circuit is compiled once per call into a program that runs on each block.
+A Pauli flips its X/Y axes and multiplies by a phase spanning only its Z/Y
+axes and the row axis; a rotation updates the block in place through one
+work array. Every Clifford kind but ``h`` (also inside ``seq``) joins a
+pending frame, a basis permutation with exact +/-1, +/-i phases: the
+rotations after it run with their generators conjugated back through it, and
+the frame itself is applied, as one gather and one phase multiply, only
+before an ``h`` and at the end. ``h`` and the frame write into the work
+array, and the two arrays swap. The steps before a block's first rotation
+whose angle differs between its rows run once, on one column. No operator
+matrix over all qubits is ever built, and the kernels keep no array of size
+``2**n`` between calls. Every value equals gate-by-gate application bit for
+bit (up to the sign of zeros). ``Dense`` and ``TrotterEvolvedZero`` vectors
+are read-only, so the in-place kernels cannot change a state.
 
 Caps: expectation oracles run up to 14 qubits; dense state construction and
 overlap evaluation are allowed up to 16 so that a Trotter-prepared 16-qubit
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -34,6 +43,7 @@ from .pauli import (
     CliffordGate,
     ObservableSpec,
     PauliString,
+    conjugate_masks,
     gate_matrix,
 )
 
@@ -117,7 +127,7 @@ class TrotterEvolvedZero:
     def vector(self) -> np.ndarray:
         psi = np.zeros((1 << self.n, 1), dtype=complex)
         psi[0] = 1.0
-        vector = _apply_circuit(psi, self.circuit, np.zeros((1, 0)))[:, 0]
+        vector = _run(_compile(self.circuit), psi, np.zeros((1, 0)))[:, 0]
         vector.flags.writeable = False
         return vector
 
@@ -157,36 +167,49 @@ def _qubit_view(states: np.ndarray, n: int) -> np.ndarray:
     return states.reshape((2,) * n + (states.shape[1],), copy=False)
 
 
+def _pauli_action(p: PauliString) -> tuple[np.ndarray, tuple]:
+    """``(phase, flip)`` with ``P psi = phase * view[flip]`` on the (2, ..., 2, rows) view.
+
+    ``flip`` reverses the X/Y axes (qubit ``q`` is axis ``n - 1 - q``), so
+    ``view[flip][j]`` is ``psi[j ^ x]``. ``phase`` is the exact +/-1, +/-i factor
+    of each basis state, i^|x & z| (-1)^|j & z|, already flipped the same way; it
+    spans only the Z/Y axes (2**|z| values) and broadcasts over the rest and the
+    row axis.
+    """
+    n = p.n
+    shape, flip = [1] * (n + 1), [slice(None)] * (n + 1)
+    for q in range(n):
+        if p.z >> q & 1:
+            shape[n - 1 - q] = 2
+        if p.x >> q & 1:
+            flip[n - 1 - q] = slice(None, None, -1)
+    parity = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << p.z.bit_count())) & 1)
+    flip = tuple(flip)
+    return ((1j ** (p.x & p.z).bit_count()) * parity).reshape(shape)[flip], flip
+
+
 def apply_pauli_dense(states: np.ndarray, p: PauliString, factor=1.0,
                       out: np.ndarray | None = None) -> np.ndarray:
     """``factor * p`` applied to each column of a C-contiguous (2**n, rows) array.
 
-    The result is ``phase * np.flip(view, x_axes)`` on the (2, ..., 2, rows)
-    view, where qubit ``q`` is axis ``n - 1 - q``. ``phase`` is the exact
-    +/-1, +/-i factor of each basis state times ``factor`` (a scalar, or one
-    value per column); it spans only the Z/Y axes and the row axis
-    (2**|z| values per row) and broadcasts over the rest. Each phase is
-    +/-1 or +/-i exactly, so folding ``factor`` into it gives the same bits
-    as multiplying the result by ``factor``. A generator without X/Y letters
-    needs no flip. The result is written into ``out``, a C-contiguous array
-    of the same shape that does not overlap ``states`` (a new array when
-    None), and returned.
+    The result is ``phase * factor * view[flip]`` from ``_pauli_action``, with
+    ``factor`` a scalar or one value per column. Each phase is +/-1 or +/-i
+    exactly, so folding ``factor`` into it gives the same bits as multiplying
+    the result by ``factor``. The result is written into ``out``, a
+    C-contiguous array of the same shape that does not overlap ``states`` (a
+    new array when None), and returned.
     """
-    n = p.n
-    shaped = _qubit_view(states, n)
-    parity = np.ones((1,) * (n + 1))
-    for q in range(n):
-        if p.z >> q & 1:
-            sign = np.array([1.0, -1.0]).reshape((1,) * (n - 1 - q) + (2,) + (1,) * (q + 1))
-            parity = parity * sign
-    phase = (1j ** ((p.x & p.z).bit_count())) * parity * factor
-    x_axes = tuple(n - 1 - q for q in range(n) if p.x >> q & 1)
-    if x_axes:
-        # out[j] is phase[j ^ x] * in[j ^ x]: flip the phase with the amplitudes
-        phase, shaped = np.flip(phase, x_axes), np.flip(shaped, x_axes)
+    phase, flip = _pauli_action(p)
+    return _apply_action(states, phase, flip, factor, out)
+
+
+def _apply_action(states: np.ndarray, phase: np.ndarray, flip: tuple, factor,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """``phase * factor * view[flip]`` of ``states``, as in ``apply_pauli_dense``."""
+    n = states.shape[0].bit_length() - 1
     if out is None:
         out = np.empty_like(states)
-    np.multiply(phase, shaped, out=_qubit_view(out, n))
+    np.multiply(phase * factor, _qubit_view(states, n)[flip], out=_qubit_view(out, n))
     return out
 
 
@@ -201,57 +224,129 @@ _MONOMIAL_GATES = {kind: _index_and_phase(gate_matrix(kind))
                    for kind in CLIFFORD_1Q + CLIFFORD_2Q if kind != "h"}
 
 
-def _apply_clifford(states: np.ndarray, kind: str, qubits: tuple[int, ...], n: int,
-                    out: np.ndarray) -> None:
-    """Write one non-seq Clifford gate applied to the columns of ``states`` into ``out``.
+def _frame(gates: list[CliffordGate], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather and phase of the product D of monomial gates: (D psi)[j] = phase[j] psi[index[j]].
 
-    ``h`` multiplies its 2x2 matrix into the (higher qubits, 2, lower qubits
-    and rows) view; every other kind moves 2**k slices of its axes with a
-    fixed index and phase.
+    D is applied once, to the labels 1, ..., 2**n: each gate moves 2**k slices of
+    its axes with the fixed index and phase of its ``_MONOMIAL_GATES`` entry. Every
+    factor is +/-1 or +/-i, so entry j ends as exactly phase[j] * (index[j] + 1):
+    its magnitude is the label and the signs of its two float parts are the phase.
     """
-    if kind == "h":
-        lanes = states.reshape((1 << (n - 1 - qubits[0]), 2, -1), copy=False)
-        np.einsum("ij,ajk->aik", _H, lanes, out=out.reshape(lanes.shape, copy=False))
-        return
-    index, phase = _MONOMIAL_GATES[kind]
-    source, target = _qubit_view(states, n), _qubit_view(out, n)
+    labels = np.arange(1, (1 << n) + 1, dtype=complex).reshape(-1, 1)  # one column
+    moved = np.empty_like(labels)
+    source, target = _qubit_view(labels, n), _qubit_view(moved, n)
+    for gate in gates:
+        index, phase = _MONOMIAL_GATES[gate.kind]
+        local = []  # the view of local basis state i of the gate's qubits
+        for i in range(len(index)):
+            view: list = [slice(None)] * (n + 1)
+            for bit, q in enumerate(gate.qubits):
+                view[n - 1 - q] = (i >> bit) & 1
+            local.append(tuple(view))
+        for i, (j, factor) in enumerate(zip(index, phase)):
+            np.multiply(factor, source[local[j]], out=target[local[i]])
+        labels, moved, source, target = moved, labels, target, source
+    del moved, source, target  # freed before the gather is built
+    labels = labels[:, 0]
+    index = np.abs(labels).astype(np.intp)
+    index -= 1
+    np.sign(labels.view(float), out=labels.view(float))  # labels now holds the phase
+    return index, labels
 
-    def local(i: int) -> tuple:
-        view: list = [slice(None)] * (n + 1)
-        for bit, q in enumerate(qubits):
-            view[n - 1 - q] = (i >> bit) & 1
-        return tuple(view)
 
-    for i, (j, factor) in enumerate(zip(index, phase)):
-        np.multiply(factor, source[local(j)], out=target[local(i)])
+def _compile(circuit: Circuit) -> list[tuple]:
+    """The circuit as a program of steps that run on (2**n, rows) blocks.
 
+    Every non-``h`` Clifford, also inside ``seq``, joins a pending frame D, a
+    basis permutation with exact +/-1, +/-i phases. A rotation exp(-i theta P/2)
+    after D equals D exp(-i theta D^dagger P D/2), and D^dagger P D = sign * P'
+    (``conjugate_masks`` through the pending gates, last first, skipping those
+    off the generator's qubits), so the rotation runs with P' and ``sign`` before
+    D. D itself runs only before an ``h`` and at the end, as one gather and one
+    phase multiply. The steps are:
 
-def _apply_circuit(states: np.ndarray, circuit: Circuit, alphas: np.ndarray) -> np.ndarray:
-    """Run ``circuit`` on the columns of a C-contiguous (2**n, rows) array it may overwrite.
+    - ``("h", qubit)``;
+    - ``("rotation", param, phase, flip, sign)``, with ``param`` the gate's
+      ``ParamRef`` and ``(phase, flip)`` the ``_pauli_action`` of P';
+    - ``("frame", gates)``, the monomial gates of D in order of application. Its
+      gather is built by ``_frame`` when the step runs, so a deep circuit holds
+      at most one array of size 2**n beyond its block.
 
-    Column b uses parameter row b. A rotation updates ``states`` in place
-    through one work array; a Clifford writes into the work array and the two
-    swap. Returns whichever of the two holds the result.
+    Each amplitude gets the same products as gate-by-gate application, since every
+    moved factor is a unit: the values agree bit for bit (up to the sign of zeros).
     """
     n = circuit.n
-    work = np.empty_like(states)
+    program: list[tuple] = []
+    pending: list[tuple[int, CliffordGate]] = []  # (qubit mask, gate) in order of application
     for gate in circuit.gates:
         if isinstance(gate, CliffordGate):
             for sub in gate.sequence if gate.kind == "seq" else (gate,):
-                _apply_clifford(states, sub.kind, sub.qubits, n, out=work)
-                states, work = work, states
+                if sub.kind != "h":
+                    pending.append((sum(1 << q for q in sub.qubits), sub))
+                    continue
+                if pending:
+                    program.append(("frame", [g for _, g in pending]))
+                    pending = []
+                program.append(("h", sub.qubits[0]))
         else:
-            theta = (
-                np.full(states.shape[1], gate.param.value)
-                if gate.param.is_fixed
-                else alphas[:, gate.param.index]
-            )
+            p = gate.generator(n)
+            x, z, sign = p.x, p.z, 1
+            for mask, sub in reversed(pending):
+                if (x | z) & mask:
+                    x, z, sub_sign = conjugate_masks(x, z, sub)
+                    sign *= sub_sign
+            program.append(("rotation", gate.param, *_pauli_action(PauliString(n, x, z)),
+                            sign))
+    if pending:
+        program.append(("frame", [g for _, g in pending]))
+    return program
+
+
+def _run(program: list[tuple], states: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Run ``program`` on the columns of a C-contiguous (2**n, rows) array it may overwrite.
+
+    Column b uses parameter row b. A rotation updates ``states`` in place
+    through one work array; ``h`` and a frame write into the work array and the
+    two swap. Returns whichever of the two holds the result.
+    """
+    n = states.shape[0].bit_length() - 1
+    work = np.empty_like(states)
+    for step in program:
+        if step[0] == "rotation":
+            _, param, phase, flip, sign = step
+            theta = (np.full(states.shape[1], param.value) if param.is_fixed
+                     else alphas[:, param.index])
             # cos * states - 1j * sin * P states, with no temporary of the block's size
-            rotated = apply_pauli_dense(states, gate.generator(n), 1j * np.sin(theta / 2.0),
-                                        out=work)
+            rotated = _apply_action(states, phase, flip, (1j * sign) * np.sin(theta / 2.0),
+                                    out=work)
             states *= np.cos(theta / 2.0)
             states -= rotated
+            continue
+        if step[0] == "h":
+            lanes = states.reshape((1 << (n - 1 - step[1]), 2, -1), copy=False)
+            np.einsum("ij,ajk->aik", _H, lanes, out=work.reshape(lanes.shape, copy=False))
+        else:
+            index, phase = _frame(step[1], n)
+            np.take(states, index, axis=0, out=work, mode="clip")  # "clip" takes no buffer
+            work *= phase[:, np.newaxis]
+        states, work = work, states
     return states
+
+
+def _evolve_block(program: list[tuple], psi0: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The (2**n, rows) block of ``psi0`` (one column) run at each row of ``block``.
+
+    The steps before the first rotation whose angle is not bitwise equal in all
+    rows (compared as int64 words, so -0.0 differs from 0.0) run once, on one
+    column, which is then repeated out to the rows.
+    """
+    same = (block.view(np.int64) == block[:1].view(np.int64)).all(axis=0)
+    split = next((i for i, step in enumerate(program) if step[0] == "rotation"
+                  and not step[1].is_fixed and not same[step[1].index]), len(program))
+    column = _run(program[:split], psi0.copy(), block[:1])
+    if block.shape[0] > 1:
+        column = np.repeat(column, block.shape[0], axis=1)
+    return _run(program[split:], column, block)
 
 
 # --- Overlaps and expectations -----------------------------------------------------
@@ -340,16 +435,37 @@ def overlaps(state: InitialState, paulis) -> np.ndarray:
 
 def evolve_state(circuit: Circuit, alphas, state: InitialState) -> Dense:
     """Dense state after running ``circuit`` at parameters ``alphas``."""
+    (evolved,) = evolve_states(circuit, np.asarray(alphas, dtype=float).reshape(1, -1), state)
+    return evolved
+
+
+def evolve_states(circuit: Circuit, alphas: np.ndarray, state: InitialState) -> Iterator[Dense]:
+    """Dense states after running ``circuit`` at each row of ``alphas``, in row order.
+
+    The circuit is compiled once, and the rows run in blocks of ``block_rows(n)``
+    as in ``exact_expectation_batch``; each state equals ``evolve_state`` at its
+    row bit for bit.
+    """
     if circuit.n != state.n:
         raise DimensionError(f"circuit has {circuit.n} qubits, state has {state.n}")
     if circuit.n > DENSE_STATE_CAP:
         raise OracleCapError(f"dense evolution capped at {DENSE_STATE_CAP} qubits")
-    alphas = np.asarray(alphas, dtype=float).reshape(1, -1)
-    if alphas.shape[1] != circuit.m:
-        raise DimensionError(f"expected {circuit.m} parameters, got {alphas.shape[1]}")
-    # a copy: for Dense and TrotterEvolvedZero, state_vector is the state's own array
-    psi = state_vector(state)[:, np.newaxis].copy()
-    return Dense(_apply_circuit(psi, circuit, finite_parameters(alphas))[:, 0])
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 2 or alphas.shape[1] != circuit.m:
+        raise DimensionError(f"expected (rows, {circuit.m}) parameters, got {alphas.shape}")
+    finite_parameters(alphas)
+    blocks = _evolved_blocks(circuit, alphas, state)
+    return (Dense(states[:, b]) for states in blocks for b in range(states.shape[1]))
+
+
+def _evolved_blocks(circuit: Circuit, alphas: np.ndarray,
+                    state: InitialState) -> Iterator[np.ndarray]:
+    """The evolved (2**n, rows) blocks of ``block_rows(n)`` rows, from one compiled program."""
+    program = _compile(circuit)
+    psi0 = state_vector(state)[:, np.newaxis]
+    step = block_rows(circuit.n)
+    for start in range(0, alphas.shape[0], step):
+        yield _evolve_block(program, psi0, alphas[start:start + step])
 
 
 def exact_expectation(circuit: Circuit, alphas, obs: ObservableSpec,
@@ -363,10 +479,14 @@ def exact_expectation_batch(circuit: Circuit, alphas: np.ndarray, obs: Observabl
                             state: InitialState) -> np.ndarray:
     """Vectorized oracle over many parameter vectors (rows of ``alphas``).
 
-    Rows are evolved in blocks of ``block_rows(n)``. Up to 13 qubits every
-    row's value is independent of the block it falls in; from 14 on, einsum
-    sums the rows of a multi-row block in 8192-amplitude chunks, so the last
-    bits of a row's value depend on how many rows share its block.
+    Rows are evolved in blocks of ``block_rows(n)``, through one program
+    compiled for the call. In each block the steps before the first rotation
+    whose angle is not bitwise equal in all its rows run once, on one column,
+    which is then repeated out to the rows; rows that share a long prefix of
+    angles, as parameter-shift points do, share most of the work. Up to 13
+    qubits every row's value is independent of the block it falls in; from 14
+    on, einsum sums the rows of a multi-row block in 8192-amplitude chunks, so
+    the last bits of a row's value depend on how many rows share its block.
     """
     if circuit.n != state.n or obs.n != circuit.n:
         raise DimensionError("circuit, observable, and state qubit counts must match")
@@ -379,15 +499,13 @@ def exact_expectation_batch(circuit: Circuit, alphas: np.ndarray, obs: Observabl
     if alphas.ndim != 2 or alphas.shape[1] != circuit.m:
         raise DimensionError(f"expected (draws, {circuit.m}) parameters, got {alphas.shape}")
     finite_parameters(alphas)
-    psi0 = state_vector(state)[:, np.newaxis]
     out = np.empty(alphas.shape[0])
-    step = block_rows(circuit.n)
-    for start in range(0, alphas.shape[0], step):
-        block = alphas[start:start + step]
-        states = _apply_circuit(np.repeat(psi0, block.shape[0], axis=1), circuit, block)
+    start = 0
+    for states in _evolved_blocks(circuit, alphas, state):
         bra, ket = states.conj(), np.empty_like(states)
-        values = np.zeros(block.shape[0], dtype=complex)
+        values = np.zeros(states.shape[1], dtype=complex)
         for p, coeff in obs.terms:
             values += coeff * np.einsum("ib,ib->b", bra, apply_pauli_dense(states, p, out=ket))
-        out[start:start + step] = values.real
+        out[start:start + states.shape[1]] = values.real
+        start += states.shape[1]
     return out
