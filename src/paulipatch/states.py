@@ -309,6 +309,8 @@ def _run(program: list[tuple], states: np.ndarray, alphas: np.ndarray) -> np.nda
     through one work array; ``h`` and a frame write into the work array and the
     two swap. Returns whichever of the two holds the result.
     """
+    if not program:
+        return states
     n = states.shape[0].bit_length() - 1
     work = np.empty_like(states)
     for step in program:
