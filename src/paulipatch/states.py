@@ -22,6 +22,15 @@ matrix over all qubits is ever built, and the kernels keep no array of size
 bit (up to the sign of zeros). ``Dense`` and ``TrotterEvolvedZero`` vectors
 are read-only, so the in-place kernels cannot change a state.
 
+``exact_expectation_batch`` runs its blocks on one worker per usable core
+(at most one per block), each on a fixed stride of blocks: the calling thread
+is worker 0 and the others are pool threads. numpy runs a block's array
+kernels without the GIL, which only the Python between them and the build of
+a frame's gather hold. The calling thread allocates every array of a block's
+size, two per worker, and the pool threads run in copies of its context, so
+its ``np.errstate`` governs their arithmetic. A call with one block starts no
+thread. Every worker count gives the same bits.
+
 Caps: expectation oracles run up to 14 qubits; dense state construction and
 overlap evaluation are allowed up to 16 so that a Trotter-prepared 16-qubit
 input state can still be compared exactly.
@@ -29,6 +38,8 @@ input state can still be compared exactly.
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -50,7 +61,8 @@ from .pauli import (
 DENSE_EXPECTATION_CAP = 14
 DENSE_STATE_CAP = 16
 
-# Budget of each of a block's two arrays (states and work): 64 rows of a 10-qubit state.
+# Budget of each of a block's two arrays (states and work, later bra and ket), which the
+# oracle holds once per worker, one worker per usable core: 64 rows of a 10-qubit state.
 # On the mixed10 benchmark scans 512 KB and 1 MB run alike and 256 KB and 2-4 MB slower,
 # with the same bits at every size.
 _BLOCK_BYTES = 1 << 20
@@ -127,7 +139,7 @@ class TrotterEvolvedZero:
     def vector(self) -> np.ndarray:
         psi = np.zeros((1 << self.n, 1), dtype=complex)
         psi[0] = 1.0
-        vector = _run(_compile(self.circuit), psi, np.zeros((1, 0)))[:, 0]
+        vector = _run(_compile(self.circuit), psi, np.empty_like(psi), np.zeros((1, 0)))[0][:, 0]
         vector.flags.writeable = False
         return vector
 
@@ -205,11 +217,19 @@ def apply_pauli_dense(states: np.ndarray, p: PauliString, factor=1.0,
 
 def _apply_action(states: np.ndarray, phase: np.ndarray, flip: tuple, factor,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """``phase * factor * view[flip]`` of ``states``, as in ``apply_pauli_dense``."""
+    """``phase * factor * view[flip]`` of ``states``, as in ``apply_pauli_dense``.
+
+    A copy and then an in-place multiply, which numpy runs without the GIL, so
+    that other threads' blocks run meanwhile. Every factor has one zero part,
+    so the bits are those of one ``np.multiply`` of ``phase * factor`` and the
+    flipped view.
+    """
     n = states.shape[0].bit_length() - 1
     if out is None:
         out = np.empty_like(states)
-    np.multiply(phase * factor, _qubit_view(states, n)[flip], out=_qubit_view(out, n))
+    target = _qubit_view(out, n)
+    np.copyto(target, _qubit_view(states, n)[flip])
+    target *= phase * factor
     return out
 
 
@@ -302,17 +322,17 @@ def _compile(circuit: Circuit) -> list[tuple]:
     return program
 
 
-def _run(program: list[tuple], states: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+def _run(program: list[tuple], states: np.ndarray, work: np.ndarray,
+         alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run ``program`` on the columns of a C-contiguous (2**n, rows) array it may overwrite.
 
-    Column b uses parameter row b. A rotation updates ``states`` in place
-    through one work array; ``h`` and a frame write into the work array and the
-    two swap. Returns whichever of the two holds the result.
+    Column b uses parameter row b. ``work`` is a C-contiguous array of the same
+    shape that does not overlap ``states``. A rotation updates ``states`` in
+    place through ``work``; ``h`` and a frame write into ``work`` and the two
+    swap. Returns ``(result, spare)``: the one of the two that holds the result,
+    then the other.
     """
-    if not program:
-        return states
     n = states.shape[0].bit_length() - 1
-    work = np.empty_like(states)
     for step in program:
         if step[0] == "rotation":
             _, param, phase, flip, sign = step
@@ -332,23 +352,37 @@ def _run(program: list[tuple], states: np.ndarray, alphas: np.ndarray) -> np.nda
             np.take(states, index, axis=0, out=work, mode="clip")  # "clip" takes no buffer
             work *= phase[:, np.newaxis]
         states, work = work, states
-    return states
+    return states, work
 
 
-def _evolve_block(program: list[tuple], psi0: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The (2**n, rows) block of ``psi0`` (one column) run at each row of ``block``.
+def _evolve_block(program: list[tuple], psi0: np.ndarray, block: np.ndarray,
+                  states: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``psi0`` (one column) run at each row of ``block``, in the caller's two buffers.
 
-    The steps before the first rotation whose angle is not bitwise equal in all
-    rows (compared as int64 words, so -0.0 differs from 0.0) run once, on one
-    column, which is then repeated out to the rows.
+    ``states`` and ``work`` are flat, non-overlapping complex arrays of at least
+    ``2**n * rows`` entries; the block runs in C-contiguous (2**n, rows) views of
+    their leading entries. The steps before the first rotation whose angle is
+    not bitwise equal in all rows (compared as int64 words, so -0.0 differs from
+    0.0) run once, on one column, which is then copied out to the rows. A
+    one-row block runs its whole program on that column. Returns the
+    ``(result, spare)`` views of ``_run``.
     """
+    dim, rows = psi0.shape[0], block.shape[0]
     same = (block.view(np.int64) == block[:1].view(np.int64)).all(axis=0)
     split = next((i for i, step in enumerate(program) if step[0] == "rotation"
                   and not step[1].is_fixed and not same[step[1].index]), len(program))
-    column = _run(program[:split], psi0.copy(), block[:1])
-    if block.shape[0] > 1:
-        column = np.repeat(column, block.shape[0], axis=1)
-    return _run(program[split:], column, block)
+    head = states[:dim].reshape((dim, 1), copy=False)
+    np.copyto(head, psi0)
+    column, spare = _run(program[:split], head, work[:dim].reshape((dim, 1), copy=False),
+                         block[:1])
+    if rows == 1:
+        return column, spare
+    # the rows go to the buffer that holds the spare column; the other is their work array
+    target, other = (work, states) if column is head else (states, work)
+    rows_view = target[:dim * rows].reshape((dim, rows), copy=False)
+    np.copyto(rows_view, column)
+    return _run(program[split:], rows_view, other[:dim * rows].reshape((dim, rows), copy=False),
+                block)
 
 
 # --- Overlaps and expectations -----------------------------------------------------
@@ -444,9 +478,11 @@ def evolve_state(circuit: Circuit, alphas, state: InitialState) -> Dense:
 def evolve_states(circuit: Circuit, alphas: np.ndarray, state: InitialState) -> Iterator[Dense]:
     """Dense states after running ``circuit`` at each row of ``alphas``, in row order.
 
-    The circuit is compiled once, and the rows run in blocks of ``block_rows(n)``
-    as in ``exact_expectation_batch``; each state equals ``evolve_state`` at its
-    row bit for bit.
+    The circuit is compiled once, and the rows run one block of ``block_rows(n)``
+    after another, in the calling thread, through the block kernel of
+    ``exact_expectation_batch`` and two arrays allocated once per call; each
+    state is a copy of its column and equals ``evolve_state`` at its row bit for
+    bit.
     """
     if circuit.n != state.n:
         raise DimensionError(f"circuit has {circuit.n} qubits, state has {state.n}")
@@ -462,12 +498,25 @@ def evolve_states(circuit: Circuit, alphas: np.ndarray, state: InitialState) -> 
 
 def _evolved_blocks(circuit: Circuit, alphas: np.ndarray,
                     state: InitialState) -> Iterator[np.ndarray]:
-    """The evolved (2**n, rows) blocks of ``block_rows(n)`` rows, from one compiled program."""
+    """The evolved (2**n, rows) blocks of ``block_rows(n)`` rows, from one compiled program.
+
+    Each block is a view of two arrays the generator reuses: read it before
+    asking for the next.
+    """
     program = _compile(circuit)
     psi0 = state_vector(state)[:, np.newaxis]
     step = block_rows(circuit.n)
+    states, work = np.empty((2, psi0.shape[0] * min(step, alphas.shape[0])), dtype=complex)
     for start in range(0, alphas.shape[0], step):
-        yield _evolve_block(program, psi0, alphas[start:start + step])
+        yield _evolve_block(program, psi0, alphas[start:start + step], states, work)[0]
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def exact_expectation(circuit: Circuit, alphas, obs: ObservableSpec,
@@ -484,11 +533,21 @@ def exact_expectation_batch(circuit: Circuit, alphas: np.ndarray, obs: Observabl
     Rows are evolved in blocks of ``block_rows(n)``, through one program
     compiled for the call. In each block the steps before the first rotation
     whose angle is not bitwise equal in all its rows run once, on one column,
-    which is then repeated out to the rows; rows that share a long prefix of
-    angles, as parameter-shift points do, share most of the work. Up to 13
-    qubits every row's value is independent of the block it falls in; from 14
-    on, einsum sums the rows of a multi-row block in 8192-amplitude chunks, so
-    the last bits of a row's value depend on how many rows share its block.
+    which is then copied out to the rows; rows that share a long prefix of
+    angles, as parameter-shift points do, share most of the work.
+
+    The blocks run on ``min(usable cores, blocks)`` workers, worker w taking
+    blocks w, w + workers, ...: worker 0 is the calling thread, and the others
+    are threads that run in copies of its context and end before the call
+    returns. The two arrays of each worker are allocated here, in the calling
+    thread. A block's bra is its evolved states conjugated in place, and each
+    term's P|psi> goes into the spare array. A single block starts no thread.
+
+    Every worker count gives the same bits. Up to 13 qubits every row's value
+    is independent of the block it falls in; from 14 on, einsum sums the rows
+    of a multi-row block in 8192-amplitude chunks, so the last bits of a row's
+    value depend on how many rows share its block (the blocks do not depend on
+    the worker count).
     """
     if circuit.n != state.n or obs.n != circuit.n:
         raise DimensionError("circuit, observable, and state qubit counts must match")
@@ -501,13 +560,44 @@ def exact_expectation_batch(circuit: Circuit, alphas: np.ndarray, obs: Observabl
     if alphas.ndim != 2 or alphas.shape[1] != circuit.m:
         raise DimensionError(f"expected (draws, {circuit.m}) parameters, got {alphas.shape}")
     finite_parameters(alphas)
+    program = _compile(circuit)
+    psi0 = state_vector(state)[:, np.newaxis]
+    terms = [(coeff, *_pauli_action(p)) for p, coeff in obs.terms]
+    step = block_rows(circuit.n)
+    starts = range(0, alphas.shape[0], step)
+    workers = min(_usable_cores(), len(starts))
+    # each worker's two arrays, allocated in this thread: glibc keeps what a worker thread
+    # frees in that thread's arena, where it stays resident
+    buffers = np.empty((workers, 2, psi0.shape[0] * min(step, alphas.shape[0])), dtype=complex)
     out = np.empty(alphas.shape[0])
-    start = 0
-    for states in _evolved_blocks(circuit, alphas, state):
-        bra, ket = states.conj(), np.empty_like(states)
-        values = np.zeros(states.shape[1], dtype=complex)
-        for p, coeff in obs.terms:
-            values += coeff * np.einsum("ib,ib->b", bra, apply_pauli_dense(states, p, out=ket))
-        out[start:start + states.shape[1]] = values.real
-        start += states.shape[1]
+
+    def expectations(worker: int) -> None:
+        for start in starts[worker::workers]:
+            block = alphas[start:start + step]
+            bra, ket = _evolve_block(program, psi0, block, *buffers[worker])
+            np.conjugate(bra, out=bra)
+            bra_view, ket_view = _qubit_view(bra, circuit.n), _qubit_view(ket, circuit.n)
+            values = np.zeros(block.shape[0], dtype=complex)
+            for coeff, phase, flip in terms:
+                # P psi as in _apply_action, its copy read from the bra: conjugating
+                # twice gives psi's bits back
+                np.conjugate(bra_view[flip], out=ket_view)
+                ket_view *= phase
+                values += coeff * np.einsum("ib,ib->b", bra, ket)
+            out[start:start + block.shape[0]] = values.real
+
+    if workers <= 1:
+        for worker in range(workers):
+            expectations(worker)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    # this thread is worker 0; numpy keeps its error state in a context variable, so the
+    # others run in copies of this thread's context
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, expectations, worker)
+                   for worker in range(1, workers)]
+        expectations(0)
+        for future in futures:
+            future.result()
     return out

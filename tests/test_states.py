@@ -1,6 +1,8 @@
 """Stabilizer overlaps and the dense statevector oracle."""
 
+import concurrent.futures
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -19,17 +21,19 @@ from paulipatch import (
     Rotation,
     TrotterEvolvedZero,
     ValidationError,
+    build_taylor,
     build_tfi_trotter,
     evolve_state,
     exact_expectation,
     exact_expectation_batch,
+    exact_oracle,
     grid,
     overlap,
     overlaps,
 )
 from paulipatch import states, taylor
 from paulipatch.pauli import CLIFFORD_1Q, CLIFFORD_2Q
-from paulipatch.states import block_rows, state_vector
+from paulipatch.states import block_rows, evolve_states, state_vector
 
 from conftest import (
     random_mixed_circuit,
@@ -311,6 +315,116 @@ def test_rows_sharing_leading_angles_match_reference_kernels(n, kind):
         want = ref_apply_circuit(state_vector(state)[np.newaxis, :], circuit,
                                  alphas[row:row + 1])[0]
         assert np.array_equal(evolved.vector, want)
+
+
+def use_cores(monkeypatch, cores):
+    monkeypatch.setattr(states, "_usable_cores", lambda: cores)
+
+
+# blocks hold 8 rows at 3 qubits (a smaller budget), 64 at 10, 4 at 14 and 1 at 16; the
+# 14-qubit values may depend on the block shape, which no worker count changes
+@pytest.mark.parametrize("n, kind", [(3, "plus"), (10, "dense"), (14, "zero"), (16, "trotter")])
+def test_expectation_batch_is_the_same_for_every_worker_count(monkeypatch, n, kind):
+    rng = np.random.default_rng(9900 + n)
+    if n == 3:
+        monkeypatch.setattr(states, "_BLOCK_BYTES", 1 << 10)
+    big = n >= 14
+    m = 3 if big else {3: 9, 10: 20}[n]
+    circuit = monomial_run_circuit(rng, n, m)
+    obs = random_observable(rng, n, terms=3)
+    if kind == "plus":
+        state = AllPlus(n)
+    elif kind == "dense":
+        state = random_dense(rng, n)
+    elif kind == "zero":
+        state = AllZero(n)
+    else:
+        prep = monomial_run_circuit(rng, n, 3)
+        state = TrotterEvolvedZero(prep.bind(rng.uniform(-np.pi, np.pi, prep.m)))
+    step = block_rows(n)
+    shared = taylor_like_rows(rng, m, order=1 if big else 2)
+    if n == 16:
+        shared = shared[[0, 1, 2, 5, -2, -1]]
+    batches = [rng.uniform(-np.pi, np.pi, size=(2 * step + 3, m)),  # ends in a partial block
+               rng.uniform(-np.pi, np.pi, size=(step + 1, m)),  # fewer blocks than 3 workers
+               rng.uniform(-np.pi, np.pi, size=(2, m)),  # fewer rows than workers
+               shared]
+    center = rng.uniform(-0.3, 0.3, size=m)
+    got, entries = {}, {}
+    for cores in (1, 2, 3):
+        use_cores(monkeypatch, cores)
+        got[cores] = [exact_expectation_batch(circuit, alphas, obs, state) for alphas in batches]
+        entries[cores] = build_taylor(exact_oracle(circuit, obs, state), center, kappa=2).entries
+    for cores in (2, 3):
+        assert all(np.array_equal(a, b) for a, b in zip(got[cores], got[1]))
+        assert entries[cores] == entries[1]
+    if not big:  # evolve_states reuses its two arrays from block to block
+        alphas = batches[0]
+        evolved = np.array([e.vector for e in evolve_states(circuit, alphas, state)])
+        start = np.repeat(state_vector(state)[np.newaxis, :], alphas.shape[0], axis=0)
+        assert np.array_equal(evolved, ref_apply_circuit(start, circuit, alphas))
+
+
+def recorded_kernel(monkeypatch):
+    """Record (thread id, numpy's overflow mode) at each block the oracle runs."""
+    seen = []
+    kernel = states._evolve_block
+
+    def recording(*args):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        return kernel(*args)
+
+    monkeypatch.setattr(states, "_evolve_block", recording)
+    return seen
+
+
+def test_no_worker_thread_outlives_an_oracle_call(monkeypatch):
+    rng = np.random.default_rng(9950)
+    n = 10
+    circuit = monomial_run_circuit(rng, n, 6)
+    obs = random_observable(rng, n, terms=3)
+    alphas = rng.uniform(-np.pi, np.pi, size=(3 * block_rows(n) + 1, circuit.m))
+    seen = recorded_kernel(monkeypatch)
+    use_cores(monkeypatch, 2)
+    before = threading.active_count()
+    exact_expectation_batch(circuit, alphas, obs, AllZero(n))
+    assert threading.active_count() == before
+    threads = {ident for ident, _ in seen}  # the calling thread is one of the two workers
+    assert len(seen) == 4 and len(threads) == 2 and threading.get_ident() in threads
+
+
+def test_a_one_block_call_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-block call started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    use_cores(monkeypatch, 2)
+    rng = np.random.default_rng(9960)
+    n = 4
+    circuit = monomial_run_circuit(rng, n, 3)
+    obs = random_observable(rng, n, terms=2)
+    prep = monomial_run_circuit(rng, n, 2)
+    state = TrotterEvolvedZero(prep.bind(rng.uniform(-np.pi, np.pi, prep.m)))
+    before = threading.active_count()
+    assert state.vector.shape == (1 << n,)
+    exact_expectation(circuit, np.zeros(circuit.m), obs, state)
+    exact_oracle(circuit, obs, state)(np.zeros(circuit.m))
+    exact_expectation_batch(circuit, rng.uniform(size=(block_rows(n), circuit.m)), obs, state)
+    assert threading.active_count() == before
+
+
+def test_workers_run_under_the_callers_error_state(monkeypatch):
+    rng = np.random.default_rng(9970)
+    n = 10
+    circuit = monomial_run_circuit(rng, n, 6)
+    obs = random_observable(rng, n, terms=2)
+    alphas = rng.uniform(-np.pi, np.pi, size=(2 * block_rows(n), circuit.m))
+    seen = recorded_kernel(monkeypatch)
+    use_cores(monkeypatch, 2)
+    with np.errstate(over="raise"):
+        exact_expectation_batch(circuit, alphas, obs, AllZero(n))
+    assert len({ident for ident, _ in seen}) == 2
+    assert [over for _, over in seen] == ["raise", "raise"]
 
 
 @pytest.mark.parametrize("n", [3, 10])
